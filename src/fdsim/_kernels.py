@@ -1,40 +1,13 @@
-"""Hot numeric kernels.
+"""The FIR convolution kernel.
 
 The simulator spends nearly all of its time in complex FIR convolutions
 (pulse shaping, channel application, cancellation, matched filtering).
-Those run through a numba-compiled kernel when available; setting the
-environment variable ``FDSIM_NO_NUMBA=1`` (or missing numba) selects a
-pure-numpy fallback.  ``benchmarks/bench_kernels.py`` compares both paths.
+``fir_convolve`` is the one convolution path they all share.  The module
+keeps its name because the stage benchmark (``perfbench/``) times every
+convolution by tracing ``fdsim._kernels.fir_convolve``.
 """
 
-import os
-
 import numpy as np
-
-USE_NUMBA = os.environ.get("FDSIM_NO_NUMBA", "0") != "1"
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _convolve_full(x, h):
-        nx, nh = x.shape[0], h.shape[0]
-        out = np.zeros(nx + nh - 1, dtype=np.complex128)
-        for i in range(nx):
-            xi = x[i]
-            for j in range(nh):
-                out[i + j] += xi * h[j]
-        return out
-
-else:
-
-    def _convolve_full(x, h):
-        return np.convolve(x, h)
 
 
 def fir_convolve(x, h):
@@ -43,4 +16,4 @@ def fir_convolve(x, h):
     h = np.ascontiguousarray(h, dtype=np.complex128)
     if x.size == 0 or h.size == 0:
         raise ValueError("fir_convolve requires non-empty inputs")
-    return _convolve_full(x, h)
+    return np.convolve(x, h)

@@ -293,7 +293,7 @@ def apply_channel(wave: Waveform, chan: BasebandChannel, tx_power_dbm: float) ->
     """Pass a waveform through the channel at the given transmit power."""
     if wave.sample_rate_hz != chan.sample_rate_hz:
         raise ValueError("waveform and channel sample rates differ")
-    amp = math.sqrt(dbm_to_linear(tx_power_dbm)) if tx_power_dbm != -math.inf else 0.0
+    amp = math.sqrt(dbm_to_linear(tx_power_dbm))
     out = amp * fir_convolve(wave.samples, chan.taps)
     return Waveform(samples=out, sample_rate_hz=wave.sample_rate_hz,
                     samples_per_symbol=wave.samples_per_symbol,

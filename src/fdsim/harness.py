@@ -13,10 +13,14 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, FdsimError
 from .link import SCHEMES, LinkConfig, run_trial
 
-AXES = ("ebn0_db", "bandwidth_hz", "prb_dbm", "mod_order")
+#: Sweep axis name -> the LinkConfig field it sets.  ``mod_order`` is the
+#: one axis that also moves other fields (see ``config_for_point``).
+_AXIS_FIELDS = {"ebn0_db": "ebn0_db", "bandwidth_hz": "signal_bandwidth_hz",
+                "p_rb_dbm": "p_rb_dbm"}
+AXES = (*_AXIS_FIELDS, "mod_order")
 
 RESULT_HEADER = ("scheme", "axis", "axis_value", "sinr_db", "ber",
                  "rate_bps_hz", "trials", "sinr_se_db", "ber_se")
@@ -75,18 +79,14 @@ def trial_seed(root_seed: int, scheme: str, value, trial: int) -> int:
 def config_for_point(base: LinkConfig, scheme: str, axis: str, value) -> LinkConfig:
     """Specialize the base config for one sweep point."""
     cfg = replace(base, scheme=scheme, f_c_hz=None)
-    if axis == "ebn0_db":
-        return replace(cfg, ebn0_db=float(value))
-    if axis == "bandwidth_hz":
-        return replace(cfg, signal_bandwidth_hz=float(value))
-    if axis == "prb_dbm":
-        return replace(cfg, p_rb_dbm=float(value))
     if axis == "mod_order":
         m = int(value)
         n_b = int(round(math.log2(m)))
         n_bits = base.n_bits - base.n_bits % n_b
         return replace(cfg, mod_order=m, n_b=n_b, n_bits=max(n_bits, n_b))
-    raise ConfigError(f"unknown axis {axis!r}")
+    if axis not in _AXIS_FIELDS:
+        raise ConfigError(f"unknown axis {axis!r}")
+    return replace(cfg, **{_AXIS_FIELDS[axis]: float(value)})
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -103,7 +103,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 try:
                     report = run_trial(cfg, rng)
                 except Exception as exc:
-                    raise type(exc)(
+                    raise FdsimError(
                         f"{exc} [scheme={scheme}, {spec.axis}={value}, trial={trial}]"
                     ) from exc
                 sinrs.append(report.sinr_db)

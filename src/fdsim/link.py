@@ -10,7 +10,7 @@ measured SINR, bit error rate, and Shannon rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -54,6 +54,20 @@ class LinkConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # ebn0_db = +inf is the noise-free link
+            if (isinstance(value, float) and not math.isfinite(value)
+                    and not (f.name == "ebn0_db" and value == math.inf)):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        if self.n_training < 1:
+            raise ConfigError(f"n_training must be >= 1, got {self.n_training}")
+        if self.n_taps < 2 or self.n_taps & (self.n_taps - 1):
+            raise ConfigError(f"n_taps must be a power of two >= 2, got {self.n_taps}")
+        if self.estimator_order is not None and self.estimator_order < 1:
+            raise ConfigError(
+                f"estimator_order must be >= 1, got {self.estimator_order}"
+            )
         if self.mod_order != 2**self.n_b:
             raise ConfigError(f"mod_order {self.mod_order} != 2**n_b with n_b={self.n_b}")
         if self.mod_order not in sigproc.SUPPORTED_ORDERS:

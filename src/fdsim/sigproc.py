@@ -110,21 +110,20 @@ def srrc_taps(rolloff: float, span_symbols: int, samples_per_symbol: int) -> Srr
     sps = samples_per_symbol
     n = span_symbols * sps
     t = np.arange(-n // 2, n // 2 + 1) / sps  # in symbol periods
-    h = np.empty_like(t)
-    for i, ti in enumerate(t):
-        if ti == 0.0:
-            h[i] = 1.0 - beta + 4.0 * beta / np.pi
-        elif np.isclose(abs(ti), 1.0 / (4.0 * beta), rtol=0, atol=1e-12):
-            h[i] = (beta / np.sqrt(2.0)) * (
-                (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * beta))
-                + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * beta))
-            )
-        else:
-            num = np.sin(np.pi * ti * (1.0 - beta)) + 4.0 * beta * ti * np.cos(
-                np.pi * ti * (1.0 + beta)
-            )
-            den = np.pi * ti * (1.0 - (4.0 * beta * ti) ** 2)
-            h[i] = num / den
+    # the general formula is 0/0 at t = 0 and |t| = 1/(4*beta); those
+    # taps take their limits, the rest are evaluated in one expression
+    edge = np.abs(np.abs(t) - 1.0 / (4.0 * beta)) <= 1e-12
+    general = (t != 0.0) & ~edge
+    h = np.full_like(t, 1.0 - beta + 4.0 * beta / np.pi)  # the t = 0 limit
+    h[edge] = (beta / np.sqrt(2.0)) * (
+        (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * beta))
+        + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * beta))
+    )
+    tg = t[general]
+    num = np.sin(np.pi * tg * (1.0 - beta)) + 4.0 * beta * tg * np.cos(
+        np.pi * tg * (1.0 + beta)
+    )
+    h[general] = num / (np.pi * tg * (1.0 - (4.0 * beta * tg) ** 2))
     h /= np.sqrt(np.sum(h**2))
     return SrrcFilter(taps=h, rolloff=beta, span_symbols=span_symbols,
                       samples_per_symbol=sps)

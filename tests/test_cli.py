@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import numpy as np
+import pytest
 
 from fdsim import channel, harness
 from fdsim.cli import main
@@ -102,3 +103,17 @@ def test_sweep_rerun_is_byte_identical(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["sweep", "--config", str(cfg), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("ebn0_db", "nan"), ("ebn0_db", "-inf"), ("p_ta_dbm", "inf"),
+    ("f_c_hz", "nan"), ("n_taps", "100"), ("n_training", "0"),
+    ("estimator_order", "0"),
+])
+def test_sweep_rejects_invalid_config(tmp_path, capsys, key, value):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"n_bits = 400\ntrials_per_point = 1\n{key} = {value}\n")
+    assert main(["sweep", "--config", str(cfg), "--scheme", "PS+B",
+                 "--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fdsim import harness
-from fdsim.errors import ConfigError
+from fdsim.errors import ConfigError, FdsimError
 from fdsim.harness import SweepSpec, parse_config, run_sweep
 from fdsim.link import LinkConfig
 
@@ -106,6 +106,12 @@ def test_config_for_point_bandwidth_axis():
     assert cfg.scheme == "AC+B"
 
 
+def test_config_for_point_p_rb_dbm_axis():
+    cfg = harness.config_for_point(LinkConfig(), "PS", "p_rb_dbm", -50)
+    assert cfg.p_rb_dbm == -50.0
+    assert "p_rb_dbm" in harness.AXES
+
+
 def test_config_for_point_mod_order_axis():
     cfg = harness.config_for_point(LinkConfig(n_bits=2000), "PS", "mod_order", 8)
     assert cfg.mod_order == 8
@@ -119,6 +125,19 @@ def test_sweep_errors_annotated_with_coordinates():
                       schemes=("PS+B",))
     with pytest.raises(Exception, match=r"scheme=PS\+B.*trial=0"):
         run_sweep(spec)
+
+
+def test_sweep_error_rewrap_chains_original(monkeypatch):
+    # UnicodeDecodeError cannot be rebuilt from a message alone
+    original = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    def failing_trial(cfg, rng):
+        raise original
+
+    monkeypatch.setattr(harness, "run_trial", failing_trial)
+    with pytest.raises(FdsimError, match=r"\[scheme=PS, ebn0_db=20.0, trial=0\]") as info:
+        run_sweep(small_spec())
+    assert info.value.__cause__ is original
 
 
 def test_write_read_round_trip(tmp_path):

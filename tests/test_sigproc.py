@@ -100,6 +100,27 @@ def test_srrc_nyquist_self_convolution():
     assert _nyquist_isi(sigproc.srrc_taps(0.25, 16, 8)) < 1e-3
 
 
+def _srrc_general(t, beta):
+    num = np.sin(np.pi * t * (1 - beta)) + 4 * beta * t * np.cos(np.pi * t * (1 + beta))
+    return num / (np.pi * t * (1 - (4 * beta * t) ** 2))
+
+
+@pytest.mark.parametrize("beta, sps", [(0.25, 2), (0.5, 2), (1.0, 4)])
+def test_srrc_singular_taps_match_their_limits(beta, sps):
+    # the grid hits t = 0 and |t| = 1/(4*beta), where the formula is 0/0
+    filt = sigproc.srrc_taps(beta, 8, sps)
+    t = (np.arange(len(filt.taps)) - filt.group_delay) / sps
+    singular = (t == 0.0) | (np.abs(np.abs(t) - 1 / (4 * beta)) <= 1e-12)
+    assert singular.sum() == 3
+    scale = (np.linalg.norm(filt.taps[~singular])
+             / np.linalg.norm(_srrc_general(t[~singular], beta)))
+    for i in np.flatnonzero(singular):
+        # the mean of both sides cancels the first-order slope term
+        limit = scale * np.mean(_srrc_general(t[i] + np.array([-1e-7, 1e-7]), beta))
+        assert filt.taps[i] == pytest.approx(limit, rel=1e-6)
+    assert np.sum(filt.taps**2) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_srrc_rejects_bad_rolloff():
     with pytest.raises(ValueError):
         sigproc.srrc_taps(0.0, 8, 2)
