@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -12,7 +13,8 @@ from scipy.linalg import toeplitz
 from ._kernels import fir_convolve
 from .channel import BasebandChannel, dbm_to_linear
 from .errors import EstimationError
-from .sigproc import SrrcFilter, Waveform, awgn, constellation, pulse_shape
+from .sigproc import (SrrcFilter, Waveform, awgn, constellation, pulse_shape,
+                      srrc_taps)
 
 # Fixed QPSK probe pattern, as constellation indices.  A constant run
 # with a single antipodal symbol keeps the short-burst convolution matrix
@@ -36,14 +38,37 @@ class ChannelEstimate:
 
 
 def make_training_signal(n_tr: int, filt: SrrcFilter, sample_rate_hz: float) -> TrainingSignal:
-    """Deterministic QPSK training burst of n_tr symbols."""
+    """Deterministic QPSK training burst of n_tr symbols.
+
+    The burst depends only on n_tr, the filter's design parameters and the
+    rate, so it is built once per combination and shared; its arrays are
+    read-only.
+    """
     if n_tr < 1:
         raise ValueError("need at least one training symbol")
+    return _training_burst(int(n_tr), *_design(filt), float(sample_rate_hz))
+
+
+def _design(filt: SrrcFilter) -> tuple:
+    """The SRRC design parameters that determine ``filt``'s taps."""
+    return filt.rolloff, filt.span_symbols, filt.samples_per_symbol
+
+
+def _read_only(*arrays) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
+@lru_cache(maxsize=16)
+def _training_burst(n_tr: int, rolloff: float, span_symbols: int, sps: int,
+                    sample_rate_hz: float) -> TrainingSignal:
     reps = -(-n_tr // len(TRAINING_PATTERN))
     indices = np.asarray((TRAINING_PATTERN * reps)[:n_tr])
     symbols = constellation(4)[indices]
-    return TrainingSignal(symbols=symbols,
-                          waveform=pulse_shape(symbols, filt, sample_rate_hz))
+    waveform = pulse_shape(symbols, srrc_taps(rolloff, span_symbols, sps),
+                           sample_rate_hz)
+    _read_only(symbols, waveform.samples)
+    return TrainingSignal(symbols=symbols, waveform=waveform)
 
 
 def _convolution_matrix(x: np.ndarray, order: int, n_rows: int) -> np.ndarray:
@@ -54,6 +79,25 @@ def _convolution_matrix(x: np.ndarray, order: int, n_rows: int) -> np.ndarray:
     return toeplitz(col, row)
 
 
+@lru_cache(maxsize=16)
+def _training_solver(n_tr: int, rolloff: float, span_symbols: int, sps: int,
+                     sample_rate_hz: float, order: int,
+                     n_rows: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The training burst's (n_rows x order) convolution matrix, its
+    pseudo-inverse and its rank.
+
+    The rank cut-off is ``np.linalg.lstsq``'s default (``rcond=None``), so
+    ``pinv @ r`` is the least-squares solution lstsq returns.
+    """
+    x = _training_burst(n_tr, rolloff, span_symbols, sps, sample_rate_hz).waveform.samples
+    conv = _convolution_matrix(x, order, n_rows)
+    u, sv, vh = np.linalg.svd(conv, full_matrices=False)
+    rank = int(np.sum(sv > np.finfo(np.float64).eps * max(conv.shape) * sv[0]))
+    pinv = (vh[:rank].conj().T / sv[:rank]) @ u[:, :rank].conj().T
+    _read_only(conv, pinv)
+    return conv, pinv, rank
+
+
 def run_training(h_aa: BasebandChannel, p_ta_dbm: float, n_tr: int,
                  noise_variance: float, estimator_order: int,
                  rng: np.random.Generator, filt: SrrcFilter) -> ChannelEstimate:
@@ -61,7 +105,9 @@ def run_training(h_aa: BasebandChannel, p_ta_dbm: float, n_tr: int,
 
     The known training waveform passes through the true channel with
     additive noise; the estimate solves the linear least-squares problem on
-    the convolution model for the requested number of taps.
+    the convolution model for the requested number of taps.  The training
+    matrix is deterministic, so its pseudo-inverse is computed once per
+    (burst, order, row count) and each call costs one matrix-vector product.
     """
     if estimator_order < 1:
         raise ValueError("estimator_order must be >= 1")
@@ -75,11 +121,14 @@ def run_training(h_aa: BasebandChannel, p_ta_dbm: float, n_tr: int,
     amp = math.sqrt(dbm_to_linear(p_ta_dbm))
     r = amp * fir_convolve(x, h_aa.taps) + awgn(len(x) + len(h_aa.taps) - 1,
                                                 noise_variance, rng)
-    mat = amp * _convolution_matrix(x, estimator_order, len(r))
-    taps_hat, _, rank, _ = np.linalg.lstsq(mat, r, rcond=None)
+    conv, pinv, rank = _training_solver(int(n_tr), *_design(filt),
+                                        float(h_aa.sample_rate_hz),
+                                        int(estimator_order), len(r))
     if rank < 1:
         raise EstimationError("training signal is degenerate; estimation failed")
-    fit = mat @ taps_hat
+    # the model matrix is amp * conv, so its pseudo-inverse is pinv / amp
+    taps_hat = (pinv @ r) / amp
+    fit = amp * (conv @ taps_hat)
     denom = float(np.sum(np.abs(r) ** 2))
     residual = float(np.sum(np.abs(r - fit) ** 2) / denom) if denom > 0 else 0.0
     return ChannelEstimate(taps_hat=taps_hat, training_symbols_used=n_tr,

@@ -74,8 +74,17 @@ class LinkConfig:
             raise ConfigError(f"unsupported modulation order {self.mod_order}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.signal_bandwidth_hz > self.sample_rate_hz:
-            raise ConfigError("signal bandwidth cannot exceed the sample rate")
+        # the SRRC design (sigproc.srrc_taps) needs sps >= 2, rolloff in
+        # (0, 1] and span >= 4; the training length below depends on it
+        if not 0.0 < 2.0 * self.signal_bandwidth_hz <= self.sample_rate_hz:
+            raise ConfigError(
+                f"signal_bandwidth_hz must be in (0, sample_rate_hz / 2] (at "
+                f"least 2 samples per symbol), got {self.signal_bandwidth_hz}"
+            )
+        if not 0.0 < self.rolloff <= 1.0:
+            raise ConfigError(f"rolloff must be in (0, 1], got {self.rolloff}")
+        if self.span_symbols < 4:
+            raise ConfigError(f"span_symbols must be >= 4, got {self.span_symbols}")
         sps = self.sample_rate_hz / self.signal_bandwidth_hz
         if abs(sps - round(sps)) > 1e-9:
             raise ConfigError(
@@ -83,10 +92,26 @@ class LinkConfig:
             )
         if self.n_bits % self.n_b:
             raise ConfigError(f"n_bits={self.n_bits} not divisible by n_b={self.n_b}")
+        n_training_samples = (self.n_training + self.span_symbols) * self.samples_per_symbol
+        order = self.effective_estimator_order
+        if self.uses_baseband_cancellation and order > n_training_samples:
+            raise ConfigError(
+                f"estimator_order {order} exceeds the {n_training_samples} "
+                f"training samples ((n_training + span_symbols) * "
+                f"samples_per_symbol); increase n_training or lower "
+                f"estimator_order"
+            )
 
     @property
     def samples_per_symbol(self) -> int:
         return int(round(self.sample_rate_hz / self.signal_bandwidth_hz))
+
+    @property
+    def effective_estimator_order(self) -> int:
+        """The canceller's model order (``estimator_order`` or the default)."""
+        if self.estimator_order is None:
+            return DEFAULT_ESTIMATOR_ORDER
+        return self.estimator_order
 
     @property
     def rf_scheme(self) -> str:
@@ -190,12 +215,10 @@ def run_trial(config: LinkConfig, rng: np.random.Generator | None = None) -> Lin
 
     estimate = None
     if config.uses_baseband_cancellation:
-        order = config.estimator_order
-        if order is None:
-            order = DEFAULT_ESTIMATOR_ORDER
         estimate = cancellation.run_training(h_aa, config.p_ta_dbm,
                                              config.n_training, noise_var,
-                                             order, rng, filt)
+                                             config.effective_estimator_order,
+                                             rng, filt)
 
     n_sym = config.n_bits // config.n_b
     bits_a = rng.integers(0, 2, size=config.n_bits)

@@ -10,7 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import fir_convolve
+# fir_convolve stays bound here: the stage benchmark patches and restores
+# it under this name
+from ._kernels import convolve_decimate, fir_convolve, upsample_convolve  # noqa: F401
 
 SUPPORTED_ORDERS = (2, 4, 8, 16)
 
@@ -132,14 +134,16 @@ def srrc_taps(rolloff: float, span_symbols: int, samples_per_symbol: int) -> Srr
 def pulse_shape(symbols, filt: SrrcFilter, sample_rate_hz: float) -> Waveform:
     """Zero-stuff to the filter's sample rate and convolve with its taps.
 
+    The output is the full convolution of the zero-stuffed stream (an
+    empty symbol sequence shapes as one zero symbol), computed polyphase.
     With unit-energy taps the mean per-symbol waveform energy equals the
     mean symbol energy, so no extra scaling is applied.
     """
     symbols = np.asarray(symbols, dtype=np.complex128)
+    if symbols.size == 0:
+        symbols = np.zeros(1, dtype=np.complex128)
     sps = filt.samples_per_symbol
-    up = np.zeros(max(len(symbols), 1) * sps, dtype=np.complex128)
-    up[: len(symbols) * sps : sps] = symbols
-    out = fir_convolve(up, filt.taps)
+    out = upsample_convolve(symbols, filt.taps, sps)
     return Waveform(samples=out, sample_rate_hz=sample_rate_hz,
                     samples_per_symbol=sps, delay_samples=filt.group_delay)
 
@@ -155,13 +159,11 @@ def matched_filter_downsample(wave: Waveform, filt: SrrcFilter,
         raise ValueError("waveform and filter samples_per_symbol differ")
     if len(wave.samples) < len(filt.taps):
         raise ValueError("waveform shorter than the matched filter span")
-    y = fir_convolve(wave.samples, filt.taps)
     offset = int(round(wave.delay_samples + filt.group_delay))
-    sym = y[offset :: filt.samples_per_symbol]
-    if n_symbols is not None:
-        if len(sym) < n_symbols:
-            raise ValueError("waveform too short for the requested symbol count")
-        sym = sym[:n_symbols]
+    sym = convolve_decimate(wave.samples, filt.taps, offset,
+                            filt.samples_per_symbol, n_symbols)
+    if n_symbols is not None and len(sym) < n_symbols:
+        raise ValueError("waveform too short for the requested symbol count")
     return sym
 
 

@@ -1,11 +1,12 @@
 """Tests for training, LS channel estimation, and cancellation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fdsim import cancellation, channel, sigproc
+from fdsim import cancellation, channel, harness, link, sigproc
 from fdsim.errors import EstimationError
 
 FILT = sigproc.srrc_taps(0.25, 8, 2)
@@ -183,3 +184,61 @@ def test_residual_power_noise_floor():
                      np.random.default_rng(17))
     p = cancellation.residual_power(h, est, x, 0.0, z)
     assert p == pytest.approx(1e-4, rel=0.05)
+
+
+def _clear_caches():
+    cancellation._training_burst.cache_clear()
+    cancellation._training_solver.cache_clear()
+    link._baseband_channel.cache_clear()
+
+
+def test_cold_and_warm_caches_give_identical_results():
+    cfg = link.LinkConfig(scheme="PS+B", n_bits=400, ebn0_db=25.0)
+    spec = harness.SweepSpec(base=cfg, axis="bandwidth_hz", values=(10e6, 5e6),
+                             schemes=("PS+B", "AC+B"), trials_per_point=2,
+                             root_seed=3)
+    _clear_caches()
+    cold_report = link.run_trial(cfg, np.random.default_rng(4))
+    warm_report = link.run_trial(cfg, np.random.default_rng(4))
+    _clear_caches()
+    cold_rows = harness.run_sweep(spec).rows
+    assert harness.run_sweep(spec).rows == cold_rows
+    assert cold_report == warm_report
+
+
+def test_cached_training_arrays_are_read_only():
+    training = cancellation.make_training_signal(5, FILT, 20e6)
+    cancellation.run_training(short_channel(), 0.0, 5, 0.0, 8,
+                              np.random.default_rng(0), FILT)
+    conv, pinv, _ = cancellation._training_solver(5, 0.25, 8, 2, 20e6, 8, 33)
+    for a in (training.symbols, training.waveform.samples, conv, pinv):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_cached_solve_matches_lstsq():
+    h = short_channel()
+    p_dbm, noise_var, order = 3.0, 1e-4, 8
+    est = cancellation.run_training(h, p_dbm, 5, noise_var, order,
+                                    np.random.default_rng(9), FILT)
+    # the same model and noise draw, solved per call
+    x = cancellation.make_training_signal(5, FILT, 20e6).waveform.samples
+    amp = math.sqrt(channel.dbm_to_linear(p_dbm))
+    n_rows = len(x) + len(h.taps) - 1
+    r = amp * np.convolve(x, h.taps) + sigproc.awgn(n_rows, noise_var,
+                                                    np.random.default_rng(9))
+    mat = amp * cancellation._convolution_matrix(x, order, n_rows)
+    ref = np.linalg.lstsq(mat, r, rcond=None)[0]
+    assert np.max(np.abs(est.taps_hat - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_configs_differing_in_solve_shape_do_not_share_entries():
+    base = link.LinkConfig(scheme="AC+B", n_bits=400, ebn0_db=40.0)
+    variants = [base, replace(base, n_taps=128), replace(base, estimator_order=20),
+                replace(base, signal_bandwidth_hz=5e6)]
+    _clear_caches()
+    warm = [link.run_trial(cfg, np.random.default_rng(1)) for cfg in variants]
+    assert cancellation._training_solver.cache_info().currsize == len(variants)
+    for cfg, report in zip(variants, warm):
+        _clear_caches()
+        assert link.run_trial(cfg, np.random.default_rng(1)) == report

@@ -108,7 +108,9 @@ def test_sweep_rerun_is_byte_identical(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("ebn0_db", "nan"), ("ebn0_db", "-inf"), ("p_ta_dbm", "inf"),
     ("f_c_hz", "nan"), ("n_taps", "100"), ("n_training", "0"),
-    ("estimator_order", "0"),
+    ("estimator_order", "0"), ("estimator_order", "27"), ("rolloff", "0"),
+    ("span_symbols", "2"), ("signal_bandwidth_hz", "20e6"),
+    ("signal_bandwidth_hz", "0"),
 ])
 def test_sweep_rejects_invalid_config(tmp_path, capsys, key, value):
     cfg = tmp_path / "s.cfg"
@@ -117,3 +119,12 @@ def test_sweep_rejects_invalid_config(tmp_path, capsys, key, value):
                  "--out", str(tmp_path / "r.csv")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+def test_run_rejects_order_beyond_training(tmp_path, capsys):
+    # one training symbol gives (1 + 8) * 2 samples, fewer than 26 taps
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_training = 1\n")
+    assert main(["run", "--config", str(cfg), "--scheme", "PS+B"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "estimator_order" in err

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from fdsim import harness
-from fdsim.errors import ConfigError, FdsimError
+from fdsim import cancellation, harness
+from fdsim.errors import ConfigError, EstimationError, FdsimError
 from fdsim.harness import SweepSpec, parse_config, run_sweep
 from fdsim.link import LinkConfig
 
@@ -119,11 +119,15 @@ def test_config_for_point_mod_order_axis():
     assert cfg.n_bits % 3 == 0
 
 
-def test_sweep_errors_annotated_with_coordinates():
-    spec = small_spec(base=LinkConfig(n_bits=400, n_training=1,
-                                      estimator_order=26),
-                      schemes=("PS+B",))
-    with pytest.raises(Exception, match=r"scheme=PS\+B.*trial=0"):
+def test_sweep_errors_annotated_with_coordinates(monkeypatch):
+    # an order the training cannot identify is rejected when the config is
+    # built, so the failure is injected deep inside the trial
+    def failing_training(*args):
+        raise EstimationError("training signal is degenerate")
+
+    monkeypatch.setattr(cancellation, "run_training", failing_training)
+    spec = small_spec(schemes=("PS+B",))
+    with pytest.raises(FdsimError, match=r"degenerate \[scheme=PS\+B.*trial=0\]"):
         run_sweep(spec)
 
 

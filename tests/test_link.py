@@ -35,6 +35,14 @@ def test_config_rejects_indivisible_bits():
         LinkConfig(n_bits=2001)
 
 
+def test_config_rejects_order_beyond_training():
+    # (1 + 8) * 2 = 18 training samples cannot identify the default 26 taps
+    with pytest.raises(ConfigError, match="estimator_order"):
+        LinkConfig(scheme="PS+B", n_training=1)
+    LinkConfig(scheme="PS", n_training=1)  # no canceller, nothing to identify
+    LinkConfig(scheme="PS+B", n_training=1, estimator_order=18)
+
+
 def test_scheme_default_carriers():
     assert LinkConfig(scheme="PS").carrier_hz == pytest.approx(2.438e9)
     assert LinkConfig(scheme="AC+B").carrier_hz == pytest.approx(2.457e9)
