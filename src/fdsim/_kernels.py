@@ -1,19 +1,28 @@
 """The FIR convolution kernels.
 
 The simulator spends nearly all of its time in complex FIR convolutions.
-``fir_convolve`` is the full linear convolution; the channel, the
-canceller and the training burst's channel response use it.  Pulse
-shaping and matched filtering are multirate, so they have their own
-polyphase kernels, which compute only the samples the link uses:
+``fir_convolve`` is the full linear convolution; the canceller's replica
+and the training burst's channel response use it.  Pulse shaping and
+matched filtering are multirate, so they have their own polyphase
+kernels, which compute only the samples the link uses:
 ``upsample_convolve`` skips the products with the zeros of a zero-stuffed
 symbol stream, and ``convolve_decimate`` computes only the kept outputs.
 Both take real taps (the SRRC filter) and run the real and imaginary
 parts of the signal through one real matrix product, which is much
 faster than a complex one on a strided view.
 
+The self-interference of a trial is the zero-stuffed symbol stream
+through the SRRC filter and then the long complex channel, so the link
+applies both at once at the symbol rate: ``phase_spectrum`` transforms
+the polyphase components of the combined filter once per configuration
+and ``upsample_convolve_fft`` filters a symbol sequence with them
+through numpy's FFT.
+
 The module keeps its name because the stage benchmark (``perfbench/``)
 times every full convolution by tracing ``fdsim._kernels.fir_convolve``.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -39,7 +48,7 @@ def _real_taps(h) -> np.ndarray:
 
 def _phases(h: np.ndarray, step: int, n_phases: int) -> np.ndarray:
     """Taps zero-padded to n_phases rows: row j holds h[j*step : (j+1)*step]."""
-    padded = np.zeros(n_phases * step)
+    padded = np.zeros(n_phases * step, dtype=h.dtype)
     padded[: len(h)] = h
     return padded.reshape(n_phases, step)
 
@@ -54,6 +63,12 @@ def _interleaved(m: np.ndarray) -> np.ndarray:
     out[:, 0, :, 0] = m
     out[:, 1, :, 1] = m
     return out.reshape(2 * m.shape[0], 2 * m.shape[1])
+
+
+def _n_phases(n_taps: int, sps: int) -> int:
+    """Phases of an ``n_taps`` filter at ``sps`` for upsampling: enough that
+    the last output block reaches the last output sample."""
+    return (n_taps + 2 * sps - 2) // sps
 
 
 def upsample_convolve(symbols, h, sps: int) -> np.ndarray:
@@ -73,8 +88,7 @@ def upsample_convolve(symbols, h, sps: int) -> np.ndarray:
     if sps < 1:
         raise ValueError("sps must be >= 1")
     n = len(symbols)
-    # enough phases that the last block reaches the last output sample
-    p = (len(h) + 2 * sps - 2) // sps
+    p = _n_phases(len(h), sps)
     phases = _phases(h, sps, p)
     padded = np.zeros(n + 2 * (p - 1), dtype=np.complex128)
     padded[p - 1 : p - 1 + n] = symbols
@@ -120,3 +134,68 @@ def convolve_decimate(x, h, offset: int, step: int,
     s_row, s_col = terms.strides
     return as_strided(terms, shape=(count, p), strides=(s_row, s_row + s_col),
                       writeable=False).sum(axis=1)
+
+
+def fft_size(n: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= n, a length numpy's FFT does fast."""
+    if n < 1:
+        raise ValueError("fft_size needs n >= 1")
+    while True:
+        rest = n
+        for factor in (2, 3, 5):
+            while rest % factor == 0:
+                rest //= factor
+        if rest == 1:
+            return n
+        n += 1
+
+
+@dataclass(frozen=True)
+class PhaseSpectrum:
+    """The DFTs of a filter's polyphase components, for
+    ``upsample_convolve_fft``.
+
+    Row j of ``spectra`` (read-only, ``sps`` rows of ``n_fft`` bins) is
+    the DFT of taps j, j + sps, j + 2*sps, ...; ``n_taps`` is the
+    filter's length.
+    """
+
+    spectra: np.ndarray
+    n_taps: int
+
+
+def phase_spectrum(h, sps: int, n_symbols: int) -> PhaseSpectrum:
+    """The polyphase spectrum of taps ``h`` (complex allowed) at ``sps``,
+    long enough to filter up to ``n_symbols`` symbols without wrap-around."""
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim != 1 or h.size == 0:
+        raise ValueError("taps must be a non-empty 1-d sequence")
+    if sps < 1 or n_symbols < 1:
+        raise ValueError("sps and n_symbols must be >= 1")
+    p = _n_phases(len(h), sps)
+    n_fft = fft_size(n_symbols + p - 1)
+    spectra = np.fft.fft(_phases(h, sps, p).T, n_fft, axis=1)
+    spectra.setflags(write=False)
+    return PhaseSpectrum(spectra=spectra, n_taps=len(h))
+
+
+def upsample_convolve_fft(symbols, spectrum: PhaseSpectrum) -> np.ndarray:
+    """``upsample_convolve`` by FFT at the symbol rate, for complex taps.
+
+    Equals ``fir_convolve`` of the zero-stuffed stream with the taps that
+    ``spectrum`` was built from, at its full length.  Output sample
+    q*sps + j is symbol sequence ⊛ phase j at q, so one FFT of the
+    symbols, one product with every phase's spectrum and one inverse FFT
+    per phase give all of them; interleaving the phases orders them.
+    """
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    if symbols.ndim != 1 or symbols.size == 0:
+        raise ValueError("upsample_convolve_fft requires a non-empty 1-d symbol sequence")
+    sps, n_fft = spectrum.spectra.shape
+    n_out = len(symbols) * sps + spectrum.n_taps - 1
+    n_blocks = len(symbols) + _n_phases(spectrum.n_taps, sps) - 1
+    if n_blocks > n_fft:
+        raise ValueError(f"the spectrum has {n_fft} bins; {len(symbols)} symbols "
+                         f"need {n_blocks}")
+    blocks = np.fft.ifft(spectrum.spectra * np.fft.fft(symbols, n_fft), axis=1)
+    return blocks[:, :n_blocks].T.ravel()[:n_out]

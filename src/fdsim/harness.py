@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, FdsimError
 from .link import SCHEMES, LinkConfig, run_trial
+from .sigproc import SUPPORTED_ORDERS
 
 #: Sweep axis name -> the LinkConfig field it sets.  ``mod_order`` is the
 #: one axis that also moves other fields (see ``config_for_point``).
@@ -43,6 +44,13 @@ class SweepSpec:
             raise ConfigError(f"axis must be one of {AXES}, got {self.axis!r}")
         if not self.values:
             raise ConfigError("sweep needs at least one axis value")
+        if self.axis == "mod_order":
+            bad = [v for v in self.values if v not in SUPPORTED_ORDERS]
+            if bad:
+                raise ConfigError(
+                    f"values {bad} are not modulation orders; the mod_order "
+                    f"axis takes {SUPPORTED_ORDERS}"
+                )
         if not self.schemes:
             raise ConfigError("sweep needs at least one scheme")
         for s in self.schemes:

@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import cancellation, channel, sigproc
+from ._kernels import PhaseSpectrum, phase_spectrum, upsample_convolve_fft
 from .errors import ConfigError
 
 SCHEMES = ("PS", "AC", "PS+B", "AC+B")
@@ -60,6 +61,8 @@ class LinkConfig:
             if (isinstance(value, float) and not math.isfinite(value)
                     and not (f.name == "ebn0_db" and value == math.inf)):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_training < 1:
             raise ConfigError(f"n_training must be >= 1, got {self.n_training}")
         if self.n_taps < 2 or self.n_taps & (self.n_taps - 1):
@@ -89,6 +92,15 @@ class LinkConfig:
         if abs(sps - round(sps)) > 1e-9:
             raise ConfigError(
                 f"sample_rate/signal_bandwidth = {sps} is not an integer"
+            )
+        if not 0.0 < self.channel_bandwidth_hz <= self.sample_rate_hz:
+            raise ConfigError(
+                f"channel_bandwidth_hz must be in (0, sample_rate_hz], got "
+                f"{self.channel_bandwidth_hz}"
+            )
+        if self.n_bits < self.n_b:
+            raise ConfigError(
+                f"n_bits must be >= n_b (one symbol), got {self.n_bits}"
             )
         if self.n_bits % self.n_b:
             raise ConfigError(f"n_bits={self.n_bits} not divisible by n_b={self.n_b}")
@@ -174,23 +186,31 @@ def ber(tx_bits, rx_bits) -> float:
     return float(np.mean(tx != rx))
 
 
+def _mean_power(x: np.ndarray) -> float:
+    return float(np.mean(np.abs(x) ** 2))
+
+
+def _power_ratio_db(p_desired: float, p_residual: float) -> float:
+    if p_residual == 0.0:
+        return math.inf
+    return 10.0 * math.log10(p_desired / p_residual)
+
+
 def sinr(desired: np.ndarray, residual: np.ndarray) -> float:
     """Ratio of mean powers in dB; +inf when the residual is exactly zero."""
     if len(desired) != len(residual):
         raise ValueError("desired and residual measurement windows differ in length")
-    p_desired = float(np.mean(np.abs(desired) ** 2))
-    p_residual = float(np.mean(np.abs(residual) ** 2))
-    if p_residual == 0.0:
-        return math.inf
-    return 10.0 * math.log10(p_desired / p_residual)
+    return _power_ratio_db(_mean_power(desired), _mean_power(residual))
 
 
 @lru_cache(maxsize=16)
 def _baseband_channel(scheme: str, f_c_hz: float, band_hz: float,
                       sample_rate_hz: float, n_taps: int) -> channel.BasebandChannel:
     profile = channel.synthesize_profile(scheme)
-    return channel.derive_baseband_channel(profile, f_c_hz, band_hz,
+    chan = channel.derive_baseband_channel(profile, f_c_hz, band_hz,
                                            sample_rate_hz, n_taps)
+    chan.taps.setflags(write=False)
+    return chan
 
 
 def self_interference_channel(config: LinkConfig) -> channel.BasebandChannel:
@@ -200,13 +220,45 @@ def self_interference_channel(config: LinkConfig) -> channel.BasebandChannel:
                              config.sample_rate_hz, config.n_taps)
 
 
+@dataclass(frozen=True)
+class TrialDesign:
+    """The parts of a trial that do not change from trial to trial: the
+    SRRC filter, the SI channel, and the polyphase spectrum of one
+    transmitted pulse through that channel.  Its arrays are read-only."""
+
+    filt: sigproc.SrrcFilter
+    h_aa: channel.BasebandChannel
+    si_spectrum: PhaseSpectrum
+
+
+@lru_cache(maxsize=1)
+def trial_design(config: LinkConfig) -> TrialDesign:
+    """The trial design of this config, built on first use.
+
+    A sweep runs the trials of a point back to back, so one entry serves
+    every trial of a point but the first, and only one design (whose
+    spectrum grows with the frame length) is kept alive.
+    """
+    sps = config.samples_per_symbol
+    filt = sigproc.srrc_taps(config.rolloff, config.span_symbols, sps)
+    filt.taps.setflags(write=False)
+    h_aa = self_interference_channel(config)
+    # the SI of one transmitted pulse; a frame's SI is the sum of its
+    # symbol-spaced shifts scaled by the symbols
+    pulse = sigproc.Waveform(samples=filt.taps, sample_rate_hz=config.sample_rate_hz,
+                             samples_per_symbol=sps)
+    si_pulse = channel.apply_channel(pulse, h_aa, config.p_ta_dbm)
+    spectrum = phase_spectrum(si_pulse.samples, sps, config.n_bits // config.n_b)
+    return TrialDesign(filt=filt, h_aa=h_aa, si_spectrum=spectrum)
+
+
 def run_trial(config: LinkConfig, rng: np.random.Generator | None = None) -> LinkReport:
     """Simulate one full-duplex frame and report the link metrics."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
     sps = config.samples_per_symbol
-    filt = sigproc.srrc_taps(config.rolloff, config.span_symbols, sps)
-    h_aa = self_interference_channel(config)
+    design = trial_design(config)
+    filt, h_aa = design.filt, design.h_aa
 
     p_rb_lin = channel.dbm_to_linear(config.p_rb_dbm)
     # reference is the desired signal's waveform-level (per-sample) power
@@ -223,27 +275,28 @@ def run_trial(config: LinkConfig, rng: np.random.Generator | None = None) -> Lin
     n_sym = config.n_bits // config.n_b
     bits_a = rng.integers(0, 2, size=config.n_bits)
     bits_b = rng.integers(0, 2, size=config.n_bits)
-    x_a = sigproc.pulse_shape(sigproc.modulate_psk(bits_a, config.mod_order),
-                              filt, config.sample_rate_hz)
+    s_a = sigproc.modulate_psk(bits_a, config.mod_order)
     x_b = sigproc.pulse_shape(sigproc.modulate_psk(bits_b, config.mod_order),
                               filt, config.sample_rate_hz)
 
     p_tb_dbm = config.p_ta_dbm  # symmetric nodes
     h_ba = channel.make_desired_channel(config.p_rb_dbm, p_tb_dbm, rng)
-    si = channel.apply_channel(x_a, h_aa, config.p_ta_dbm)
+    # channel.apply_channel(pulse_shape(s_a), h_aa), at the symbol rate
+    si = upsample_convolve_fft(s_a, design.si_spectrum)
 
-    n_full = len(si.samples)
+    n_full = len(si)
     desired = np.zeros(n_full, dtype=np.complex128)
     desired[: len(x_b.samples)] = (
         math.sqrt(channel.dbm_to_linear(p_tb_dbm)) * h_ba.gain * x_b.samples
     )
     z_a = sigproc.awgn(n_full, noise_var, rng)
-    r_a = sigproc.Waveform(samples=desired + si.samples + z_a,
+    r_a = sigproc.Waveform(samples=desired + si + z_a,
                            sample_rate_hz=config.sample_rate_hz,
                            samples_per_symbol=sps,
                            delay_samples=x_b.delay_samples)
 
     if estimate is not None:
+        x_a = sigproc.pulse_shape(s_a, filt, config.sample_rate_hz)
         x_hat = cancellation.build_cancellation(x_a, estimate, config.p_ta_dbm)
         y_a = cancellation.cancel(r_a, x_hat)
     else:
@@ -260,10 +313,9 @@ def run_trial(config: LinkConfig, rng: np.random.Generator | None = None) -> Lin
     tail = n_full - 2 * filt.group_delay
     if tail - head < sps:
         head, tail = 0, n_full
-    gamma_db = sinr(desired[head:tail], residual[head:tail])
-    residual_dbm = 10.0 * math.log10(
-        max(float(np.mean(np.abs(residual[head:tail]) ** 2)), 1e-300)
-    )
+    p_residual = _mean_power(residual[head:tail])
+    gamma_db = _power_ratio_db(_mean_power(desired[head:tail]), p_residual)
+    residual_dbm = 10.0 * math.log10(max(p_residual, 1e-300))
 
     est_err_db = None
     if estimate is not None:

@@ -190,12 +190,13 @@ def _clear_caches():
     cancellation._training_burst.cache_clear()
     cancellation._training_solver.cache_clear()
     link._baseband_channel.cache_clear()
+    link.trial_design.cache_clear()
 
 
 def test_cold_and_warm_caches_give_identical_results():
     cfg = link.LinkConfig(scheme="PS+B", n_bits=400, ebn0_db=25.0)
     spec = harness.SweepSpec(base=cfg, axis="bandwidth_hz", values=(10e6, 5e6),
-                             schemes=("PS+B", "AC+B"), trials_per_point=2,
+                             schemes=link.SCHEMES, trials_per_point=2,
                              root_seed=3)
     _clear_caches()
     cold_report = link.run_trial(cfg, np.random.default_rng(4))
@@ -214,6 +215,25 @@ def test_cached_training_arrays_are_read_only():
     for a in (training.symbols, training.waveform.samples, conv, pinv):
         with pytest.raises(ValueError):
             a[0] = 0.0
+
+
+def test_trial_design_arrays_are_read_only():
+    cfg = link.LinkConfig(scheme="AC", signal_bandwidth_hz=2e6)
+    design = link.trial_design(cfg)
+    for a in (design.filt.taps, design.si_spectrum.spectra, design.h_aa.taps):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_trial_design_is_kept_for_its_config_only():
+    cfg = link.LinkConfig(scheme="AC", signal_bandwidth_hz=2e6, n_bits=400)
+    link.trial_design.cache_clear()
+    design = link.trial_design(cfg)
+    link.run_trial(cfg, np.random.default_rng(2))
+    assert link.trial_design(cfg) is design
+    other = link.trial_design(replace(cfg, p_ta_dbm=3.0))
+    assert other is not design
+    assert link.trial_design.cache_info().currsize == 1
 
 
 def test_cached_solve_matches_lstsq():

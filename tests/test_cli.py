@@ -110,15 +110,34 @@ def test_sweep_rerun_is_byte_identical(tmp_path, capsys):
     ("f_c_hz", "nan"), ("n_taps", "100"), ("n_training", "0"),
     ("estimator_order", "0"), ("estimator_order", "27"), ("rolloff", "0"),
     ("span_symbols", "2"), ("signal_bandwidth_hz", "20e6"),
-    ("signal_bandwidth_hz", "0"),
+    ("signal_bandwidth_hz", "0"), ("seed", "-1"), ("n_bits", "0"),
+    ("n_bits", "-2"), ("channel_bandwidth_hz", "30e6"),
 ])
 def test_sweep_rejects_invalid_config(tmp_path, capsys, key, value):
     cfg = tmp_path / "s.cfg"
-    cfg.write_text(f"n_bits = 400\ntrials_per_point = 1\n{key} = {value}\n")
+    n_bits = "" if key == "n_bits" else "n_bits = 400\n"
+    cfg.write_text(f"{n_bits}trials_per_point = 1\n{key} = {value}\n")
     assert main(["sweep", "--config", str(cfg), "--scheme", "PS+B",
                  "--out", str(tmp_path / "r.csv")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+def test_run_rejects_negative_seed(capsys):
+    assert main(["run", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-4", "4.5", "1e400", "nan"])
+def test_sweep_rejects_non_modulation_orders(tmp_path, capsys, value):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"n_bits = 400\naxis = mod_order\nvalues = 4,{value}\n"
+                   "trials_per_point = 1\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "values" in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_run_rejects_order_beyond_training(tmp_path, capsys):

@@ -10,7 +10,9 @@ import pytest
 
 import fdsim
 from fdsim import sigproc
-from fdsim._kernels import convolve_decimate, fir_convolve, upsample_convolve
+from fdsim._kernels import (convolve_decimate, fft_size, fir_convolve,
+                            phase_spectrum, upsample_convolve,
+                            upsample_convolve_fft)
 
 #: Only the summation order differs from the reference, so the outputs
 #: agree to a few ulps of the signal's peak.
@@ -52,6 +54,42 @@ def test_kernels_match_reference(sps, n, kind):
         for count in (None, 1, n, len(full)):
             _assert_close(convolve_decimate(x, h, offset, sps, count),
                           full[offset::sps][:count], scale)
+
+
+#: The FFT kernel's rounding error grows with log2 of the transform length
+#: (<= 11 here), a few ulps of the output's peak per stage.
+FFT_REL_TOL = 1e-14
+
+
+@pytest.mark.parametrize("sps", [2, 3, 4, 5, 10, 20, 40])
+@pytest.mark.parametrize("n", [1, 2, 1000])
+@pytest.mark.parametrize("n_taps", ["1", "sps", "3sps+2", "600"])
+def test_fft_kernel_matches_reference(sps, n, n_taps):
+    length = {"1": 1, "sps": sps, "3sps+2": 3 * sps + 2, "600": 600}[n_taps]
+    rng = np.random.default_rng(7 * sps + n)
+    h = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    symbols = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+    ref = fir_convolve(_stuffed(symbols, sps), h)
+    # a spectrum built for more symbols serves fewer
+    for n_built in (n, n + 500):
+        got = upsample_convolve_fft(symbols, phase_spectrum(h, sps, n_built))
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= FFT_REL_TOL * np.max(np.abs(ref))
+
+
+def test_fft_kernel_rejects_more_symbols_than_its_spectrum():
+    spectrum = phase_spectrum(np.ones(600, dtype=complex), 40, 1000)
+    assert spectrum.spectra.shape == (40, fft_size(1000 + 15 - 1))
+    assert not spectrum.spectra.flags.writeable
+    with pytest.raises(ValueError):
+        upsample_convolve_fft(np.ones(spectrum.spectra.shape[1]), spectrum)
+
+
+def test_fft_size_is_the_next_5_smooth_number():
+    smooth = sorted(2**a * 3**b * 5**c for a in range(12) for b in range(8)
+                    for c in range(6))
+    for n in range(1, 2049):
+        assert fft_size(n) == next(m for m in smooth if m >= n)
 
 
 @pytest.mark.parametrize("sps", [2, 40])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fdsim import link
+from fdsim import channel, link, sigproc
 from fdsim.errors import ConfigError
 from fdsim.link import LinkConfig, LinkReport, run_trial
 
@@ -33,6 +33,15 @@ def test_config_rejects_bandwidth_above_rate():
 def test_config_rejects_indivisible_bits():
     with pytest.raises(ConfigError):
         LinkConfig(n_bits=2001)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", -1), ("n_bits", 0), ("n_bits", -2), ("n_bits", 1),
+    ("channel_bandwidth_hz", 30e6), ("channel_bandwidth_hz", 0.0),
+])
+def test_config_rejects_out_of_range_keys(key, value):
+    with pytest.raises(ConfigError, match=key):
+        LinkConfig(**{key: value})
 
 
 def test_config_rejects_order_beyond_training():
@@ -105,6 +114,35 @@ def test_noiseless_trial_is_error_free():
     # residual is numerical dust relative to the SI power
     assert rep.sinr_db > 200.0
     assert rep.estimate_error_db < -200.0
+
+
+@pytest.mark.parametrize("scheme", ["PS", "AC"])
+@pytest.mark.parametrize("bandwidth_hz", [10e6, 0.5e6])
+def test_trial_si_equals_sample_rate_channel(monkeypatch, scheme, bandwidth_hz):
+    # with no noise and a far-node signal ~1e-28 of the SI, the matched
+    # filter's input is the trial's self-interference
+    monkeypatch.setattr(channel, "make_desired_channel",
+                        lambda p_rb_dbm, p_tb_dbm, rng: channel.DesiredChannel(1e-30, p_rb_dbm))
+    seen = []
+    matched_filter = sigproc.matched_filter_downsample
+
+    def capture(wave, *args, **kwargs):
+        seen.append(wave.samples)
+        return matched_filter(wave, *args, **kwargs)
+
+    monkeypatch.setattr(sigproc, "matched_filter_downsample", capture)
+    cfg = LinkConfig(scheme=scheme, signal_bandwidth_hz=bandwidth_hz,
+                     ebn0_db=math.inf, p_ta_dbm=7.0, n_bits=600)
+    run_trial(cfg, np.random.default_rng(3))
+
+    bits_a = np.random.default_rng(3).integers(0, 2, size=cfg.n_bits)
+    filt = sigproc.srrc_taps(cfg.rolloff, cfg.span_symbols, cfg.samples_per_symbol)
+    x_a = sigproc.pulse_shape(sigproc.modulate_psk(bits_a, cfg.mod_order), filt,
+                              cfg.sample_rate_hz)
+    ref = channel.apply_channel(x_a, link.self_interference_channel(cfg),
+                                cfg.p_ta_dbm).samples
+    assert seen[0].shape == ref.shape
+    assert np.max(np.abs(seen[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_trial_deterministic_for_seed():
