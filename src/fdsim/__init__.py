@@ -1,8 +1,9 @@
 """Link-level simulator for full-duplex radios with analog-baseband
 self-interference cancellation."""
 
-from .cancellation import (ChannelEstimate, TrainingSignal, build_cancellation,
-                           cancel, residual_power, run_training)
+from .cancellation import (ChannelEstimate, TrainingModel, TrainingSignal,
+                           build_cancellation, cancel, residual_power,
+                           run_training, training_model)
 from .channel import (BasebandChannel, ChannelProfile, DesiredChannel,
                       apply_channel, band_isolation_db, derive_baseband_channel,
                       load_profile, make_desired_channel, save_profile,

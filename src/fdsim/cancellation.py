@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -13,8 +12,7 @@ from scipy.linalg import toeplitz
 from ._kernels import fir_convolve
 from .channel import BasebandChannel, dbm_to_linear
 from .errors import EstimationError
-from .sigproc import (SrrcFilter, Waveform, awgn, constellation, pulse_shape,
-                      srrc_taps)
+from .sigproc import SrrcFilter, Waveform, awgn, constellation, pulse_shape
 
 # Fixed QPSK probe pattern, as constellation indices.  A constant run
 # with a single antipodal symbol keeps the short-burst convolution matrix
@@ -38,100 +36,79 @@ class ChannelEstimate:
 
 
 def make_training_signal(n_tr: int, filt: SrrcFilter, sample_rate_hz: float) -> TrainingSignal:
-    """Deterministic QPSK training burst of n_tr symbols.
-
-    The burst depends only on n_tr, the filter's design parameters and the
-    rate, so it is built once per combination and shared; its arrays are
-    read-only.
-    """
+    """Deterministic QPSK training burst of n_tr symbols, shaped by ``filt``."""
     if n_tr < 1:
         raise ValueError("need at least one training symbol")
-    return _training_burst(int(n_tr), *_design(filt), float(sample_rate_hz))
+    symbols = constellation(4)[np.resize(TRAINING_PATTERN, n_tr)]
+    return TrainingSignal(symbols=symbols,
+                          waveform=pulse_shape(symbols, filt, sample_rate_hz))
 
 
-def _design(filt: SrrcFilter) -> tuple:
-    """The SRRC design parameters that determine ``filt``'s taps."""
-    return filt.rolloff, filt.span_symbols, filt.samples_per_symbol
+@dataclass(frozen=True)
+class TrainingModel:
+    """The noise-free part of the LS training problem: the burst, its
+    (n_rows x order) convolution matrix and that matrix's pseudo-inverse.
+    Its arrays are read-only."""
 
-
-def _read_only(*arrays) -> None:
-    for a in arrays:
-        a.setflags(write=False)
-
-
-@lru_cache(maxsize=16)
-def _training_burst(n_tr: int, rolloff: float, span_symbols: int, sps: int,
-                    sample_rate_hz: float) -> TrainingSignal:
-    reps = -(-n_tr // len(TRAINING_PATTERN))
-    indices = np.asarray((TRAINING_PATTERN * reps)[:n_tr])
-    symbols = constellation(4)[indices]
-    waveform = pulse_shape(symbols, srrc_taps(rolloff, span_symbols, sps),
-                           sample_rate_hz)
-    _read_only(symbols, waveform.samples)
-    return TrainingSignal(symbols=symbols, waveform=waveform)
+    training: TrainingSignal
+    conv: np.ndarray
+    pinv: np.ndarray
 
 
 def _convolution_matrix(x: np.ndarray, order: int, n_rows: int) -> np.ndarray:
     col = np.zeros(n_rows, dtype=np.complex128)
     col[: len(x)] = x
-    row = np.zeros(order, dtype=np.complex128)
-    row[0] = x[0]
-    return toeplitz(col, row)
+    return toeplitz(col, np.zeros(order))  # toeplitz takes the corner from col
 
 
-@lru_cache(maxsize=16)
-def _training_solver(n_tr: int, rolloff: float, span_symbols: int, sps: int,
-                     sample_rate_hz: float, order: int,
-                     n_rows: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The training burst's (n_rows x order) convolution matrix, its
-    pseudo-inverse and its rank.
+def training_model(training: TrainingSignal, estimator_order: int,
+                   n_channel_taps: int) -> TrainingModel:
+    """The training model for an ``estimator_order``-tap estimate of an
+    ``n_channel_taps``-tap channel from the burst ``training``.
 
     The rank cut-off is ``np.linalg.lstsq``'s default (``rcond=None``), so
     ``pinv @ r`` is the least-squares solution lstsq returns.
     """
-    x = _training_burst(n_tr, rolloff, span_symbols, sps, sample_rate_hz).waveform.samples
-    conv = _convolution_matrix(x, order, n_rows)
-    u, sv, vh = np.linalg.svd(conv, full_matrices=False)
-    rank = int(np.sum(sv > np.finfo(np.float64).eps * max(conv.shape) * sv[0]))
-    pinv = (vh[:rank].conj().T / sv[:rank]) @ u[:, :rank].conj().T
-    _read_only(conv, pinv)
-    return conv, pinv, rank
-
-
-def run_training(h_aa: BasebandChannel, p_ta_dbm: float, n_tr: int,
-                 noise_variance: float, estimator_order: int,
-                 rng: np.random.Generator, filt: SrrcFilter) -> ChannelEstimate:
-    """Estimate the self-interference channel from a silent-far-node burst.
-
-    The known training waveform passes through the true channel with
-    additive noise; the estimate solves the linear least-squares problem on
-    the convolution model for the requested number of taps.  The training
-    matrix is deterministic, so its pseudo-inverse is computed once per
-    (burst, order, row count) and each call costs one matrix-vector product.
-    """
     if estimator_order < 1:
         raise ValueError("estimator_order must be >= 1")
-    training = make_training_signal(n_tr, filt, h_aa.sample_rate_hz)
     x = training.waveform.samples
     if estimator_order > len(x):
         raise EstimationError(
             f"training waveform has {len(x)} samples; cannot identify "
             f"{estimator_order} taps (increase n_tr or lower the order)"
         )
-    amp = math.sqrt(dbm_to_linear(p_ta_dbm))
-    r = amp * fir_convolve(x, h_aa.taps) + awgn(len(x) + len(h_aa.taps) - 1,
-                                                noise_variance, rng)
-    conv, pinv, rank = _training_solver(int(n_tr), *_design(filt),
-                                        float(h_aa.sample_rate_hz),
-                                        int(estimator_order), len(r))
+    conv = _convolution_matrix(x, estimator_order, len(x) + n_channel_taps - 1)
+    u, sv, vh = np.linalg.svd(conv, full_matrices=False)
+    rank = int(np.sum(sv > np.finfo(np.float64).eps * max(conv.shape) * sv[0]))
     if rank < 1:
         raise EstimationError("training signal is degenerate; estimation failed")
+    pinv = (vh[:rank].conj().T / sv[:rank]) @ u[:, :rank].conj().T
+    for a in (training.symbols, x, conv, pinv):
+        a.setflags(write=False)
+    return TrainingModel(training=training, conv=conv, pinv=pinv)
+
+
+def run_training(h_aa: BasebandChannel, p_ta_dbm: float, noise_variance: float,
+                 rng: np.random.Generator, model: TrainingModel) -> ChannelEstimate:
+    """Estimate the self-interference channel from a silent-far-node burst.
+
+    The model's training waveform passes through the true channel with
+    additive noise; the least-squares estimate on the convolution model is
+    one product with the model's pseudo-inverse.
+    """
+    wave, n_rows = model.training.waveform, len(model.conv)
+    if (len(wave.samples) + len(h_aa.taps) - 1 != n_rows
+            or h_aa.sample_rate_hz != wave.sample_rate_hz):
+        raise ValueError("training model does not match the channel")
+    amp = math.sqrt(dbm_to_linear(p_ta_dbm))
+    r = amp * fir_convolve(wave.samples, h_aa.taps) + awgn(n_rows, noise_variance, rng)
     # the model matrix is amp * conv, so its pseudo-inverse is pinv / amp
-    taps_hat = (pinv @ r) / amp
-    fit = amp * (conv @ taps_hat)
+    taps_hat = (model.pinv @ r) / amp
+    fit = amp * (model.conv @ taps_hat)
     denom = float(np.sum(np.abs(r) ** 2))
     residual = float(np.sum(np.abs(r - fit) ** 2) / denom) if denom > 0 else 0.0
-    return ChannelEstimate(taps_hat=taps_hat, training_symbols_used=n_tr,
+    return ChannelEstimate(taps_hat=taps_hat,
+                           training_symbols_used=len(model.training.symbols),
                            residual_training_error=residual)
 
 

@@ -111,7 +111,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 try:
                     report = run_trial(cfg, rng)
                 except Exception as exc:
-                    raise FdsimError(
+                    raise (ConfigError if isinstance(exc, ConfigError) else FdsimError)(
                         f"{exc} [scheme={scheme}, {spec.axis}={value}, trial={trial}]"
                     ) from exc
                 sinrs.append(report.sinr_db)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cancellation, channel, sigproc
 from ._kernels import PhaseSpectrum, phase_spectrum, upsample_convolve_fft
-from .errors import ConfigError
+from .errors import ConfigError, ProfileError
 
 SCHEMES = ("PS", "AC", "PS+B", "AC+B")
 
@@ -214,21 +214,46 @@ def _baseband_channel(scheme: str, f_c_hz: float, band_hz: float,
 
 
 def self_interference_channel(config: LinkConfig) -> channel.BasebandChannel:
-    """The scheme's baseband self-interference channel for this config."""
-    return _baseband_channel(config.rf_scheme, config.carrier_hz,
-                             config.channel_bandwidth_hz,
-                             config.sample_rate_hz, config.n_taps)
+    """The scheme's baseband self-interference channel for this config; a
+    channel band outside the scheme's profile is a ``ConfigError``."""
+    try:
+        return _baseband_channel(config.rf_scheme, config.carrier_hz,
+                                 config.channel_bandwidth_hz,
+                                 config.sample_rate_hz, config.n_taps)
+    except ProfileError as exc:
+        raise ConfigError(f"f_c_hz = {config.carrier_hz:g}, channel_bandwidth_hz = "
+                          f"{config.channel_bandwidth_hz:g}: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class TrialDesign:
     """The parts of a trial that do not change from trial to trial: the
-    SRRC filter, the SI channel, and the polyphase spectrum of one
-    transmitted pulse through that channel.  Its arrays are read-only."""
+    SRRC filter, the SI channel, the polyphase spectrum of one transmitted
+    pulse through that channel, and (for +B, else ``None``) the LS training
+    model.  Its arrays are read-only."""
 
     filt: sigproc.SrrcFilter
     h_aa: channel.BasebandChannel
     si_spectrum: PhaseSpectrum
+    training: cancellation.TrainingModel | None
+
+
+#: Up to 16 LS training models, by the burst, rate, order and channel length
+#: that determine them.  Each costs an SVD (0.5-2 ms), and a burst recurs at
+#: every +B point with the same filter, so models outlive the trial design.
+_TRAINING_MODELS: dict = {}
+
+
+def _training_model(config: LinkConfig, filt: sigproc.SrrcFilter,
+                    n_channel_taps: int) -> cancellation.TrainingModel:
+    training = cancellation.make_training_signal(config.n_training, filt, config.sample_rate_hz)
+    order = config.effective_estimator_order
+    key = (training.waveform.samples.tobytes(), config.sample_rate_hz, order, n_channel_taps)
+    if key not in _TRAINING_MODELS:
+        if len(_TRAINING_MODELS) >= 16:
+            _TRAINING_MODELS.clear()
+        _TRAINING_MODELS[key] = cancellation.training_model(training, order, n_channel_taps)
+    return _TRAINING_MODELS[key]
 
 
 @lru_cache(maxsize=1)
@@ -249,7 +274,10 @@ def trial_design(config: LinkConfig) -> TrialDesign:
                              samples_per_symbol=sps)
     si_pulse = channel.apply_channel(pulse, h_aa, config.p_ta_dbm)
     spectrum = phase_spectrum(si_pulse.samples, sps, config.n_bits // config.n_b)
-    return TrialDesign(filt=filt, h_aa=h_aa, si_spectrum=spectrum)
+    training = None
+    if config.uses_baseband_cancellation:
+        training = _training_model(config, filt, len(h_aa.taps))
+    return TrialDesign(filt=filt, h_aa=h_aa, si_spectrum=spectrum, training=training)
 
 
 def run_trial(config: LinkConfig, rng: np.random.Generator | None = None) -> LinkReport:
@@ -266,11 +294,9 @@ def run_trial(config: LinkConfig, rng: np.random.Generator | None = None) -> Lin
                                        config.n_b, sps)
 
     estimate = None
-    if config.uses_baseband_cancellation:
-        estimate = cancellation.run_training(h_aa, config.p_ta_dbm,
-                                             config.n_training, noise_var,
-                                             config.effective_estimator_order,
-                                             rng, filt)
+    if design.training is not None:
+        estimate = cancellation.run_training(h_aa, config.p_ta_dbm, noise_var,
+                                             rng, design.training)
 
     n_sym = config.n_bits // config.n_b
     bits_a = rng.integers(0, 2, size=config.n_bits)

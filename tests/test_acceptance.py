@@ -93,16 +93,19 @@ def test_criterion_3_estimator_exactness_and_scaling():
     true = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) * 0.05
     h = channel.BasebandChannel(taps=true, sample_rate_hz=20e6)
 
-    est = cancellation.run_training(h, 0.0, 5, 0.0, 8,
-                                    np.random.default_rng(0), filt)
+    def model(n_tr):
+        training = cancellation.make_training_signal(n_tr, filt, 20e6)
+        return cancellation.training_model(training, 8, len(true))
+
+    est = cancellation.run_training(h, 0.0, 0.0, np.random.default_rng(0), model(5))
     exact = float(np.sum(np.abs(est.taps_hat - true) ** 2)
                   / np.sum(np.abs(true) ** 2))
 
     def mean_err(p_dbm, n_tr, trials=500):
         tot = 0.0
         for t in range(trials):
-            e = cancellation.run_training(h, p_dbm, n_tr, 1e-6, 8,
-                                          np.random.default_rng(1000 + t), filt)
+            e = cancellation.run_training(h, p_dbm, 1e-6,
+                                          np.random.default_rng(1000 + t), model(n_tr))
             tot += float(np.sum(np.abs(e.taps_hat - true) ** 2))
         return tot / trials
 

@@ -18,6 +18,16 @@ def short_channel(seed=3, n=8):
     return channel.BasebandChannel(taps=taps, sample_rate_hz=20e6)
 
 
+def model(n_tr, order, n_taps, filt=FILT):
+    training = cancellation.make_training_signal(n_tr, filt, 20e6)
+    return cancellation.training_model(training, order, n_taps)
+
+
+def train(h, p_dbm, n_tr, noise_var, order, rng):
+    return cancellation.run_training(h, p_dbm, noise_var, rng,
+                                     model(n_tr, order, len(h.taps)))
+
+
 def test_training_signal_deterministic():
     a = cancellation.make_training_signal(5, FILT, 20e6)
     b = cancellation.make_training_signal(5, FILT, 20e6)
@@ -31,10 +41,18 @@ def test_training_signal_rejects_zero_symbols():
         cancellation.make_training_signal(0, FILT, 20e6)
 
 
+def test_training_burst_is_shaped_by_the_given_filter():
+    # a hand-built filter with non-SRRC taps shapes the burst itself
+    filt = sigproc.SrrcFilter(taps=np.hanning(17), samples_per_symbol=2,
+                              span_symbols=8, rolloff=0.25)
+    training = cancellation.make_training_signal(7, filt, 20e6)
+    ref = sigproc.pulse_shape(training.symbols, filt, 20e6)
+    assert np.array_equal(training.waveform.samples, ref.samples)
+
+
 def test_noiseless_estimate_is_exact():
     h = short_channel()
-    est = cancellation.run_training(h, 0.0, 5, 0.0, 8,
-                                    np.random.default_rng(0), FILT)
+    est = train(h, 0.0, 5, 0.0, 8, np.random.default_rng(0))
     err = np.sum(np.abs(est.taps_hat - h.taps) ** 2)
     assert err / np.sum(np.abs(h.taps) ** 2) < 1e-9
     assert est.training_symbols_used == 5
@@ -46,8 +64,7 @@ def test_error_halves_when_power_doubles():
     def mean_err(p_dbm, trials=150):
         tot = 0.0
         for t in range(trials):
-            est = cancellation.run_training(h, p_dbm, 5, 1e-6, 8,
-                                            np.random.default_rng(100 + t), FILT)
+            est = train(h, p_dbm, 5, 1e-6, 8, np.random.default_rng(100 + t))
             tot += float(np.sum(np.abs(est.taps_hat - h.taps) ** 2))
         return tot / trials
     drop_db = -10.0 * math.log10(mean_err(3.0103) / mean_err(0.0))
@@ -59,8 +76,7 @@ def test_error_halves_when_training_doubles():
     def mean_err(n_tr, trials=150):
         tot = 0.0
         for t in range(trials):
-            est = cancellation.run_training(h, 0.0, n_tr, 1e-6, 8,
-                                            np.random.default_rng(500 + t), FILT)
+            est = train(h, 0.0, n_tr, 1e-6, 8, np.random.default_rng(500 + t))
             tot += float(np.sum(np.abs(est.taps_hat - h.taps) ** 2))
         return tot / trials
     drop_db = -10.0 * math.log10(mean_err(10) / mean_err(5))
@@ -68,16 +84,24 @@ def test_error_halves_when_training_doubles():
 
 
 def test_order_longer_than_training_rejected():
-    h = short_channel()
     with pytest.raises(EstimationError):
-        cancellation.run_training(h, 0.0, 5, 0.0, 100,
-                                  np.random.default_rng(0), FILT)
+        model(5, 100, 8)
 
 
 def test_invalid_order_rejected():
     with pytest.raises(ValueError):
-        cancellation.run_training(short_channel(), 0.0, 5, 0.0, 0,
-                                  np.random.default_rng(0), FILT)
+        model(5, 0, 8)
+
+
+def test_model_for_another_channel_rejected():
+    eight_taps = model(5, 8, 8)
+    with pytest.raises(ValueError, match="does not match"):
+        cancellation.run_training(short_channel(n=9), 0.0, 0.0,
+                                  np.random.default_rng(0), eight_taps)
+    other_rate = channel.BasebandChannel(taps=short_channel().taps, sample_rate_hz=10e6)
+    with pytest.raises(ValueError, match="does not match"):
+        cancellation.run_training(other_rate, 0.0, 0.0,
+                                  np.random.default_rng(0), eight_taps)
 
 
 def data_waveform(seed=7, n_bits=400):
@@ -135,8 +159,7 @@ def test_residual_matches_direct_reconstruction():
     h = short_channel()
     x = data_waveform()
     rng = np.random.default_rng(21)
-    est = cancellation.run_training(h, 0.0, 5, 1e-5, 8,
-                                    np.random.default_rng(2), FILT)
+    est = train(h, 0.0, 5, 1e-5, 8, np.random.default_rng(2))
     si = channel.apply_channel(x, h, 0.0)
     z = sigproc.awgn(len(si.samples), 1e-5, rng)
     noisy = sigproc.Waveform(samples=si.samples + z, sample_rate_hz=20e6,
@@ -187,8 +210,7 @@ def test_residual_power_noise_floor():
 
 
 def _clear_caches():
-    cancellation._training_burst.cache_clear()
-    cancellation._training_solver.cache_clear()
+    link._TRAINING_MODELS.clear()
     link._baseband_channel.cache_clear()
     link.trial_design.cache_clear()
 
@@ -208,13 +230,28 @@ def test_cold_and_warm_caches_give_identical_results():
 
 
 def test_cached_training_arrays_are_read_only():
-    training = cancellation.make_training_signal(5, FILT, 20e6)
-    cancellation.run_training(short_channel(), 0.0, 5, 0.0, 8,
-                              np.random.default_rng(0), FILT)
-    conv, pinv, _ = cancellation._training_solver(5, 0.25, 8, 2, 20e6, 8, 33)
-    for a in (training.symbols, training.waveform.samples, conv, pinv):
+    m = model(5, 8, 8)
+    assert m.conv.shape == (len(m.training.waveform.samples) + 7, 8)
+    training = m.training
+    for a in (training.symbols, training.waveform.samples, m.conv, m.pinv):
         with pytest.raises(ValueError):
             a[0] = 0.0
+
+
+@pytest.mark.parametrize("scheme", link.SCHEMES)
+def test_design_holds_a_training_model_for_baseband_schemes_only(scheme):
+    cfg = link.LinkConfig(scheme=scheme, n_bits=400)
+    design = link.trial_design(cfg)
+    if not cfg.uses_baseband_cancellation:
+        assert design.training is None
+        return
+    m = design.training
+    assert m.conv.shape == (len(m.training.waveform.samples) + len(design.h_aa.taps) - 1,
+                            cfg.effective_estimator_order)
+    assert np.array_equal(
+        m.training.waveform.samples,
+        cancellation.make_training_signal(cfg.n_training, design.filt,
+                                          cfg.sample_rate_hz).waveform.samples)
 
 
 def test_trial_design_arrays_are_read_only():
@@ -239,15 +276,16 @@ def test_trial_design_is_kept_for_its_config_only():
 def test_cached_solve_matches_lstsq():
     h = short_channel()
     p_dbm, noise_var, order = 3.0, 1e-4, 8
-    est = cancellation.run_training(h, p_dbm, 5, noise_var, order,
-                                    np.random.default_rng(9), FILT)
+    est = train(h, p_dbm, 5, noise_var, order, np.random.default_rng(9))
     # the same model and noise draw, solved per call
     x = cancellation.make_training_signal(5, FILT, 20e6).waveform.samples
     amp = math.sqrt(channel.dbm_to_linear(p_dbm))
     n_rows = len(x) + len(h.taps) - 1
     r = amp * np.convolve(x, h.taps) + sigproc.awgn(n_rows, noise_var,
                                                     np.random.default_rng(9))
-    mat = amp * cancellation._convolution_matrix(x, order, n_rows)
+    # column k is the burst delayed by k samples
+    mat = amp * np.column_stack([np.concatenate([np.zeros(k), x, np.zeros(n_rows - len(x) - k)])
+                                 for k in range(order)])
     ref = np.linalg.lstsq(mat, r, rcond=None)[0]
     assert np.max(np.abs(est.taps_hat - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -256,9 +294,29 @@ def test_configs_differing_in_solve_shape_do_not_share_entries():
     base = link.LinkConfig(scheme="AC+B", n_bits=400, ebn0_db=40.0)
     variants = [base, replace(base, n_taps=128), replace(base, estimator_order=20),
                 replace(base, signal_bandwidth_hz=5e6)]
-    _clear_caches()
+    models = [link.trial_design(cfg).training for cfg in variants]
+    assert len({(m.conv.shape, m.training.waveform.samples.shape)
+                for m in models}) == len(variants)
     warm = [link.run_trial(cfg, np.random.default_rng(1)) for cfg in variants]
-    assert cancellation._training_solver.cache_info().currsize == len(variants)
     for cfg, report in zip(variants, warm):
         _clear_caches()
         assert link.run_trial(cfg, np.random.default_rng(1)) == report
+
+
+def test_points_with_the_same_burst_share_one_training_model():
+    base = link.LinkConfig(scheme="PS+B", n_bits=400, signal_bandwidth_hz=5e6)
+    _clear_caches()
+    model = link.trial_design(base).training
+    for cfg in (replace(base, scheme="AC+B"), replace(base, ebn0_db=10.0),
+                replace(base, p_ta_dbm=5.0)):
+        assert link.trial_design(cfg).training is model
+    assert len(link._TRAINING_MODELS) == 1
+
+
+def test_training_model_store_is_bounded():
+    filt = sigproc.srrc_taps(0.25, 8, 2)
+    _clear_caches()
+    for n_tr in range(1, 20):
+        cfg = link.LinkConfig(scheme="PS+B", n_training=n_tr, estimator_order=8)
+        link._training_model(cfg, filt, 8)
+        assert 1 <= len(link._TRAINING_MODELS) <= 16

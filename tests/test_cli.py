@@ -147,3 +147,28 @@ def test_run_rejects_order_beyond_training(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--scheme", "PS+B"]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "estimator_order" in err
+
+
+@pytest.mark.parametrize("lines, key", [
+    ("f_c_hz = 2.3e9\n", "f_c_hz"),
+    ("sample_rate_hz = 40e6\nchannel_bandwidth_hz = 30e6\n", "channel_bandwidth_hz"),
+])
+def test_run_rejects_band_outside_profile(tmp_path, capsys, lines, key):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(lines)
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+def test_sweep_rejects_band_outside_profile(tmp_path, capsys):
+    # a sweep tunes each scheme to its peak, so only the band width can miss
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("sample_rate_hz = 40e6\nchannel_bandwidth_hz = 30e6\n"
+                   "n_bits = 400\ntrials_per_point = 1\nschemes = PS,AC+B\n")
+    out = tmp_path / "r.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "channel_bandwidth_hz" in err
+    assert "[scheme=PS, ebn0_db=90.0, trial=0]" in err
+    assert not out.exists()
