@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from ._kernels import fir_convolve
 from .channel import BasebandChannel, dbm_to_linear
@@ -56,9 +55,12 @@ class TrainingModel:
 
 
 def _convolution_matrix(x: np.ndarray, order: int, n_rows: int) -> np.ndarray:
+    """The (n_rows x order) matrix whose column j is ``x`` delayed by j
+    samples: entry (i, j) is ``x[i - j]``, zero where i < j or past ``x``."""
     col = np.zeros(n_rows, dtype=np.complex128)
     col[: len(x)] = x
-    return toeplitz(col, np.zeros(order))  # toeplitz takes the corner from col
+    lag = np.arange(n_rows)[:, None] - np.arange(order)
+    return np.where(lag >= 0, col[lag], 0.0)
 
 
 def training_model(training: TrainingSignal, estimator_order: int,

@@ -4,18 +4,19 @@ Passband isolation/phase profiles for the passive (PS) and active (AC)
 antenna schemes, conversion to equivalent baseband impulse responses, and
 channel application.  Profiles are synthesized from the published scalar
 characteristics (peak isolation/frequency and 10-MHz band isolation) and
-calibrated at runtime so the band figures are met to better than 0.1 dB.
+calibrated at runtime, by Brent's root finder, so the band figures are met
+to better than 0.1 dB.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._kernels import fir_convolve
 from .errors import CalibrationError, ProfileError
@@ -83,7 +84,7 @@ class ChannelProfile:
             raise ProfileError("profile arrays must have equal length")
         if len(f) < 2:
             raise ProfileError("profile needs at least 2 frequency points")
-        if np.any(np.diff(f) <= 0):
+        if np.any(f[1:] <= f[:-1]):  # not np.diff, which overflows on wide grids
             raise ProfileError("profile frequency grid must be strictly increasing")
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(iso)) and np.all(np.isfinite(ph))):
             raise ProfileError("profile values must be finite")
@@ -141,11 +142,13 @@ def _texture_db(f_rel: np.ndarray) -> np.ndarray:
     return math.sqrt(2.0 / TEXTURE_COMPONENTS) * np.cos(arg).sum(axis=1)
 
 
-def _notch_db(f_rel: np.ndarray, scheme: str, floor_db: float) -> np.ndarray:
+def _notch(f_rel: np.ndarray, scheme: str):
+    """The isolation notch (dB) at offsets ``f_rel`` from the peak, as a
+    function of its floor.  The Gaussian bump and the ripple do not depend
+    on the floor, so they are computed here once, not per floor tried."""
     peak_db = PS_PEAK_DB if scheme == "PS" else AC_PEAK_DB
     sigma_hz = PS_SIGMA_HZ if scheme == "PS" else AC_SIGMA_HZ
     bump = np.exp(-(f_rel**2) / (2.0 * sigma_hz**2))
-    smooth = floor_db + (peak_db - floor_db) * bump
     envelope = np.full_like(np.asarray(f_rel, dtype=float), TEXTURE_RMS_DB)
     if scheme == "AC":
         envelope = envelope + AC_EDGE_RIPPLE_DB * np.exp(
@@ -156,7 +159,85 @@ def _notch_db(f_rel: np.ndarray, scheme: str, floor_db: float) -> np.ndarray:
         envelope = envelope + PS_PEAK_RIPPLE_DB * np.exp(
             -(f_rel**2) / (2.0 * PS_PEAK_RIPPLE_SIGMA_HZ**2)
         )
-    return smooth + envelope * _texture_db(f_rel)
+    ripple = envelope * _texture_db(f_rel)
+
+    def notch_db(floor_db: float) -> np.ndarray:
+        smooth = floor_db + (peak_db - floor_db) * bump
+        return smooth + ripple
+
+    return notch_db
+
+
+def _calibration(scheme: str, freqs_hz: np.ndarray):
+    """The notch of ``scheme`` on ``freqs_hz`` as a function of its floor,
+    and the mismatch the floor is solved for: the notch's band isolation
+    minus the published band target, in dB."""
+    peak_hz = PS_PEAK_HZ if scheme == "PS" else AC_PEAK_HZ
+    target_db = PS_BAND_DB if scheme == "PS" else AC_BAND_DB
+    notch_db = _notch(freqs_hz - peak_hz, scheme)
+    zero_phase = np.zeros_like(freqs_hz)
+
+    def mismatch(floor_db: float) -> float:
+        prof = ChannelProfile(freqs_hz, notch_db(floor_db), zero_phase, scheme, peak_hz)
+        return band_isolation_db(prof, peak_hz) - target_db
+
+    return notch_db, mismatch
+
+
+def _brentq(f, a: float, b: float, xtol: float,
+            rtol: float = 4 * sys.float_info.epsilon, maxiter: int = 100) -> float:
+    """A root of ``f`` in [a, b] by Brent's method (R. P. Brent, *Algorithms
+    for Minimization without Derivatives*, 1973, ch. 4).
+
+    A line-by-line port of scipy's ``brentq`` (its C ``brentq.c``) with the
+    same defaults, so it visits the same iterates and returns the same root
+    bit for bit.  Raises ``CalibrationError`` where scipy raises: when f is
+    NaN, when f(a) and f(b) have the same sign, or when no root is within
+    tolerance after ``maxiter`` steps.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise CalibrationError(f"the function value at {x!r} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise CalibrationError(f"f(a) and f(b) have the same sign ({fpre:.3g}, {fcur:.3g})")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise CalibrationError(f"no convergence after {maxiter} iterations, value is {xcur!r}")
 
 
 def synthesize_profile(scheme: str, freqs_hz: np.ndarray | None = None) -> ChannelProfile:
@@ -177,16 +258,10 @@ def synthesize_profile(scheme: str, freqs_hz: np.ndarray | None = None) -> Chann
         raise ProfileError(
             f"grid must cover the {BAND_WIDTH_HZ/1e6:.0f} MHz band around {peak_hz/1e9} GHz"
         )
-    f_rel = freqs_hz - peak_hz
-
-    def mismatch(floor_db: float) -> float:
-        prof = ChannelProfile(freqs_hz, _notch_db(f_rel, scheme, floor_db),
-                              np.zeros_like(freqs_hz), scheme, peak_hz)
-        return band_isolation_db(prof, peak_hz) - target_db
-
+    notch_db, mismatch = _calibration(scheme, freqs_hz)
     try:
-        floor_db = brentq(mismatch, 1.0, target_db - 1e-9, xtol=1e-6)
-    except ValueError as exc:
+        floor_db = _brentq(mismatch, 1.0, target_db - 1e-9, xtol=1e-6)
+    except CalibrationError as exc:
         raise CalibrationError(
             f"{scheme} profile calibration failed: no floor in (1, {target_db}) "
             f"meets the {target_db} dB band target ({exc})"
@@ -196,9 +271,8 @@ def synthesize_profile(scheme: str, freqs_hz: np.ndarray | None = None) -> Chann
         raise CalibrationError(
             f"{scheme} profile calibration residual {residual:.3f} dB exceeds 0.1 dB"
         )
-    phase_deg = -360.0 * GROUP_DELAY_S * f_rel
-    return ChannelProfile(freqs_hz, _notch_db(f_rel, scheme, floor_db),
-                          phase_deg, scheme, peak_hz)
+    phase_deg = -360.0 * GROUP_DELAY_S * (freqs_hz - peak_hz)
+    return ChannelProfile(freqs_hz, notch_db(floor_db), phase_deg, scheme, peak_hz)
 
 
 def save_profile(profile: ChannelProfile, path) -> None:
@@ -236,11 +310,12 @@ def load_profile(path) -> ChannelProfile:
             freqs.append(vals[0])
             isos.append(vals[1])
             phases.append(vals[2])
-    if len(freqs) >= 2 and np.any(np.diff(freqs) == 0):
+    freqs = np.array(freqs)
+    if np.any(freqs[1:] == freqs[:-1]):
         raise ProfileError(f"{path}: duplicate frequencies in grid")
-    if len(freqs) >= 2 and np.any(np.diff(freqs) < 0):
+    if np.any(freqs[1:] < freqs[:-1]):
         raise ProfileError(f"{path}: frequency grid must be increasing")
-    return ChannelProfile(np.array(freqs), np.array(isos), np.array(phases))
+    return ChannelProfile(freqs, np.array(isos), np.array(phases))
 
 
 def derive_baseband_channel(profile: ChannelProfile, f_c: float, band_hz: float,

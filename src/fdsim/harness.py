@@ -85,8 +85,16 @@ def trial_seed(root_seed: int, scheme: str, value, trial: int) -> int:
 
 
 def config_for_point(base: LinkConfig, scheme: str, axis: str, value) -> LinkConfig:
-    """Specialize the base config for one sweep point."""
-    cfg = replace(base, scheme=scheme, f_c_hz=None)
+    """Specialize the base config for one sweep point.
+
+    A sweep runs each scheme at its own peak-isolation carrier, so a base
+    config that sets ``f_c_hz`` is rejected rather than overridden.
+    """
+    if base.f_c_hz is not None:
+        raise ConfigError(f"f_c_hz = {base.f_c_hz:g} cannot be set in a sweep: "
+                          "each scheme runs at its own peak-isolation carrier "
+                          "(use f_c_hz = none)")
+    cfg = replace(base, scheme=scheme)
     if axis == "mod_order":
         m = int(value)
         n_b = int(round(math.log2(m)))

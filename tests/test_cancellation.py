@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from fdsim import cancellation, channel, harness, link, sigproc
 from fdsim.errors import EstimationError
@@ -288,6 +289,21 @@ def test_cached_solve_matches_lstsq():
                                  for k in range(order)])
     ref = np.linalg.lstsq(mat, r, rcond=None)[0]
     assert np.max(np.abs(est.taps_hat - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("sps", [2, 20, 40])
+def test_convolution_matrix_matches_scipy_toeplitz(sps):
+    cfg = link.LinkConfig()
+    burst = cancellation.make_training_signal(
+        cfg.n_training, sigproc.srrc_taps(cfg.rolloff, cfg.span_symbols, sps),
+        cfg.sample_rate_hz).waveform.samples
+    order, n_rows = cfg.effective_estimator_order, len(burst) + cfg.n_taps - 1
+    col = np.zeros(n_rows, dtype=np.complex128)
+    col[: len(burst)] = burst
+    conv = cancellation._convolution_matrix(burst, order, n_rows)
+    ref = toeplitz(col, np.zeros(order))
+    assert conv.dtype == ref.dtype and conv.flags.c_contiguous
+    assert np.array_equal(conv, ref)
 
 
 def test_configs_differing_in_solve_shape_do_not_share_entries():

@@ -1,10 +1,14 @@
 """Tests for profile synthesis, baseband derivation, and channel application."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from fdsim import channel, sigproc
-from fdsim.errors import ProfileError
+from fdsim.errors import CalibrationError, ProfileError
 
 
 def flat_profile(iso_db=40.0, phase_deg=None, f_c=2.44e9, half=12e6, n=481):
@@ -56,6 +60,81 @@ def test_synthesize_rejects_narrow_grid():
 def test_synthesize_rejects_unknown_scheme():
     with pytest.raises(ValueError):
         channel.synthesize_profile("XX")
+
+
+# Grids of offsets from the peak: the default one, a coarse one just
+# covering the band, and a wide uneven one.
+CALIBRATION_GRIDS = {
+    "default": np.linspace(-12e6, 12e6, 1921),
+    "coarse": np.linspace(-5.5e6, 5.5e6, 221),
+    "uneven": np.concatenate([np.linspace(-20e6, -1e6, 700, endpoint=False),
+                              np.linspace(-1e6, 15e6, 2501)]),
+}
+
+
+@pytest.mark.parametrize("grid", CALIBRATION_GRIDS)
+@pytest.mark.parametrize("scheme", ["PS", "AC"])
+def test_brent_port_matches_scipy_on_calibration(scheme, grid):
+    peak_hz = channel.PS_PEAK_HZ if scheme == "PS" else channel.AC_PEAK_HZ
+    target_db = channel.PS_BAND_DB if scheme == "PS" else channel.AC_BAND_DB
+    freqs = peak_hz + CALIBRATION_GRIDS[grid]
+    notch_db, mismatch = channel._calibration(scheme, freqs)
+    bracket = (1.0, target_db - 1e-9)
+    floor_db = brentq(mismatch, *bracket, xtol=1e-6)
+    assert channel._brentq(mismatch, *bracket, xtol=1e-6) == floor_db
+    prof = channel.synthesize_profile(scheme, freqs)
+    assert np.array_equal(prof.isolation_db, notch_db(floor_db))
+
+
+ANALYTIC = {
+    "cubic": (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+    "cos": (lambda x: math.cos(x) - x, 0.0, 1.0),
+    "exp": (lambda x: math.exp(x) - 2.0, -1.0, 4.0),
+    "flat_tail": (lambda x: math.atan(50.0 * (x - 0.1)), -3.0, 7.0),
+    # steep: some interpolation steps are rejected for a bisection
+    "steep": (lambda x: x**9 - 0.5, 0.0, 2.0),
+    # +-1 never lets an interpolation step in: pure bisection
+    "step": (lambda x: math.copysign(1.0, x - 0.3), -1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("xtol", [1e-6, 2e-12])
+@pytest.mark.parametrize("name", ANALYTIC)
+def test_brent_port_matches_scipy_on_analytic_functions(name, xtol):
+    f, a, b = ANALYTIC[name]
+    assert channel._brentq(f, a, b, xtol) == brentq(f, a, b, xtol=xtol)
+    assert channel._brentq(f, b, a, xtol) == brentq(f, b, a, xtol=xtol)
+
+
+def test_brent_port_returns_a_zero_end():
+    assert channel._brentq(lambda x: x - 1.0, 1.0, 3.0, 1e-6) == 1.0
+    assert channel._brentq(lambda x: x - 3.0, 1.0, 3.0, 1e-6) == 3.0
+
+
+def test_brent_port_failures_are_calibration_errors():
+    f, a, b = ANALYTIC["cubic"]
+    with pytest.raises(RuntimeError):  # scipy's own failure type
+        brentq(f, a, b, maxiter=2)
+    with pytest.raises(CalibrationError, match="2 iterations"):
+        channel._brentq(f, a, b, 2e-12, maxiter=2)
+    with pytest.raises(CalibrationError, match="same sign"):
+        channel._brentq(f, 3.0, 4.0, 1e-6)
+    with pytest.raises(CalibrationError, match="NaN"):
+        channel._brentq(lambda x: math.nan, 0.0, 1.0, 1e-6)
+
+
+def test_unreachable_band_target_is_a_calibration_error(monkeypatch):
+    # no floor can bring the band isolation above the peak isolation
+    monkeypatch.setattr(channel, "PS_BAND_DB", channel.PS_PEAK_DB + 5.0)
+    with pytest.raises(CalibrationError, match="PS profile calibration failed"):
+        channel.synthesize_profile("PS")
+
+
+def test_unconverged_calibration_is_a_calibration_error(monkeypatch):
+    monkeypatch.setattr(channel, "_brentq",
+                        functools.partial(channel._brentq, maxiter=3))
+    with pytest.raises(CalibrationError, match="3 iterations"):
+        channel.synthesize_profile("AC")
 
 
 def test_save_load_round_trip(tmp_path):

@@ -172,3 +172,16 @@ def test_sweep_rejects_band_outside_profile(tmp_path, capsys):
     assert "config error" in err and "channel_bandwidth_hz" in err
     assert "[scheme=PS, ebn0_db=90.0, trial=0]" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["2.3e9", "2.438e9"])
+def test_sweep_rejects_a_set_carrier(tmp_path, capsys, value):
+    # PS and AC peak at different carriers, so a sweep tunes each to its own
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"f_c_hz = {value}\nn_bits = 400\ntrials_per_point = 1\n"
+                   "schemes = PS,AC\n")
+    out = tmp_path / "r.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "f_c_hz" in err
+    assert not out.exists()

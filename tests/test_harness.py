@@ -119,6 +119,11 @@ def test_config_for_point_mod_order_axis():
     assert cfg.n_bits % 3 == 0
 
 
+def test_config_for_point_rejects_a_set_carrier():
+    with pytest.raises(ConfigError, match="f_c_hz"):
+        harness.config_for_point(LinkConfig(f_c_hz=2.438e9), "PS", "ebn0_db", 10)
+
+
 def test_sweep_errors_annotated_with_coordinates(monkeypatch):
     # an order the training cannot identify is rejected when the config is
     # built, so the failure is injected deep inside the trial

@@ -115,11 +115,14 @@ def test_kernels_reject_complex_taps():
         convolve_decimate([1.0, 2.0], [1.0 + 1j], 0, 2)
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal costs about half a second of start-up that every
-    # `fdsim` command would pay
-    code = "import sys, fdsim; print('scipy.signal' in sys.modules)"
+def test_import_and_a_trial_of_every_scheme_load_no_scipy():
+    # scipy costs about 0.6 s of start-up and half the peak memory that
+    # every `fdsim` process would pay; it is a test-only dependency
+    code = ("import sys, fdsim\n"
+            "for scheme in fdsim.link.SCHEMES:\n"
+            "    fdsim.run_trial(fdsim.LinkConfig(scheme=scheme, n_bits=200))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(fdsim.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
-"""Property tests: config emit/parse and PSK mapping round trips."""
+"""Property tests: config emit/parse, PSK mapping and profile CSV round
+trips, and the CLI's derive-channel against the library."""
 
 import math
 import os
@@ -8,7 +9,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsim import harness, sigproc
+from fdsim import channel, harness, sigproc
+from fdsim.cli import main
+from fdsim.errors import ProfileError
 from fdsim.link import SCHEMES, LinkConfig
 
 PROPERTIES = settings(max_examples=60, deadline=None, database=None)
@@ -83,3 +86,77 @@ def test_psk_round_trip(m_order, data):
                                        max_size=n_b * n_sym)), dtype=np.int64)
     rx = sigproc.demodulate_psk(sigproc.modulate_psk(bits, m_order), m_order)
     assert np.array_equal(rx, bits)
+
+
+@st.composite
+def profiles(draw):
+    freqs = sorted(draw(st.lists(finite, min_size=2, max_size=40, unique=True)))
+    n = len(freqs)
+    values = st.lists(finite, min_size=n, max_size=n)
+    return channel.ChannelProfile(np.array(freqs), np.array(draw(values)),
+                                  np.array(draw(values)))
+
+
+@PROPERTIES
+@given(profiles())
+def test_profile_csv_round_trip(profile):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "profile.csv")
+        channel.save_profile(profile, path)
+        back = channel.load_profile(path)
+    assert np.array_equal(back.freqs_hz, profile.freqs_hz)
+    assert np.array_equal(back.isolation_db, profile.isolation_db)
+    assert np.array_equal(back.phase_deg, profile.phase_deg)
+
+
+@st.composite
+def derive_cases(draw):
+    """A smooth-enough profile on an even grid and a config whose channel
+    band lies (up to rounding) inside it."""
+    center = draw(st.floats(1e8, 6e9))
+    half = draw(st.floats(1e6, 30e6))
+    n = draw(st.integers(2, 200))
+    freqs = center + np.linspace(-half, half, n)
+    iso = np.array(draw(st.lists(st.floats(-20.0, 120.0), min_size=n, max_size=n)))
+    phase = np.array(draw(st.lists(st.floats(-1e4, 1e4), min_size=n, max_size=n)))
+    sps = draw(st.integers(2, 8))
+    sample_rate_hz = draw(st.floats(1e6, 40e6))
+    band_hz = draw(st.floats(0.0, min(sample_rate_hz, 2.0 * half), exclude_min=True))
+    f_c_hz = draw(st.one_of(
+        st.none(), st.floats(-1.0, 1.0).map(lambda u: center + u * (half - band_hz / 2))))
+    cfg = LinkConfig(sample_rate_hz=sample_rate_hz,
+                     signal_bandwidth_hz=sample_rate_hz / sps,
+                     channel_bandwidth_hz=band_hz, f_c_hz=f_c_hz,
+                     n_taps=2 ** draw(st.integers(1, 12)))
+    return channel.ChannelProfile(freqs, iso, phase), cfg
+
+
+@PROPERTIES
+@given(derive_cases())
+def test_derive_channel_cli_writes_the_library_taps(case):
+    profile, cfg = case
+    # the CLI tunes a profile read from CSV to its grid's midpoint when the
+    # config leaves f_c_hz unset
+    f_c = cfg.f_c_hz
+    if f_c is None:
+        f_c = 0.5 * (profile.freqs_hz[0] + profile.freqs_hz[-1])
+    try:
+        ref = channel.derive_baseband_channel(profile, f_c, cfg.channel_bandwidth_hz,
+                                              cfg.sample_rate_hz, cfg.n_taps).taps
+    except ProfileError:  # the band misses the grid by a rounding error
+        ref = None
+    with tempfile.TemporaryDirectory() as tmp:
+        prof_path, cfg_path, out_path = (os.path.join(tmp, name) for name in
+                                         ("profile.csv", "link.cfg", "taps.csv"))
+        channel.save_profile(profile, prof_path)
+        with open(cfg_path, "w") as fh:
+            fh.write(harness.emit_config(harness.SweepSpec(base=cfg, values=(0.0,))))
+        code = main(["derive-channel", prof_path, "--config", cfg_path, "--out", out_path])
+        if ref is None:
+            assert code == 2
+            return
+        assert code == 0
+        rows = np.loadtxt(out_path, delimiter=",", skiprows=1)
+    taps = rows[:, 1] + 1j * rows[:, 2]
+    assert np.array_equal(rows[:, 0], np.arange(cfg.n_taps))
+    assert np.array_equal(taps, ref)
