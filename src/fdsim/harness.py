@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ConfigError, FdsimError
-from .link import SCHEMES, LinkConfig, run_trial
+from .link import SCHEMES, LinkConfig, run_trial, trial_design
 from .sigproc import SUPPORTED_ORDERS
 
 #: Sweep axis name -> the LinkConfig field it sets.  ``mod_order`` is the
@@ -106,25 +106,26 @@ def config_for_point(base: LinkConfig, scheme: str, axis: str, value) -> LinkCon
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Run all (scheme, value, trial) points and aggregate per point."""
+    """Run all (scheme, value, trial) points, one trial design per point,
+    and aggregate per point."""
     rows = []
     for scheme in spec.schemes:
         for value in spec.values:
             cfg = config_for_point(spec.base, scheme, spec.axis, value)
             sinrs, bers, rates = [], [], []
-            for trial in range(spec.trials_per_point):
-                rng = np.random.default_rng(
-                    trial_seed(spec.root_seed, scheme, value, trial)
-                )
-                try:
-                    report = run_trial(cfg, rng)
-                except Exception as exc:
-                    raise (ConfigError if isinstance(exc, ConfigError) else FdsimError)(
-                        f"{exc} [scheme={scheme}, {spec.axis}={value}, trial={trial}]"
-                    ) from exc
-                sinrs.append(report.sinr_db)
-                bers.append(report.ber)
-                rates.append(report.rate_bps_hz)
+            trial = 0
+            try:
+                design = trial_design(cfg)
+                for trial in range(spec.trials_per_point):
+                    rng = np.random.default_rng(trial_seed(spec.root_seed, scheme, value, trial))
+                    report = run_trial(cfg, rng, design)
+                    sinrs.append(report.sinr_db)
+                    bers.append(report.ber)
+                    rates.append(report.rate_bps_hz)
+            except Exception as exc:
+                raise (ConfigError if isinstance(exc, ConfigError) else FdsimError)(
+                    f"{exc} [scheme={scheme}, {spec.axis}={value}, trial={trial}]"
+                ) from exc
             n = spec.trials_per_point
             sinrs, bers, rates = np.array(sinrs), np.array(bers), np.array(rates)
             rows.append(SweepRow(

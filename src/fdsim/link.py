@@ -4,7 +4,9 @@ Runs one frame from the near node's perspective: both nodes transmit,
 the self-interference arrives through the scheme's measured-style channel,
 optional baseband cancellation subtracts its estimated replica, and the
 surviving signal is matched-filtered and detected.  Metrics are the
-measured SINR, bit error rate, and Shannon rate.
+measured SINR, bit error rate, and Shannon rate.  What a config's trials
+share (filter, SI channel, pulse spectrum, training model) is its trial
+design, which the caller builds once and passes to each trial.
 """
 
 from __future__ import annotations
@@ -112,6 +114,12 @@ class LinkConfig:
                 f"training samples ((n_training + span_symbols) * "
                 f"samples_per_symbol); increase n_training or lower "
                 f"estimator_order"
+            )
+        # a longer replica would outlast the received frame
+        if self.uses_baseband_cancellation and order > self.n_taps:
+            raise ConfigError(
+                f"estimator_order {order} exceeds n_taps = {self.n_taps}; "
+                f"lower estimator_order or raise n_taps"
             )
 
     @property
@@ -230,40 +238,18 @@ class TrialDesign:
     """The parts of a trial that do not change from trial to trial: the
     SRRC filter, the SI channel, the polyphase spectrum of one transmitted
     pulse through that channel, and (for +B, else ``None``) the LS training
-    model.  Its arrays are read-only."""
+    model, all for ``config``.  Its arrays are read-only."""
 
+    config: LinkConfig
     filt: sigproc.SrrcFilter
     h_aa: channel.BasebandChannel
     si_spectrum: PhaseSpectrum
     training: cancellation.TrainingModel | None
 
 
-#: Up to 16 LS training models, by the burst, rate, order and channel length
-#: that determine them.  Each costs an SVD (0.5-2 ms), and a burst recurs at
-#: every +B point with the same filter, so models outlive the trial design.
-_TRAINING_MODELS: dict = {}
-
-
-def _training_model(config: LinkConfig, filt: sigproc.SrrcFilter,
-                    n_channel_taps: int) -> cancellation.TrainingModel:
-    training = cancellation.make_training_signal(config.n_training, filt, config.sample_rate_hz)
-    order = config.effective_estimator_order
-    key = (training.waveform.samples.tobytes(), config.sample_rate_hz, order, n_channel_taps)
-    if key not in _TRAINING_MODELS:
-        if len(_TRAINING_MODELS) >= 16:
-            _TRAINING_MODELS.clear()
-        _TRAINING_MODELS[key] = cancellation.training_model(training, order, n_channel_taps)
-    return _TRAINING_MODELS[key]
-
-
-@lru_cache(maxsize=1)
 def trial_design(config: LinkConfig) -> TrialDesign:
-    """The trial design of this config, built on first use.
-
-    A sweep runs the trials of a point back to back, so one entry serves
-    every trial of a point but the first, and only one design (whose
-    spectrum grows with the frame length) is kept alive.
-    """
+    """The trial design of this config.  A sweep builds one per point and
+    passes it to each trial of the point; nothing keeps it after that."""
     sps = config.samples_per_symbol
     filt = sigproc.srrc_taps(config.rolloff, config.span_symbols, sps)
     filt.taps.setflags(write=False)
@@ -276,16 +262,25 @@ def trial_design(config: LinkConfig) -> TrialDesign:
     spectrum = phase_spectrum(si_pulse.samples, sps, config.n_bits // config.n_b)
     training = None
     if config.uses_baseband_cancellation:
-        training = _training_model(config, filt, len(h_aa.taps))
-    return TrialDesign(filt=filt, h_aa=h_aa, si_spectrum=spectrum, training=training)
+        burst = cancellation.make_training_signal(config.n_training, filt, config.sample_rate_hz)
+        training = cancellation.training_model(burst, config.effective_estimator_order,
+                                               len(h_aa.taps))
+    return TrialDesign(config, filt, h_aa, spectrum, training)
 
 
-def run_trial(config: LinkConfig, rng: np.random.Generator | None = None) -> LinkReport:
-    """Simulate one full-duplex frame and report the link metrics."""
+def run_trial(config: LinkConfig, rng: np.random.Generator | None = None,
+              design: TrialDesign | None = None) -> LinkReport:
+    """Simulate one full-duplex frame and report the link metrics.
+
+    ``design`` is ``trial_design(config)``, built here when not given.
+    """
     if rng is None:
         rng = np.random.default_rng(config.seed)
+    if design is None:
+        design = trial_design(config)
+    elif design.config != config:
+        raise ValueError("trial design was built for another config")
     sps = config.samples_per_symbol
-    design = trial_design(config)
     filt, h_aa = design.filt, design.h_aa
 
     p_rb_lin = channel.dbm_to_linear(config.p_rb_dbm)

@@ -211,9 +211,7 @@ def test_residual_power_noise_floor():
 
 
 def _clear_caches():
-    link._TRAINING_MODELS.clear()
     link._baseband_channel.cache_clear()
-    link.trial_design.cache_clear()
 
 
 def test_cold_and_warm_caches_give_identical_results():
@@ -263,17 +261,6 @@ def test_trial_design_arrays_are_read_only():
             a[0] = 0.0
 
 
-def test_trial_design_is_kept_for_its_config_only():
-    cfg = link.LinkConfig(scheme="AC", signal_bandwidth_hz=2e6, n_bits=400)
-    link.trial_design.cache_clear()
-    design = link.trial_design(cfg)
-    link.run_trial(cfg, np.random.default_rng(2))
-    assert link.trial_design(cfg) is design
-    other = link.trial_design(replace(cfg, p_ta_dbm=3.0))
-    assert other is not design
-    assert link.trial_design.cache_info().currsize == 1
-
-
 def test_cached_solve_matches_lstsq():
     h = short_channel()
     p_dbm, noise_var, order = 3.0, 1e-4, 8
@@ -317,22 +304,3 @@ def test_configs_differing_in_solve_shape_do_not_share_entries():
     for cfg, report in zip(variants, warm):
         _clear_caches()
         assert link.run_trial(cfg, np.random.default_rng(1)) == report
-
-
-def test_points_with_the_same_burst_share_one_training_model():
-    base = link.LinkConfig(scheme="PS+B", n_bits=400, signal_bandwidth_hz=5e6)
-    _clear_caches()
-    model = link.trial_design(base).training
-    for cfg in (replace(base, scheme="AC+B"), replace(base, ebn0_db=10.0),
-                replace(base, p_ta_dbm=5.0)):
-        assert link.trial_design(cfg).training is model
-    assert len(link._TRAINING_MODELS) == 1
-
-
-def test_training_model_store_is_bounded():
-    filt = sigproc.srrc_taps(0.25, 8, 2)
-    _clear_caches()
-    for n_tr in range(1, 20):
-        cfg = link.LinkConfig(scheme="PS+B", n_training=n_tr, estimator_order=8)
-        link._training_model(cfg, filt, 8)
-        assert 1 <= len(link._TRAINING_MODELS) <= 16

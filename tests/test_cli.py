@@ -149,6 +149,17 @@ def test_run_rejects_order_beyond_training(tmp_path, capsys):
     assert "config error" in err and "estimator_order" in err
 
 
+@pytest.mark.parametrize("lines", ["n_taps = 8\nn_bits = 400\n",
+                                   "n_taps = 16\nestimator_order = 20\n"])
+def test_run_rejects_order_beyond_channel(tmp_path, capsys, lines):
+    # the replica would be longer than the frame it is subtracted from
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(lines)
+    assert main(["run", "--config", str(cfg), "--scheme", "PS+B"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "estimator_order" in err and "n_taps" in err
+
+
 @pytest.mark.parametrize("lines, key", [
     ("f_c_hz = 2.3e9\n", "f_c_hz"),
     ("sample_rate_hz = 40e6\nchannel_bandwidth_hz = 30e6\n", "channel_bandwidth_hz"),

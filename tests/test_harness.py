@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fdsim import cancellation, harness
+from fdsim import cancellation, channel, harness, link, sigproc
 from fdsim.errors import ConfigError, EstimationError, FdsimError
 from fdsim.harness import SweepSpec, parse_config, run_sweep
 from fdsim.link import LinkConfig
@@ -140,13 +140,62 @@ def test_sweep_error_rewrap_chains_original(monkeypatch):
     # UnicodeDecodeError cannot be rebuilt from a message alone
     original = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
 
-    def failing_trial(cfg, rng):
+    def failing_trial(*args):
         raise original
 
     monkeypatch.setattr(harness, "run_trial", failing_trial)
     with pytest.raises(FdsimError, match=r"\[scheme=PS, ebn0_db=20.0, trial=0\]") as info:
         run_sweep(small_spec())
     assert info.value.__cause__ is original
+
+
+def _counting(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_sweep_builds_one_design_per_point(monkeypatch):
+    calls = []
+    _counting(monkeypatch, harness, "trial_design", calls)
+    spec = small_spec(values=(10.0, 30.0, 50.0), schemes=("PS", "AC+B"))
+    run_sweep(spec)
+    assert len(calls) == len(spec.schemes) * len(spec.values)
+
+
+def test_sweep_runs_each_trial_through_the_harness_hook(monkeypatch):
+    # a benchmark times trials by wrapping harness.run_trial and keys each
+    # time by the point's config, the first positional argument
+    assert harness.run_trial is link.run_trial
+    calls = []
+    _counting(monkeypatch, harness, "run_trial", calls)
+    spec = small_spec(values=(10.0, 30.0), schemes=("PS", "PS+B"))
+    run_sweep(spec)
+    expected = [harness.config_for_point(spec.base, s, spec.axis, v)
+                for s in spec.schemes for v in spec.values
+                for _ in range(spec.trials_per_point)]
+    assert [args[0] for args in calls] == expected
+
+
+def test_no_design_outlives_its_sweep(monkeypatch):
+    # a traced sweep after an untraced one must still see every design layer
+    spec = small_spec(schemes=("AC+B",), trials_per_point=1)
+    hooks = [(sigproc, "srrc_taps"), (cancellation, "make_training_signal"),
+             (link, "self_interference_channel"), (channel, "apply_channel")]
+    counts = []
+    for _ in range(2):
+        calls = {name: [] for _, name in hooks}
+        with monkeypatch.context() as m:
+            for module, name in hooks:
+                _counting(m, module, name, calls[name])
+            run_sweep(spec)
+        counts.append({name: len(c) for name, c in calls.items()})
+    assert counts[0] == counts[1]
+    assert all(counts[1].values())
 
 
 def test_write_read_round_trip(tmp_path):

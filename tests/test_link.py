@@ -1,6 +1,7 @@
 """Tests for the single-trial orchestration and link metrics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,6 +51,16 @@ def test_config_rejects_order_beyond_training():
         LinkConfig(scheme="PS+B", n_training=1)
     LinkConfig(scheme="PS", n_training=1)  # no canceller, nothing to identify
     LinkConfig(scheme="PS+B", n_training=1, estimator_order=18)
+
+
+def test_config_rejects_order_beyond_channel():
+    # the replica of a 26-tap estimate would outlast an 8-tap channel's frame
+    with pytest.raises(ConfigError, match="estimator_order 26 exceeds n_taps = 8"):
+        LinkConfig(scheme="PS+B", n_taps=8, n_bits=400)
+    with pytest.raises(ConfigError, match="estimator_order 20 exceeds n_taps = 16"):
+        LinkConfig(scheme="AC+B", n_taps=16, estimator_order=20)
+    LinkConfig(scheme="PS", n_taps=8)  # no canceller, no replica
+    run_trial(LinkConfig(scheme="PS+B", n_taps=16, estimator_order=16, n_bits=400))
 
 
 def test_scheme_default_carriers():
@@ -150,6 +161,22 @@ def test_trial_deterministic_for_seed():
     a = run_trial(cfg)
     b = run_trial(cfg)
     assert a == b
+
+
+@pytest.mark.parametrize("scheme", link.SCHEMES)
+def test_given_design_equals_built_design(scheme):
+    cfg = LinkConfig(scheme=scheme, ebn0_db=30.0, n_bits=400)
+    design = link.trial_design(cfg)
+    assert design.config == cfg
+    assert (run_trial(cfg, np.random.default_rng(6))
+            == run_trial(cfg, np.random.default_rng(6), design))
+
+
+def test_design_for_another_config_is_rejected():
+    cfg = LinkConfig(scheme="PS+B", n_bits=400)
+    other = link.trial_design(replace(cfg, p_ta_dbm=3.0))
+    with pytest.raises(ValueError, match="another config"):
+        run_trial(cfg, np.random.default_rng(0), other)
 
 
 def test_noise_only_residual_hits_noise_floor():

@@ -27,10 +27,14 @@ def link_configs(draw):
     n_training = draw(st.integers(1, 20))
     span_symbols = draw(st.integers(4, 16))
     scheme = draw(st.sampled_from(SCHEMES))
-    n_training_samples = (n_training + span_symbols) * sps
-    orders = st.integers(1, n_training_samples)
+    n_taps = 2 ** draw(st.integers(1, 12))
+    max_order = (n_training + span_symbols) * sps
+    # a +B estimate is also no longer than the channel its replica follows
+    if scheme.endswith("+B"):
+        max_order = min(max_order, n_taps)
+    orders = st.integers(1, max_order)
     # None is the default order, 26, which +B must be able to identify
-    if not scheme.endswith("+B") or n_training_samples >= 26:
+    if not scheme.endswith("+B") or max_order >= 26:
         orders = st.one_of(st.none(), orders)
     return LinkConfig(
         n_b=n_b, mod_order=2**n_b,
@@ -45,7 +49,7 @@ def link_configs(draw):
         rolloff=draw(st.floats(0.0, 1.0, exclude_min=True)),
         span_symbols=span_symbols,
         estimator_order=draw(orders),
-        n_taps=2 ** draw(st.integers(1, 12)),
+        n_taps=n_taps,
         seed=draw(st.integers(0, 2**64 - 1)),
     )
 
