@@ -1,10 +1,13 @@
 """The FIR convolution kernels.
 
 The simulator spends nearly all of its time in complex FIR convolutions.
-``fir_convolve`` is the full linear convolution; the canceller's replica
-and the training burst's channel response use it.  Pulse shaping and
-matched filtering are multirate, so they have their own polyphase
-kernels, which compute only the samples the link uses:
+``fir_convolve`` is the full linear convolution.  A trial uses it only
+for the training burst's channel response; otherwise the sample-rate
+``channel.apply_channel`` (once per trial design, for one pulse) and the
+library canceller (``cancellation.build_cancellation`` and
+``residual_power``) use it.  Pulse shaping and matched filtering are
+multirate, so they have their own polyphase kernels, which compute only
+the samples the link uses:
 ``upsample_convolve`` skips the products with the zeros of a zero-stuffed
 symbol stream, and ``convolve_decimate`` computes only the kept outputs.
 Both take real taps (the SRRC filter) and run the real and imaginary
@@ -16,7 +19,10 @@ through the SRRC filter and then the long complex channel, so the link
 applies both at once at the symbol rate: ``phase_spectrum`` transforms
 the polyphase components of the combined filter once per configuration
 and ``upsample_convolve_fft`` filters a symbol sequence with them
-through numpy's FFT.
+through numpy's FFT.  A +B trial subtracts its replica inside that
+spectrum: the replica is the same symbols through the short filter
+SRRC ⊛ estimate, so the trial filters its symbols once, through the
+difference of the two filters' polyphase spectra.
 
 The module keeps its name because the stage benchmark (``perfbench/``)
 times every full convolution by tracing ``fdsim._kernels.fir_convolve``.

@@ -1,5 +1,10 @@
 """Training-based least-squares estimation of the self-interference channel
-and construction/subtraction of the baseband cancellation signal."""
+and construction/subtraction of the baseband cancellation signal.
+
+A link trial subtracts the replica inside its SI spectrum
+(``link.run_trial``); ``build_cancellation``, ``cancel`` and
+``residual_power`` are the same operation on sample-rate waveforms, the
+reference that the link is checked against."""
 
 from __future__ import annotations
 

@@ -5,8 +5,16 @@ the self-interference arrives through the scheme's measured-style channel,
 optional baseband cancellation subtracts its estimated replica, and the
 surviving signal is matched-filtered and detected.  Metrics are the
 measured SINR, bit error rate, and Shannon rate.  What a config's trials
-share (filter, SI channel, pulse spectrum, training model) is its trial
-design, which the caller builds once and passes to each trial.
+share (filter, SI channel, pulse spectrum, SINR window, training model)
+is its trial design, which the caller builds once and passes to each
+trial.
+
+The SI reaches the receiver at the symbol rate: the trial's symbols pass
+once through the design's spectrum of the SRRC pulse through the SI
+channel.  With +B the replica is subtracted inside that spectrum, not as
+a second sample-rate waveform: the SI after cancellation is the symbols
+through the pulse⊛channel filter less amp·(SRRC ⊛ estimate), which is
+linear in the filter.
 """
 
 from __future__ import annotations
@@ -235,22 +243,42 @@ def self_interference_channel(config: LinkConfig) -> channel.BasebandChannel:
 
 @dataclass(frozen=True)
 class TrialDesign:
-    """The parts of a trial that do not change from trial to trial: the
-    SRRC filter, the SI channel, the polyphase spectrum of one transmitted
-    pulse through that channel, and (for +B, else ``None``) the LS training
-    model, all for ``config``.  Its arrays are read-only."""
+    """The parts of a trial that do not change from trial to trial, all for
+    ``config``: the SRRC filter, the SI channel and its tap energy, the
+    polyphase spectrum of one transmitted pulse through that channel, the
+    SINR measurement window ``[head, tail)`` of the received frame, and
+    (for +B, else ``None``) the LS training model.  Its arrays are
+    read-only.  A +B trial subtracts its replica inside ``si_spectrum``."""
 
     config: LinkConfig
     filt: sigproc.SrrcFilter
     h_aa: channel.BasebandChannel
     si_spectrum: PhaseSpectrum
     training: cancellation.TrainingModel | None
+    head: int
+    tail: int
+    si_tap_energy: float
+
+
+def _sinr_window(config: LinkConfig, filt: sigproc.SrrcFilter,
+                 h_aa: channel.BasebandChannel, n_full: int) -> tuple[int, int]:
+    """The received samples ``[head, tail)`` over which the SINR is measured:
+    past the filter and channel transients at both ends, or the whole frame
+    when that leaves less than a symbol or starts after the desired
+    waveform has ended (a frame of a few symbols)."""
+    n_desired = (config.n_bits // config.n_b) * config.samples_per_symbol + len(filt.taps) - 1
+    head = 2 * filt.group_delay + channel.support_length(h_aa.taps, 0.9999)
+    tail = n_full - 2 * filt.group_delay
+    if tail - head < config.samples_per_symbol or head >= n_desired:
+        return 0, n_full
+    return head, tail
 
 
 def trial_design(config: LinkConfig) -> TrialDesign:
     """The trial design of this config.  A sweep builds one per point and
     passes it to each trial of the point; nothing keeps it after that."""
     sps = config.samples_per_symbol
+    n_sym = config.n_bits // config.n_b
     filt = sigproc.srrc_taps(config.rolloff, config.span_symbols, sps)
     filt.taps.setflags(write=False)
     h_aa = self_interference_channel(config)
@@ -259,13 +287,15 @@ def trial_design(config: LinkConfig) -> TrialDesign:
     pulse = sigproc.Waveform(samples=filt.taps, sample_rate_hz=config.sample_rate_hz,
                              samples_per_symbol=sps)
     si_pulse = channel.apply_channel(pulse, h_aa, config.p_ta_dbm)
-    spectrum = phase_spectrum(si_pulse.samples, sps, config.n_bits // config.n_b)
+    spectrum = phase_spectrum(si_pulse.samples, sps, n_sym)
+    head, tail = _sinr_window(config, filt, h_aa, n_sym * sps + spectrum.n_taps - 1)
     training = None
     if config.uses_baseband_cancellation:
         burst = cancellation.make_training_signal(config.n_training, filt, config.sample_rate_hz)
         training = cancellation.training_model(burst, config.effective_estimator_order,
                                                len(h_aa.taps))
-    return TrialDesign(config, filt, h_aa, spectrum, training)
+    return TrialDesign(config, filt, h_aa, spectrum, training, head, tail,
+                       float(np.sum(np.abs(h_aa.taps) ** 2)))
 
 
 def run_trial(config: LinkConfig, rng: np.random.Generator | None = None,
@@ -303,7 +333,18 @@ def run_trial(config: LinkConfig, rng: np.random.Generator | None = None,
     p_tb_dbm = config.p_ta_dbm  # symmetric nodes
     h_ba = channel.make_desired_channel(config.p_rb_dbm, p_tb_dbm, rng)
     # channel.apply_channel(pulse_shape(s_a), h_aa), at the symbol rate
-    si = upsample_convolve_fft(s_a, design.si_spectrum)
+    spectrum = design.si_spectrum
+    if estimate is not None:
+        # +B: the replica amp·(pulse_shape(s_a) ⊛ ĥ) is s_a through the
+        # filter amp·(srrc ⊛ ĥ), so the SI less its replica is s_a through
+        # the difference of the two filters' spectra
+        amp = math.sqrt(channel.dbm_to_linear(config.p_ta_dbm))
+        replica = np.zeros(spectrum.n_taps, dtype=np.complex128)
+        replica[: len(filt.taps) + len(estimate.taps_hat) - 1] = amp * np.convolve(
+            filt.taps, estimate.taps_hat)
+        spectrum = PhaseSpectrum(spectrum.spectra - phase_spectrum(replica, sps, n_sym).spectra,
+                                 spectrum.n_taps)
+    si = upsample_convolve_fft(s_a, spectrum)
 
     n_full = len(si)
     desired = np.zeros(n_full, dtype=np.complex128)
@@ -316,25 +357,14 @@ def run_trial(config: LinkConfig, rng: np.random.Generator | None = None,
                            samples_per_symbol=sps,
                            delay_samples=x_b.delay_samples)
 
-    if estimate is not None:
-        x_a = sigproc.pulse_shape(s_a, filt, config.sample_rate_hz)
-        x_hat = cancellation.build_cancellation(x_a, estimate, config.p_ta_dbm)
-        y_a = cancellation.cancel(r_a, x_hat)
-    else:
-        y_a = r_a
-
     # detection: matched filter, known-phase equalization, demodulation
-    symbols = sigproc.matched_filter_downsample(y_a, filt, n_symbols=n_sym)
+    symbols = sigproc.matched_filter_downsample(r_a, filt, n_symbols=n_sym)
     symbols = symbols * np.exp(-1j * np.angle(h_ba.gain))
     bits_hat = sigproc.demodulate_psk(symbols, config.mod_order)
     p_b = ber(bits_b, bits_hat)
 
-    residual = y_a.samples - desired
-    head = 2 * filt.group_delay + channel.support_length(h_aa.taps, 0.9999)
-    tail = n_full - 2 * filt.group_delay
-    if tail - head < sps:
-        head, tail = 0, n_full
-    p_residual = _mean_power(residual[head:tail])
+    head, tail = design.head, design.tail
+    p_residual = _mean_power(si[head:tail] + z_a[head:tail])
     gamma_db = _power_ratio_db(_mean_power(desired[head:tail]), p_residual)
     residual_dbm = 10.0 * math.log10(max(p_residual, 1e-300))
 
@@ -342,9 +372,8 @@ def run_trial(config: LinkConfig, rng: np.random.Generator | None = None,
     if estimate is not None:
         err = np.array(h_aa.taps, dtype=np.complex128, copy=True)
         err[: len(estimate.taps_hat)] -= estimate.taps_hat
-        total = float(np.sum(np.abs(h_aa.taps) ** 2))
         est_err_db = 10.0 * math.log10(
-            max(float(np.sum(np.abs(err) ** 2)) / total, 1e-300)
+            max(float(np.sum(np.abs(err) ** 2)) / design.si_tap_energy, 1e-300)
         )
 
     return LinkReport(sinr_db=gamma_db, ber=p_b,

@@ -37,6 +37,15 @@ def test_run_with_config_file(tmp_path, capsys):
     assert "estimate_err_db" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("scheme", ["PS", "AC+B"])
+def test_run_one_symbol_frame(tmp_path, capsys, scheme):
+    # a frame of one QPSK symbol is valid (n_bits >= n_b) and must run
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("n_bits = 2\n")
+    assert main(["run", "--config", str(cfg), "--scheme", scheme]) == 0
+    assert "sinr_db" in capsys.readouterr().out
+
+
 def test_bad_config_returns_one(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("mod_order = 3\n")

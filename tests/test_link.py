@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fdsim import channel, link, sigproc
+from fdsim import cancellation, channel, link, sigproc
 from fdsim.errors import ConfigError
 from fdsim.link import LinkConfig, LinkReport, run_trial
 
@@ -127,11 +127,12 @@ def test_noiseless_trial_is_error_free():
     assert rep.estimate_error_db < -200.0
 
 
-@pytest.mark.parametrize("scheme", ["PS", "AC"])
+@pytest.mark.parametrize("scheme", link.SCHEMES)
 @pytest.mark.parametrize("bandwidth_hz", [10e6, 0.5e6])
 def test_trial_si_equals_sample_rate_channel(monkeypatch, scheme, bandwidth_hz):
     # with no noise and a far-node signal ~1e-28 of the SI, the matched
-    # filter's input is the trial's self-interference
+    # filter's input is the trial's self-interference, after the replica
+    # is subtracted for +B
     monkeypatch.setattr(channel, "make_desired_channel",
                         lambda p_rb_dbm, p_tb_dbm, rng: channel.DesiredChannel(1e-30, p_rb_dbm))
     seen = []
@@ -144,16 +145,55 @@ def test_trial_si_equals_sample_rate_channel(monkeypatch, scheme, bandwidth_hz):
     monkeypatch.setattr(sigproc, "matched_filter_downsample", capture)
     cfg = LinkConfig(scheme=scheme, signal_bandwidth_hz=bandwidth_hz,
                      ebn0_db=math.inf, p_ta_dbm=7.0, n_bits=600)
-    run_trial(cfg, np.random.default_rng(3))
+    design = link.trial_design(cfg)
+    run_trial(cfg, np.random.default_rng(3), design)
 
-    bits_a = np.random.default_rng(3).integers(0, 2, size=cfg.n_bits)
-    filt = sigproc.srrc_taps(cfg.rolloff, cfg.span_symbols, cfg.samples_per_symbol)
+    # the same draws: training noise first, then the data bits
+    rng = np.random.default_rng(3)
+    sps = cfg.samples_per_symbol
+    h_aa = link.self_interference_channel(cfg)
+    estimate = None
+    if cfg.uses_baseband_cancellation:
+        noise_var = link.ebn0_to_noise_variance(
+            cfg.ebn0_db, channel.dbm_to_linear(cfg.p_rb_dbm) / sps, cfg.n_b, sps)
+        estimate = cancellation.run_training(h_aa, cfg.p_ta_dbm, noise_var, rng,
+                                             design.training)
+    bits_a = rng.integers(0, 2, size=cfg.n_bits)
+    filt = sigproc.srrc_taps(cfg.rolloff, cfg.span_symbols, sps)
     x_a = sigproc.pulse_shape(sigproc.modulate_psk(bits_a, cfg.mod_order), filt,
                               cfg.sample_rate_hz)
-    ref = channel.apply_channel(x_a, link.self_interference_channel(cfg),
-                                cfg.p_ta_dbm).samples
-    assert seen[0].shape == ref.shape
-    assert np.max(np.abs(seen[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    si = channel.apply_channel(x_a, h_aa, cfg.p_ta_dbm)
+    ref = si
+    if estimate is not None:
+        ref = cancellation.cancel(si, cancellation.build_cancellation(x_a, estimate,
+                                                                      cfg.p_ta_dbm))
+    assert seen[0].shape == ref.samples.shape
+    assert np.max(np.abs(seen[0] - ref.samples)) <= 1e-12 * np.max(np.abs(si.samples))
+    assert link._mean_power(seen[0]) == pytest.approx(link._mean_power(ref.samples),
+                                                      rel=1e-9)
+
+
+@pytest.mark.parametrize("scheme", link.SCHEMES)
+@pytest.mark.parametrize("n_bits", [2, 4, 8, 16])
+def test_short_frame_has_finite_sinr(scheme, n_bits):
+    # the transient-free window would start after the desired waveform
+    # ends, so the SINR is measured over the whole frame
+    cfg = LinkConfig(scheme=scheme, n_bits=n_bits)
+    assert cfg.samples_per_symbol == 2
+    design = link.trial_design(cfg)
+    assert (design.head, design.tail) == (0, n_bits // cfg.n_b * 2 + design.si_spectrum.n_taps - 1)
+    rep = run_trial(cfg, np.random.default_rng(4), design)
+    assert math.isfinite(rep.sinr_db) and math.isfinite(rep.rate_bps_hz)
+
+
+def test_design_window_skips_the_transients():
+    cfg = LinkConfig()
+    design = link.trial_design(cfg)
+    n_full = cfg.n_bits // cfg.n_b * 2 + design.si_spectrum.n_taps - 1
+    gd = design.filt.group_delay
+    assert design.head == 2 * gd + channel.support_length(design.h_aa.taps, 0.9999)
+    assert design.tail == n_full - 2 * gd
+    assert design.si_tap_energy == float(np.sum(np.abs(design.h_aa.taps) ** 2))
 
 
 def test_trial_deterministic_for_seed():
