@@ -22,7 +22,12 @@ and ``upsample_convolve_fft`` filters a symbol sequence with them
 through numpy's FFT.  A +B trial subtracts its replica inside that
 spectrum: the replica is the same symbols through the short filter
 SRRC ⊛ estimate, so the trial filters its symbols once, through the
-difference of the two filters' polyphase spectra.
+difference of the two filters' polyphase spectra.  The kernel works in
+one ``(n_fft, sps)`` buffer, where row q holds output block q (samples
+q*sps ... q*sps + sps - 1): it forms the product spectrum there (and,
+for +B, the replica's spectrum and the difference before it), inverts
+it in place and returns the buffer's leading samples, so the interleaved
+output needs no copy and a trial allocates one spectrum-sized array.
 
 The module keeps its name because the stage benchmark (``perfbench/``)
 times every full convolution by tracing ``fdsim._kernels.fir_convolve``.
@@ -185,23 +190,39 @@ def phase_spectrum(h, sps: int, n_symbols: int) -> PhaseSpectrum:
     return PhaseSpectrum(spectra=spectra, n_taps=len(h))
 
 
-def upsample_convolve_fft(symbols, spectrum: PhaseSpectrum) -> np.ndarray:
+def upsample_convolve_fft(symbols, spectrum: PhaseSpectrum, minus=None) -> np.ndarray:
     """``upsample_convolve`` by FFT at the symbol rate, for complex taps.
 
     Equals ``fir_convolve`` of the zero-stuffed stream with the taps that
-    ``spectrum`` was built from, at its full length.  Output sample
-    q*sps + j is symbol sequence ⊛ phase j at q, so one FFT of the
-    symbols, one product with every phase's spectrum and one inverse FFT
-    per phase give all of them; interleaving the phases orders them.
+    ``spectrum`` was built from, at its full length; with ``minus``
+    (complex taps no longer than that filter), with those taps less
+    ``minus``.  Output sample q*sps + j is symbol sequence ⊛ phase j at
+    q, so one FFT of the symbols, one product with every phase's spectrum
+    and one inverse FFT per phase give all of them.  The result is a view
+    of the leading samples of the ``(n_fft, sps)`` buffer those FFTs run
+    in, whose rows are the output blocks in order.
     """
     symbols = np.asarray(symbols, dtype=np.complex128)
     if symbols.ndim != 1 or symbols.size == 0:
         raise ValueError("upsample_convolve_fft requires a non-empty 1-d symbol sequence")
     sps, n_fft = spectrum.spectra.shape
+    p = _n_phases(spectrum.n_taps, sps)
     n_out = len(symbols) * sps + spectrum.n_taps - 1
-    n_blocks = len(symbols) + _n_phases(spectrum.n_taps, sps) - 1
+    n_blocks = len(symbols) + p - 1
     if n_blocks > n_fft:
         raise ValueError(f"the spectrum has {n_fft} bins; {len(symbols)} symbols "
                          f"need {n_blocks}")
-    blocks = np.fft.ifft(spectrum.spectra * np.fft.fft(symbols, n_fft), axis=1)
-    return blocks[:, :n_blocks].T.ravel()[:n_out]
+    blocks = np.empty((n_fft, sps), dtype=np.complex128)
+    symbols_fft = np.fft.fft(symbols, n_fft)[:, None]
+    if minus is None:
+        np.multiply(spectrum.spectra.T, symbols_fft, out=blocks)
+    else:
+        minus = np.asarray(minus, dtype=np.complex128)
+        if minus.ndim != 1 or minus.size > spectrum.n_taps:
+            raise ValueError("minus must be a 1-d sequence no longer than the "
+                             "spectrum's filter")
+        np.fft.fft(_phases(minus, sps, p), n_fft, axis=0, out=blocks)
+        np.subtract(spectrum.spectra.T, blocks, out=blocks)
+        blocks *= symbols_fft
+    np.fft.ifft(blocks, axis=0, out=blocks)
+    return blocks.reshape(-1)[:n_out]

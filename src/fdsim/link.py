@@ -41,6 +41,11 @@ SCHEME_FC_HZ = {"PS": channel.PS_PEAK_HZ, "AC": channel.AC_PEAK_HZ}
 #: extra taps when the waveform narrows.
 DEFAULT_ESTIMATOR_ORDER = 26
 
+#: Accepted range of ``p_ta_dbm`` and ``p_rb_dbm``, in dBm.  Their linear
+#: powers stay within 1e±100, so every power a trial forms from them (and
+#: the ratio of the two) stays a normal float.
+POWER_RANGE_DBM = (-1000.0, 1000.0)
+
 
 @dataclass(frozen=True)
 class LinkConfig:
@@ -71,6 +76,11 @@ class LinkConfig:
             if (isinstance(value, float) and not math.isfinite(value)
                     and not (f.name == "ebn0_db" and value == math.inf)):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+        low, high = POWER_RANGE_DBM
+        for key in ("p_ta_dbm", "p_rb_dbm"):
+            if not low <= getattr(self, key) <= high:
+                raise ConfigError(f"{key} must be in [{low:g}, {high:g}] dBm, "
+                                  f"got {getattr(self, key)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_training < 1:
@@ -202,8 +212,13 @@ def ber(tx_bits, rx_bits) -> float:
     return float(np.mean(tx != rx))
 
 
-def _mean_power(x: np.ndarray) -> float:
-    return float(np.mean(np.abs(x) ** 2))
+def _mean_power(x: np.ndarray, n: int | None = None) -> float:
+    """Mean of |x|² over ``n`` samples (default ``len(x)``), x zero-padded."""
+    power = np.empty(len(x) if n is None else n)
+    np.abs(x, out=power[: len(x)])
+    power[len(x):] = 0.0
+    np.square(power, out=power)
+    return float(np.mean(power))
 
 
 def _power_ratio_db(p_desired: float, p_residual: float) -> float:
@@ -327,45 +342,44 @@ def run_trial(config: LinkConfig, rng: np.random.Generator | None = None,
     bits_a = rng.integers(0, 2, size=config.n_bits)
     bits_b = rng.integers(0, 2, size=config.n_bits)
     s_a = sigproc.modulate_psk(bits_a, config.mod_order)
-    x_b = sigproc.pulse_shape(sigproc.modulate_psk(bits_b, config.mod_order),
-                              filt, config.sample_rate_hz)
+    s_b = sigproc.modulate_psk(bits_b, config.mod_order)
 
     p_tb_dbm = config.p_ta_dbm  # symmetric nodes
     h_ba = channel.make_desired_channel(config.p_rb_dbm, p_tb_dbm, rng)
-    # channel.apply_channel(pulse_shape(s_a), h_aa), at the symbol rate
-    spectrum = design.si_spectrum
+    replica = None
     if estimate is not None:
         # +B: the replica amp·(pulse_shape(s_a) ⊛ ĥ) is s_a through the
         # filter amp·(srrc ⊛ ĥ), so the SI less its replica is s_a through
-        # the difference of the two filters' spectra
+        # the difference of the two filters
         amp = math.sqrt(channel.dbm_to_linear(config.p_ta_dbm))
-        replica = np.zeros(spectrum.n_taps, dtype=np.complex128)
-        replica[: len(filt.taps) + len(estimate.taps_hat) - 1] = amp * np.convolve(
-            filt.taps, estimate.taps_hat)
-        spectrum = PhaseSpectrum(spectrum.spectra - phase_spectrum(replica, sps, n_sym).spectra,
-                                 spectrum.n_taps)
-    si = upsample_convolve_fft(s_a, spectrum)
+        replica = amp * np.convolve(filt.taps, estimate.taps_hat)
 
-    n_full = len(si)
-    desired = np.zeros(n_full, dtype=np.complex128)
-    desired[: len(x_b.samples)] = (
-        math.sqrt(channel.dbm_to_linear(p_tb_dbm)) * h_ba.gain * x_b.samples
-    )
-    z_a = sigproc.awgn(n_full, noise_var, rng)
-    r_a = sigproc.Waveform(samples=desired + si + z_a,
-                           sample_rate_hz=config.sample_rate_hz,
-                           samples_per_symbol=sps,
-                           delay_samples=x_b.delay_samples)
+    # the received frame is built in the noise's buffer: the SI
+    # (channel.apply_channel(pulse_shape(s_a), h_aa), at the symbol rate)
+    # and then the desired waveform are added to it, so at most two
+    # frame-length arrays are alive at once
+    n_full = n_sym * sps + design.si_spectrum.n_taps - 1
+    frame = sigproc.awgn(n_full, noise_var, rng)
+    frame += upsample_convolve_fft(s_a, design.si_spectrum, minus=replica)
+    head, tail = design.head, design.tail
+    p_residual = _mean_power(frame[head:tail])
+    x_b = sigproc.pulse_shape(s_b, filt, config.sample_rate_hz)
+    desired = x_b.samples
+    # the gain as the left operand, which numpy's complex product is not
+    # bitwise symmetric in
+    np.multiply(math.sqrt(channel.dbm_to_linear(p_tb_dbm)) * h_ba.gain, desired,
+                out=desired)
+    # the desired waveform is zero past its end, inside the window too
+    gamma_db = _power_ratio_db(_mean_power(desired[head:tail], tail - head), p_residual)
+    frame[: len(desired)] += desired
+    r_a = sigproc.Waveform(samples=frame, sample_rate_hz=config.sample_rate_hz,
+                           samples_per_symbol=sps, delay_samples=filt.group_delay)
 
     # detection: matched filter, known-phase equalization, demodulation
     symbols = sigproc.matched_filter_downsample(r_a, filt, n_symbols=n_sym)
     symbols = symbols * np.exp(-1j * np.angle(h_ba.gain))
     bits_hat = sigproc.demodulate_psk(symbols, config.mod_order)
     p_b = ber(bits_b, bits_hat)
-
-    head, tail = design.head, design.tail
-    p_residual = _mean_power(si[head:tail] + z_a[head:tail])
-    gamma_db = _power_ratio_db(_mean_power(desired[head:tail]), p_residual)
     residual_dbm = 10.0 * math.log10(max(p_residual, 1e-300))
 
     est_err_db = None

@@ -176,4 +176,11 @@ def awgn(n: int, variance: float, rng: np.random.Generator) -> np.ndarray:
     if variance == 0.0:
         return np.zeros(n, dtype=np.complex128)
     scale = np.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    # the stream of scale * (standard_normal(n) + 1j * standard_normal(n)),
+    # with each half drawn into one scratch array and scaled in place
+    out = np.empty(n, dtype=np.complex128)
+    draw = np.empty(n)
+    for part in (out.real, out.imag):
+        rng.standard_normal(out=draw)
+        np.multiply(draw, scale, out=part)
+    return out

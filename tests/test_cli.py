@@ -205,3 +205,26 @@ def test_sweep_rejects_a_set_carrier(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert "config error" in err and "f_c_hz" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("p_rb_dbm", "-4000"), ("p_ta_dbm", "-4000"),
+                                        ("p_ta_dbm", "4000"), ("p_rb_dbm", "4000")])
+def test_run_rejects_an_unrepresentable_power(tmp_path, capsys, key, value):
+    # finite powers whose linear value underflows or overflows used to fail
+    # inside the trial (math domain error, ZeroDivisionError, OverflowError)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+def test_sweep_rejects_an_unrepresentable_p_rb_dbm_value(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_bits = 400\naxis = p_rb_dbm\nvalues = -60,-4000\n"
+                   "trials_per_point = 1\n")
+    out = tmp_path / "r.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "p_rb_dbm" in err
+    assert not out.exists()

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from fdsim import channel, harness, sigproc
 from fdsim.cli import main
 from fdsim.errors import ProfileError
-from fdsim.link import SCHEMES, LinkConfig
+from fdsim.link import POWER_RANGE_DBM, SCHEMES, LinkConfig, run_trial
 
 PROPERTIES = settings(max_examples=60, deadline=None, database=None)
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+powers_dbm = st.floats(*POWER_RANGE_DBM)
 
 
 @st.composite
@@ -44,7 +45,7 @@ def link_configs(draw):
         sample_rate_hz=sample_rate_hz,
         channel_bandwidth_hz=draw(st.floats(0.0, sample_rate_hz, exclude_min=True)),
         signal_bandwidth_hz=sample_rate_hz / sps,
-        p_ta_dbm=draw(finite), p_rb_dbm=draw(finite), scheme=scheme,
+        p_ta_dbm=draw(powers_dbm), p_rb_dbm=draw(powers_dbm), scheme=scheme,
         ebn0_db=draw(st.one_of(finite, st.just(math.inf))),
         rolloff=draw(st.floats(0.0, 1.0, exclude_min=True)),
         span_symbols=span_symbols,
@@ -164,3 +165,14 @@ def test_derive_channel_cli_writes_the_library_taps(case):
     taps = rows[:, 1] + 1j * rows[:, 2]
     assert np.array_equal(rows[:, 0], np.arange(cfg.n_taps))
     assert np.array_equal(taps, ref)
+
+
+@PROPERTIES
+@given(p_ta_dbm=st.one_of(st.sampled_from(POWER_RANGE_DBM), powers_dbm),
+       p_rb_dbm=st.one_of(st.sampled_from(POWER_RANGE_DBM), powers_dbm),
+       scheme=st.sampled_from(SCHEMES))
+def test_every_accepted_power_gives_a_finite_sinr(p_ta_dbm, p_rb_dbm, scheme):
+    cfg = LinkConfig(p_ta_dbm=p_ta_dbm, p_rb_dbm=p_rb_dbm, scheme=scheme, n_bits=200)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        report = run_trial(cfg, np.random.default_rng(0))
+    assert math.isfinite(report.sinr_db) and math.isfinite(report.rate_bps_hz)

@@ -207,6 +207,22 @@ def test_awgn_deterministic_for_seed():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 40575])
+@pytest.mark.parametrize("variance", [0.0, 0.3])
+def test_awgn_keeps_the_noise_stream(n, variance):
+    # the real halves, then the imaginary halves, as two standard_normal(n)
+    # draws; zero variance draws nothing
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    out = sigproc.awgn(n, variance, rng)
+    if variance:
+        scale = np.sqrt(variance / 2.0)
+        ref = scale * (ref_rng.standard_normal(n) + 1j * ref_rng.standard_normal(n))
+    else:
+        ref = np.zeros(n, dtype=np.complex128)
+    assert out.dtype == np.complex128 and np.array_equal(out, ref)
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
 def test_awgn_rejects_negative_variance():
     with pytest.raises(ValueError):
         sigproc.awgn(4, -1.0, np.random.default_rng(0))
