@@ -36,7 +36,6 @@ times every full convolution by tracing ``fdsim._kernels.fir_convolve``.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 
 def fir_convolve(x, h):
@@ -55,6 +54,14 @@ def _real_taps(h) -> np.ndarray:
     if np.iscomplexobj(h):
         raise ValueError("the multirate kernels take real taps")
     return h.astype(np.float64, copy=False)
+
+
+def _strided(a: np.ndarray, shape: tuple, strides: tuple) -> np.ndarray:
+    """A read-only view of contiguous ``a`` with the given shape and
+    strides (``as_strided``, without its per-call overhead)."""
+    view = np.ndarray(shape, a.dtype, buffer=a, strides=strides)
+    view.flags.writeable = False
+    return view
 
 
 def _phases(h: np.ndarray, step: int, n_phases: int) -> np.ndarray:
@@ -104,9 +111,8 @@ def upsample_convolve(symbols, h, sps: int) -> np.ndarray:
     padded = np.zeros(n + 2 * (p - 1), dtype=np.complex128)
     padded[p - 1 : p - 1 + n] = symbols
     # row q: symbols q-p+1 .. q as interleaved (real, imag) pairs
-    windows = as_strided(padded.view(np.float64), shape=(n + p - 1, 2 * p),
-                         strides=(padded.itemsize, padded.itemsize // 2),
-                         writeable=False)
+    windows = _strided(padded.view(np.float64), (n + p - 1, 2 * p),
+                       (padded.itemsize, padded.itemsize // 2))
     blocks = windows @ _interleaved(phases[::-1])
     return blocks.view(np.complex128).ravel()[: n * sps + len(h) - 1]
 
@@ -143,8 +149,7 @@ def convolve_decimate(x, h, offset: int, step: int,
     rows = np.ascontiguousarray(x[start:stop]).view(np.float64)
     terms = (rows.reshape(-1, 2 * step) @ _interleaved(phases.T)).view(np.complex128)
     s_row, s_col = terms.strides
-    return as_strided(terms, shape=(count, p), strides=(s_row, s_row + s_col),
-                      writeable=False).sum(axis=1)
+    return _strided(terms, (count, p), (s_row, s_row + s_col)).sum(axis=1)
 
 
 def fft_size(n: int) -> int:

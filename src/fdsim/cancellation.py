@@ -16,7 +16,7 @@ import numpy as np
 from ._kernels import fir_convolve
 from .channel import BasebandChannel, dbm_to_linear
 from .errors import EstimationError
-from .sigproc import SrrcFilter, Waveform, awgn, constellation, pulse_shape
+from .sigproc import SrrcFilter, Waveform, awgn, constellation, energy, pulse_shape
 
 # Fixed QPSK probe pattern, as constellation indices.  A constant run
 # with a single antipodal symbol keeps the short-burst convolution matrix
@@ -112,8 +112,8 @@ def run_training(h_aa: BasebandChannel, p_ta_dbm: float, noise_variance: float,
     # the model matrix is amp * conv, so its pseudo-inverse is pinv / amp
     taps_hat = (model.pinv @ r) / amp
     fit = amp * (model.conv @ taps_hat)
-    denom = float(np.sum(np.abs(r) ** 2))
-    residual = float(np.sum(np.abs(r - fit) ** 2) / denom) if denom > 0 else 0.0
+    denom = energy(r)
+    residual = energy(r - fit) / denom if denom > 0 else 0.0
     return ChannelEstimate(taps_hat=taps_hat,
                            training_symbols_used=len(model.training.symbols),
                            residual_training_error=residual)
@@ -164,4 +164,4 @@ def residual_power(h_aa: BasebandChannel, estimate: ChannelEstimate,
     if exclude is None:
         exclude = len(estimate.taps_hat)
     window = full[exclude : n - exclude] if n > 2 * exclude else full
-    return float(np.mean(np.abs(window) ** 2))
+    return energy(window) / len(window)

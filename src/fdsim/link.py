@@ -46,6 +46,12 @@ DEFAULT_ESTIMATOR_ORDER = 26
 #: the ratio of the two) stays a normal float.
 POWER_RANGE_DBM = (-1000.0, 1000.0)
 
+#: Accepted range of a finite ``ebn0_db``, in dB (+inf, the noise-free
+#: link, is accepted too).  With the powers in ``POWER_RANGE_DBM``, the
+#: noise variance it sets lies between about 1e-204 and 1e197, so it and
+#: the noise powers a trial sums stay normal floats.
+EBN0_RANGE_DB = (-1000.0, 1000.0)
+
 
 @dataclass(frozen=True)
 class LinkConfig:
@@ -81,6 +87,10 @@ class LinkConfig:
             if not low <= getattr(self, key) <= high:
                 raise ConfigError(f"{key} must be in [{low:g}, {high:g}] dBm, "
                                   f"got {getattr(self, key)}")
+        low, high = EBN0_RANGE_DB
+        if math.isfinite(self.ebn0_db) and not low <= self.ebn0_db <= high:
+            raise ConfigError(f"ebn0_db must be in [{low:g}, {high:g}] dB or inf, "
+                              f"got {self.ebn0_db}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_training < 1:
@@ -209,16 +219,12 @@ def ber(tx_bits, rx_bits) -> float:
         raise ValueError(f"bit vector lengths differ: {tx.shape} vs {rx.shape}")
     if tx.size == 0:
         return 0.0
-    return float(np.mean(tx != rx))
+    return float(np.count_nonzero(tx != rx) / tx.size)
 
 
 def _mean_power(x: np.ndarray, n: int | None = None) -> float:
     """Mean of |x|² over ``n`` samples (default ``len(x)``), x zero-padded."""
-    power = np.empty(len(x) if n is None else n)
-    np.abs(x, out=power[: len(x)])
-    power[len(x):] = 0.0
-    np.square(power, out=power)
-    return float(np.mean(power))
+    return sigproc.energy(x) / (len(x) if n is None else n)
 
 
 def _power_ratio_db(p_desired: float, p_residual: float) -> float:
@@ -387,7 +393,7 @@ def run_trial(config: LinkConfig, rng: np.random.Generator | None = None,
         err = np.array(h_aa.taps, dtype=np.complex128, copy=True)
         err[: len(estimate.taps_hat)] -= estimate.taps_hat
         est_err_db = 10.0 * math.log10(
-            max(float(np.sum(np.abs(err) ** 2)) / design.si_tap_energy, 1e-300)
+            max(sigproc.energy(err) / design.si_tap_energy, 1e-300)
         )
 
     return LinkReport(sinr_db=gamma_db, ber=p_b,

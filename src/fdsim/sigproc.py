@@ -1,7 +1,9 @@
 """Bit/symbol/waveform conversions.
 
 Gray-coded M-PSK mapping, square-root-raised-cosine pulse shaping with
-matched filtering, and circularly-symmetric complex Gaussian noise.
+matched filtering, circularly-symmetric complex Gaussian noise, and the
+|x|² sum behind the link's mean powers.  The PSK mapping and detection
+read per-order tables built once at import (``PSK_TABLES``).
 """
 
 from __future__ import annotations
@@ -17,16 +19,62 @@ from ._kernels import convolve_decimate, fir_convolve, upsample_convolve  # noqa
 SUPPORTED_ORDERS = (2, 4, 8, 16)
 
 
-def _gray(n: np.ndarray | int):
-    return n ^ (n >> 1)
+@dataclass(frozen=True)
+class PskTable:
+    """Gray-coded M-PSK as read-only lookup tables.
+
+    ``points[k]`` is constellation point k, e^{j(2*pi*k/M + pi/M)};
+    ``symbols[b]`` is the point that carries Gray label b; ``weights``
+    are the bit weights of a label, most significant bit first; and
+    ``bits[k]`` holds the log2(M) label bits of point k.
+    """
+
+    points: np.ndarray
+    symbols: np.ndarray
+    weights: np.ndarray
+    bits: np.ndarray
+
+
+def _psk_table(m_order: int) -> PskTable:
+    k = np.arange(m_order)
+    points = np.exp(1j * (2.0 * np.pi * k / m_order + np.pi / m_order))
+    labels = k ^ (k >> 1)  # the Gray label of point k
+    symbols = np.empty_like(points)
+    symbols[labels] = points
+    shifts = np.arange(m_order.bit_length() - 2, -1, -1)
+    table = PskTable(points=points, symbols=symbols, weights=1 << shifts,
+                     bits=(labels[:, None] >> shifts) & 1)
+    for a in (table.points, table.symbols, table.weights, table.bits):
+        a.setflags(write=False)
+    return table
+
+
+#: The PSK tables of every supported order.
+PSK_TABLES = {m: _psk_table(m) for m in SUPPORTED_ORDERS}
+
+
+def psk_table(m_order: int) -> PskTable:
+    """The lookup tables of M-PSK; an unsupported order is a ``ValueError``."""
+    try:
+        return PSK_TABLES[m_order]
+    except KeyError:
+        raise ValueError(f"unsupported PSK order {m_order}; must be one of "
+                         f"{SUPPORTED_ORDERS}") from None
 
 
 def constellation(m_order: int) -> np.ndarray:
     """PSK points e^{j(2*pi*k/M + pi/M)} for k = 0..M-1."""
-    if m_order not in SUPPORTED_ORDERS:
-        raise ValueError(f"unsupported PSK order {m_order}; must be one of {SUPPORTED_ORDERS}")
-    k = np.arange(m_order)
-    return np.exp(1j * (2.0 * np.pi * k / m_order + np.pi / m_order))
+    return psk_table(m_order).points.copy()
+
+
+def energy(x) -> float:
+    """Sum of |x|² over a complex sequence, as a Python float.
+
+    The squares of its float64 view are summed by ``einsum``, so no |x|²
+    array is formed and, unlike a BLAS dot product, no thread pool runs.
+    """
+    v = np.ascontiguousarray(x, dtype=np.complex128).reshape(-1).view(np.float64)
+    return float(np.einsum("i,i->", v, v))
 
 
 @dataclass(frozen=True)
@@ -66,19 +114,15 @@ class Waveform:
 
 def modulate_psk(bits, m_order: int) -> np.ndarray:
     """Map a {0,1} sequence onto Gray-coded unit-modulus PSK symbols."""
+    table = psk_table(m_order)
     bits = np.asarray(bits, dtype=np.int64)
-    if bits.size and (bits.min() < 0 or bits.max() > 1):
+    # one reduction checks both ends: a negative bit is a huge unsigned one
+    if bits.size and bits.view(np.uint64).max() > 1:
         raise ValueError("bits must contain only 0 and 1")
-    points = constellation(m_order)
-    n_b = int(np.log2(m_order))
+    n_b = len(table.weights)
     if bits.size % n_b:
         raise ValueError(f"bit count {bits.size} not divisible by log2(M) = {n_b}")
-    groups = bits.reshape(-1, n_b)
-    labels = groups @ (1 << np.arange(n_b - 1, -1, -1))
-    # label b sits at the point index k with gray(k) == b
-    inverse_gray = np.empty(m_order, dtype=np.int64)
-    inverse_gray[_gray(np.arange(m_order))] = np.arange(m_order)
-    return points[inverse_gray[labels]]
+    return table.symbols[bits.reshape(-1, n_b) @ table.weights]
 
 
 def demodulate_psk(symbols, m_order: int) -> np.ndarray:
@@ -86,18 +130,21 @@ def demodulate_psk(symbols, m_order: int) -> np.ndarray:
 
     Ties at a decision boundary resolve to the lower constellation index.
     """
+    table = psk_table(m_order)
     symbols = np.asarray(symbols, dtype=np.complex128)
-    points = constellation(m_order)
-    n_b = int(np.log2(m_order))
     if symbols.size == 0:
         return np.zeros(0, dtype=np.int64)
-    d = np.abs(symbols[:, None] - points[None, :]) ** 2
-    dmin = d.min(axis=1)
+    # squared distances (points x symbols) as (dre)² + (dim)², so that the
+    # reductions run along the symbols; abs()**2 would go through hypot
+    d = np.subtract(symbols.real, table.points.real[:, None])
+    np.square(d, out=d)
+    d_im = np.subtract(symbols.imag, table.points.imag[:, None])
+    np.square(d_im, out=d_im)
+    d += d_im
+    dmin = d.min(axis=0)
     # tolerance makes the lower-index tie-break robust to float rounding
-    k = np.argmax(d <= dmin[:, None] * (1.0 + 1e-9) + 1e-30, axis=1)
-    labels = _gray(k)
-    shifts = np.arange(n_b - 1, -1, -1)
-    return ((labels[:, None] >> shifts[None, :]) & 1).reshape(-1).astype(np.int64)
+    k = np.argmax(d <= dmin * (1.0 + 1e-9) + 1e-30, axis=0)
+    return table.bits.take(k, axis=0).reshape(-1)
 
 
 def srrc_taps(rolloff: float, span_symbols: int, samples_per_symbol: int) -> SrrcFilter:

@@ -228,3 +228,27 @@ def test_sweep_rejects_an_unrepresentable_p_rb_dbm_value(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "p_rb_dbm" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lines", ["ebn0_db = -4000\n", "ebn0_db = 4000\n",
+                                   "ebn0_db = -3000\np_rb_dbm = 1000\n"])
+def test_run_rejects_an_unrepresentable_ebn0(tmp_path, capsys, lines):
+    # a finite Eb/N0 whose noise variance underflows or overflows used to
+    # fail inside the trial (ZeroDivisionError, OverflowError, math domain
+    # error)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(lines)
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "ebn0_db" in err
+
+
+def test_sweep_rejects_an_unrepresentable_ebn0_value(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_bits = 400\naxis = ebn0_db\nvalues = 20,-4000\n"
+                   "trials_per_point = 1\n")
+    out = tmp_path / "r.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "ebn0_db" in err
+    assert not out.exists()

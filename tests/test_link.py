@@ -41,10 +41,18 @@ def test_config_rejects_indivisible_bits():
 @pytest.mark.parametrize("key, value", [
     ("seed", -1), ("n_bits", 0), ("n_bits", -2), ("n_bits", 1),
     ("channel_bandwidth_hz", 30e6), ("channel_bandwidth_hz", 0.0),
+    ("ebn0_db", -1000.5), ("ebn0_db", 1e4),
 ])
 def test_config_rejects_out_of_range_keys(key, value):
     with pytest.raises(ConfigError, match=key):
         LinkConfig(**{key: value})
+
+
+def test_config_accepts_the_ends_of_the_ebn0_range():
+    for ebn0_db in link.EBN0_RANGE_DB + (math.inf,):
+        LinkConfig(ebn0_db=ebn0_db)
+    with pytest.raises(ConfigError, match="ebn0_db"):
+        LinkConfig(ebn0_db=-math.inf)
 
 
 def test_config_rejects_order_beyond_training():
@@ -85,6 +93,18 @@ def test_ber_counts_flips():
     assert link.ber(a, b) == pytest.approx(0.0015)
     assert link.ber(a, a) == 0.0
     assert link.ber(a, 1 - a) == 1.0
+    # the CLI writes it with repr, which must read back as a float
+    assert type(link.ber(a, b)) is float and type(link.ber([], [])) is float
+
+
+def test_mean_power_zero_pads_to_the_window():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    for n in (300, 301, 1000):
+        ref = np.sum(np.abs(x) ** 2) / n
+        assert link._mean_power(x, n) == pytest.approx(ref, rel=1e-13, abs=0)
+    assert link._mean_power(x) == link._mean_power(x, 300)
+    assert link._mean_power(x[:0], 5) == 0.0
 
 
 def test_ber_rejects_length_mismatch():

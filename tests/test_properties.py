@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from fdsim import channel, harness, sigproc
 from fdsim.cli import main
 from fdsim.errors import ProfileError
-from fdsim.link import POWER_RANGE_DBM, SCHEMES, LinkConfig, run_trial
+from fdsim.link import EBN0_RANGE_DB, POWER_RANGE_DBM, SCHEMES, LinkConfig, run_trial
 
 PROPERTIES = settings(max_examples=60, deadline=None, database=None)
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 powers_dbm = st.floats(*POWER_RANGE_DBM)
+ebn0s_db = st.floats(*EBN0_RANGE_DB)
 
 
 @st.composite
@@ -46,7 +47,7 @@ def link_configs(draw):
         channel_bandwidth_hz=draw(st.floats(0.0, sample_rate_hz, exclude_min=True)),
         signal_bandwidth_hz=sample_rate_hz / sps,
         p_ta_dbm=draw(powers_dbm), p_rb_dbm=draw(powers_dbm), scheme=scheme,
-        ebn0_db=draw(st.one_of(finite, st.just(math.inf))),
+        ebn0_db=draw(st.one_of(ebn0s_db, st.just(math.inf))),
         rolloff=draw(st.floats(0.0, 1.0, exclude_min=True)),
         span_symbols=span_symbols,
         estimator_order=draw(orders),
@@ -170,9 +171,11 @@ def test_derive_channel_cli_writes_the_library_taps(case):
 @PROPERTIES
 @given(p_ta_dbm=st.one_of(st.sampled_from(POWER_RANGE_DBM), powers_dbm),
        p_rb_dbm=st.one_of(st.sampled_from(POWER_RANGE_DBM), powers_dbm),
+       ebn0_db=st.one_of(st.sampled_from(EBN0_RANGE_DB + (math.inf,)), ebn0s_db),
        scheme=st.sampled_from(SCHEMES))
-def test_every_accepted_power_gives_a_finite_sinr(p_ta_dbm, p_rb_dbm, scheme):
-    cfg = LinkConfig(p_ta_dbm=p_ta_dbm, p_rb_dbm=p_rb_dbm, scheme=scheme, n_bits=200)
+def test_every_accepted_power_gives_a_finite_sinr(p_ta_dbm, p_rb_dbm, ebn0_db, scheme):
+    cfg = LinkConfig(p_ta_dbm=p_ta_dbm, p_rb_dbm=p_rb_dbm, ebn0_db=ebn0_db,
+                     scheme=scheme, n_bits=200)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         report = run_trial(cfg, np.random.default_rng(0))
     assert math.isfinite(report.sinr_db) and math.isfinite(report.rate_bps_hz)

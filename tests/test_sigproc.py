@@ -77,6 +77,115 @@ def test_gray_labels_adjacent_differ_one_bit(m):
         assert bin(diff).count("1") == 1
 
 
+def _reference_constellation(m_order):
+    k = np.arange(m_order)
+    return np.exp(1j * (2.0 * np.pi * k / m_order + np.pi / m_order))
+
+
+def _gray(n):
+    return n ^ (n >> 1)
+
+
+def _reference_modulate(bits, m_order):
+    """The PSK mapping computed directly, without the lookup tables."""
+    bits = np.asarray(bits, dtype=np.int64)
+    if bits.size and (bits.min() < 0 or bits.max() > 1):
+        raise ValueError("bits must contain only 0 and 1")
+    points = _reference_constellation(m_order)
+    n_b = int(np.log2(m_order))
+    if bits.size % n_b:
+        raise ValueError(f"bit count {bits.size} not divisible by log2(M) = {n_b}")
+    groups = bits.reshape(-1, n_b)
+    labels = groups @ (1 << np.arange(n_b - 1, -1, -1))
+    inverse_gray = np.empty(m_order, dtype=np.int64)
+    inverse_gray[_gray(np.arange(m_order))] = np.arange(m_order)
+    return points[inverse_gray[labels]]
+
+
+def _reference_demodulate(symbols, m_order):
+    """Minimum-distance detection computed directly: |s - p|² via abs,
+    a (symbols x points) layout and the bits shifted out of the labels."""
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    points = _reference_constellation(m_order)
+    n_b = int(np.log2(m_order))
+    if symbols.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    d = np.abs(symbols[:, None] - points[None, :]) ** 2
+    dmin = d.min(axis=1)
+    k = np.argmax(d <= dmin[:, None] * (1.0 + 1e-9) + 1e-30, axis=1)
+    labels = _gray(k)
+    shifts = np.arange(n_b - 1, -1, -1)
+    return ((labels[:, None] >> shifts[None, :]) & 1).reshape(-1).astype(np.int64)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("m", sigproc.SUPPORTED_ORDERS)
+def test_every_label_maps_to_the_reference_symbol(m):
+    n_b = int(np.log2(m))
+    labels = np.arange(m)
+    bits = ((labels[:, None] >> np.arange(n_b - 1, -1, -1)) & 1).reshape(-1)
+    assert _same_bits(sigproc.modulate_psk(bits, m), _reference_modulate(bits, m))
+    assert _same_bits(sigproc.constellation(m), _reference_constellation(m))
+
+
+def _boundary_probes(m):
+    """Symbols on every decision boundary (angle 2*pi*k/M) at three radii,
+    and the same symbols turned by ±1e-12 and ±1e-9 of their modulus."""
+    radii = np.array([0.3, 1.0, 3.0])[:, None]
+    on = radii * np.exp(2j * np.pi * np.arange(m) / m)
+    nudged = [on * (1.0 + 1j * eps) for eps in (1e-12, -1e-12, 1e-9, -1e-9)]
+    return np.concatenate([on.ravel()] + [x.ravel() for x in nudged]
+                          + [np.array([0.0, 1e-300, -1e-300j])])
+
+
+@pytest.mark.parametrize("m", sigproc.SUPPORTED_ORDERS)
+def test_demodulation_matches_the_reference(m):
+    rng = np.random.default_rng(m)
+    random = (rng.standard_normal(100_000) + 1j * rng.standard_normal(100_000))
+    for symbols in (random, _boundary_probes(m), _reference_constellation(m)):
+        assert _same_bits(sigproc.demodulate_psk(symbols, m),
+                          _reference_demodulate(symbols, m))
+
+
+@pytest.mark.parametrize("m", sigproc.SUPPORTED_ORDERS)
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_modulate_rejects_any_non_binary_bit(m, bad):
+    bits = np.zeros(2 * int(np.log2(m)), dtype=np.int64)
+    bits[1] = bad
+    for modulate in (sigproc.modulate_psk, _reference_modulate):
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            modulate(bits, m)
+
+
+@pytest.mark.parametrize("m", sigproc.SUPPORTED_ORDERS)
+def test_psk_tables_are_read_only(m):
+    table = sigproc.psk_table(m)
+    for name in ("points", "symbols", "weights", "bits"):
+        array = getattr(table, name)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    points = sigproc.constellation(m)
+    points[0] = 0.0  # a copy, not the table
+    assert table.points[0] != 0.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 40575])
+def test_energy_is_the_sum_of_squared_moduli(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    out = sigproc.energy(x)
+    assert type(out) is float
+    assert out == pytest.approx(np.sum(np.abs(x) ** 2), rel=1e-13, abs=0)
+    # a strided view and a real sequence go through a contiguous complex copy
+    assert sigproc.energy(x[::2]) == pytest.approx(np.sum(np.abs(x[::2]) ** 2),
+                                                   rel=1e-13, abs=0)
+    assert sigproc.energy(x.real) == pytest.approx(np.sum(x.real ** 2), rel=1e-13, abs=0)
+
+
 def test_srrc_symmetry_and_energy():
     filt = sigproc.srrc_taps(0.25, 8, 2)
     assert len(filt.taps) == 8 * 2 + 1
