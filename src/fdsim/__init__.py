@@ -2,7 +2,6 @@
 self-interference cancellation."""
 
 from .cancellation import (ChannelEstimate, TrainingModel, TrainingSignal,
-                           build_cancellation, cancel, residual_power,
                            run_training, training_model)
 from .channel import (BasebandChannel, ChannelProfile, DesiredChannel,
                       apply_channel, band_isolation_db, derive_baseband_channel,
@@ -12,8 +11,7 @@ from .errors import (CalibrationError, ConfigError, EstimationError, FdsimError,
                      ProfileError)
 from .harness import (SweepResult, SweepRow, SweepSpec, parse_config,
                       read_results, run_sweep, write_results)
-from .link import (LinkConfig, LinkReport, ber, ebn0_to_noise_variance,
-                   rate_difference, run_trial, sinr, sinr_gain_ratios)
+from .link import LinkConfig, LinkReport, ber, ebn0_to_noise_variance, run_trial
 from .sigproc import (SrrcFilter, Waveform, awgn, demodulate_psk,
                       matched_filter_downsample, modulate_psk, pulse_shape,
                       srrc_taps)

@@ -2,12 +2,10 @@
 
 The simulator spends nearly all of its time in complex FIR convolutions.
 ``fir_convolve`` is the full linear convolution.  A trial uses it only
-for the training burst's channel response; otherwise the sample-rate
-``channel.apply_channel`` (once per trial design, for one pulse) and the
-library canceller (``cancellation.build_cancellation`` and
-``residual_power``) use it.  Pulse shaping and matched filtering are
-multirate, so they have their own polyphase kernels, which compute only
-the samples the link uses:
+for the training burst's channel response; the only other caller is
+``channel.apply_channel``, once per trial design, for one pulse.  Pulse
+shaping and matched filtering are multirate, so they have their own
+polyphase kernels, which compute only the samples the link uses:
 ``upsample_convolve`` skips the products with the zeros of a zero-stuffed
 symbol stream, and ``convolve_decimate`` computes only the kept outputs.
 Both take real taps (the SRRC filter) and run the real and imaginary

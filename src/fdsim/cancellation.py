@@ -1,10 +1,7 @@
-"""Training-based least-squares estimation of the self-interference channel
-and construction/subtraction of the baseband cancellation signal.
+"""Training-based least-squares estimation of the self-interference channel.
 
-A link trial subtracts the replica inside its SI spectrum
-(``link.run_trial``); ``build_cancellation``, ``cancel`` and
-``residual_power`` are the same operation on sample-rate waveforms, the
-reference that the link is checked against."""
+The estimate feeds the +B canceller, whose replica a link trial subtracts
+inside its SI spectrum (``link.run_trial``)."""
 
 from __future__ import annotations
 
@@ -35,7 +32,6 @@ class TrainingSignal:
 @dataclass(frozen=True)
 class ChannelEstimate:
     taps_hat: np.ndarray
-    training_symbols_used: int
     residual_training_error: float
 
 
@@ -114,54 +110,5 @@ def run_training(h_aa: BasebandChannel, p_ta_dbm: float, noise_variance: float,
     fit = amp * (model.conv @ taps_hat)
     denom = energy(r)
     residual = energy(r - fit) / denom if denom > 0 else 0.0
-    return ChannelEstimate(taps_hat=taps_hat,
-                           training_symbols_used=len(model.training.symbols),
-                           residual_training_error=residual)
+    return ChannelEstimate(taps_hat=taps_hat, residual_training_error=residual)
 
-
-def build_cancellation(x_a: Waveform, estimate: ChannelEstimate,
-                       p_ta_dbm: float) -> Waveform:
-    """Negated replica of the self-interference from the channel estimate."""
-    amp = math.sqrt(dbm_to_linear(p_ta_dbm))
-    out = -amp * fir_convolve(x_a.samples, estimate.taps_hat)
-    return Waveform(samples=out, sample_rate_hz=x_a.sample_rate_hz,
-                    samples_per_symbol=x_a.samples_per_symbol,
-                    delay_samples=x_a.delay_samples)
-
-
-def cancel(r_a: Waveform, x_hat: Waveform) -> Waveform:
-    """Sample-wise sum of the received signal and the cancellation signal."""
-    if r_a.sample_rate_hz != x_hat.sample_rate_hz:
-        raise ValueError("sample rates differ")
-    n = max(len(r_a.samples), len(x_hat.samples))
-    out = np.zeros(n, dtype=np.complex128)
-    out[: len(r_a.samples)] = r_a.samples
-    out[: len(x_hat.samples)] += x_hat.samples
-    return Waveform(samples=out, sample_rate_hz=r_a.sample_rate_hz,
-                    samples_per_symbol=r_a.samples_per_symbol,
-                    delay_samples=r_a.delay_samples)
-
-
-def residual_power(h_aa: BasebandChannel, estimate: ChannelEstimate,
-                   x_a: Waveform, p_ta_dbm: float, noise: np.ndarray,
-                   exclude: int | None = None) -> float:
-    """Mean power of the residual self-interference plus noise.
-
-    Computed directly from the estimation error convolved with the
-    transmitted waveform; the first and last ``exclude`` samples (filter
-    and channel transients) are left out of the measurement window.
-    """
-    p_lin = dbm_to_linear(p_ta_dbm)
-    n_h = max(len(h_aa.taps), len(estimate.taps_hat))
-    err = np.zeros(n_h, dtype=np.complex128)
-    err[: len(h_aa.taps)] = h_aa.taps
-    err[: len(estimate.taps_hat)] -= estimate.taps_hat
-    res = math.sqrt(p_lin) * fir_convolve(x_a.samples, err)
-    n = max(len(res), len(noise))
-    full = np.zeros(n, dtype=np.complex128)
-    full[: len(res)] = res
-    full[: len(noise)] += noise
-    if exclude is None:
-        exclude = len(estimate.taps_hat)
-    window = full[exclude : n - exclude] if n > 2 * exclude else full
-    return energy(window) / len(window)

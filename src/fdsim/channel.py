@@ -73,7 +73,6 @@ class ChannelProfile:
     freqs_hz: np.ndarray
     isolation_db: np.ndarray
     phase_deg: np.ndarray
-    scheme_label: str = "custom"
     center_hint_hz: float | None = None
 
     def __post_init__(self):
@@ -99,7 +98,6 @@ class BasebandChannel:
 
     taps: np.ndarray
     sample_rate_hz: float
-    scheme_label: str = "custom"
     shift_samples: int = 0  # circular shift applied when centering the taps
 
 
@@ -108,7 +106,6 @@ class DesiredChannel:
     """Single-tap link from the far node, set by its received power."""
 
     gain: complex
-    target_rx_power_dbm: float
 
 
 def dbm_to_linear(dbm: float) -> float:
@@ -178,7 +175,7 @@ def _calibration(scheme: str, freqs_hz: np.ndarray):
     zero_phase = np.zeros_like(freqs_hz)
 
     def mismatch(floor_db: float) -> float:
-        prof = ChannelProfile(freqs_hz, notch_db(floor_db), zero_phase, scheme, peak_hz)
+        prof = ChannelProfile(freqs_hz, notch_db(floor_db), zero_phase, peak_hz)
         return band_isolation_db(prof, peak_hz) - target_db
 
     return notch_db, mismatch
@@ -272,7 +269,7 @@ def synthesize_profile(scheme: str, freqs_hz: np.ndarray | None = None) -> Chann
             f"{scheme} profile calibration residual {residual:.3f} dB exceeds 0.1 dB"
         )
     phase_deg = -360.0 * GROUP_DELAY_S * (freqs_hz - peak_hz)
-    return ChannelProfile(freqs_hz, notch_db(floor_db), phase_deg, scheme, peak_hz)
+    return ChannelProfile(freqs_hz, notch_db(floor_db), phase_deg, peak_hz)
 
 
 def save_profile(profile: ChannelProfile, path) -> None:
@@ -360,8 +357,7 @@ def derive_baseband_channel(profile: ChannelProfile, f_c: float, band_hz: float,
         extra = (n_taps // 8 - dominant) % n_taps
         shift += extra
         taps = np.roll(taps, extra)
-    return BasebandChannel(taps=taps, sample_rate_hz=sample_rate_hz,
-                           scheme_label=profile.scheme_label, shift_samples=shift)
+    return BasebandChannel(taps=taps, sample_rate_hz=sample_rate_hz, shift_samples=shift)
 
 
 def apply_channel(wave: Waveform, chan: BasebandChannel, tx_power_dbm: float) -> Waveform:
@@ -384,7 +380,7 @@ def make_desired_channel(p_rb_dbm: float, p_tb_dbm: float,
     """
     mag = math.sqrt(dbm_to_linear(p_rb_dbm) / dbm_to_linear(p_tb_dbm))
     phase = rng.uniform(0.0, 2.0 * np.pi)
-    return DesiredChannel(gain=mag * np.exp(1j * phase), target_rx_power_dbm=p_rb_dbm)
+    return DesiredChannel(gain=mag * np.exp(1j * phase))
 
 
 def support_length(taps: np.ndarray, energy_fraction: float = 0.999) -> int:

@@ -11,16 +11,16 @@ trial.
 
 The SI reaches the receiver at the symbol rate: the trial's symbols pass
 once through the design's spectrum of the SRRC pulse through the SI
-channel.  With +B the replica is subtracted inside that spectrum, not as
-a second sample-rate waveform: the SI after cancellation is the symbols
-through the pulse⊛channel filter less amp·(SRRC ⊛ estimate), which is
-linear in the filter.
+channel.  With +B the replica is subtracted inside that spectrum: the SI
+after cancellation is the symbols through the pulse⊛channel filter less
+amp·(SRRC ⊛ estimate), which is linear in the filter.  This is the only
+canceller in the package.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -119,6 +119,9 @@ class LinkConfig:
         if self.span_symbols < 4:
             raise ConfigError(f"span_symbols must be >= 4, got {self.span_symbols}")
         sps = self.sample_rate_hz / self.signal_bandwidth_hz
+        if not math.isfinite(sps):
+            raise ConfigError(f"signal_bandwidth_hz = {self.signal_bandwidth_hz} is too "
+                              "small: sample_rate_hz / signal_bandwidth_hz overflows")
         if abs(sps - round(sps)) > 1e-9:
             raise ConfigError(
                 f"sample_rate/signal_bandwidth = {sps} is not an integer"
@@ -184,7 +187,6 @@ class LinkReport:
     residual_power_dbm: float
     estimate_error_db: float | None
     config: LinkConfig
-    trials: int = 1
 
     def __post_init__(self):
         if not 0.0 <= self.ber <= 1.0:
@@ -231,13 +233,6 @@ def _power_ratio_db(p_desired: float, p_residual: float) -> float:
     if p_residual == 0.0:
         return math.inf
     return 10.0 * math.log10(p_desired / p_residual)
-
-
-def sinr(desired: np.ndarray, residual: np.ndarray) -> float:
-    """Ratio of mean powers in dB; +inf when the residual is exactly zero."""
-    if len(desired) != len(residual):
-        raise ValueError("desired and residual measurement windows differ in length")
-    return _power_ratio_db(_mean_power(desired), _mean_power(residual))
 
 
 @lru_cache(maxsize=16)
@@ -402,36 +397,3 @@ def run_trial(config: LinkConfig, rng: np.random.Generator | None = None,
                       estimate_error_db=est_err_db,
                       config=config)
 
-
-def _comparison_key(config: LinkConfig) -> LinkConfig:
-    return replace(config, scheme="PS", f_c_hz=None, estimator_order=None)
-
-
-def _require_comparable(*reports: LinkReport) -> None:
-    keys = {_comparison_key(r.config) for r in reports}
-    if len(keys) != 1:
-        raise ValueError("reports differ in more than the cancellation scheme")
-
-
-def sinr_gain_ratios(reports: dict[str, LinkReport]) -> dict[str, float]:
-    """Relative SINR gains between schemes, in dB.
-
-    Expects one report per scheme label; all reports must share the same
-    configuration apart from the scheme itself.
-    """
-    missing = [s for s in SCHEMES if s not in reports]
-    if missing:
-        raise ValueError(f"missing reports for schemes: {missing}")
-    _require_comparable(*reports.values())
-    g = {s: reports[s].sinr_db for s in SCHEMES}
-    return {
-        "ps_b_over_ac_b": g["PS+B"] - g["AC+B"],
-        "ps_b_over_ps": g["PS+B"] - g["PS"],
-        "ac_b_over_ac": g["AC+B"] - g["AC"],
-    }
-
-
-def rate_difference(r_ps_b: LinkReport, r_ac_b: LinkReport) -> float:
-    """Achievable-rate advantage of PS+B over AC+B, in bps/Hz."""
-    _require_comparable(r_ps_b, r_ac_b)
-    return r_ps_b.rate_bps_hz - r_ac_b.rate_bps_hz

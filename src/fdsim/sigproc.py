@@ -160,14 +160,17 @@ def srrc_taps(rolloff: float, span_symbols: int, samples_per_symbol: int) -> Srr
     n = span_symbols * sps
     t = np.arange(-n // 2, n // 2 + 1) / sps  # in symbol periods
     # the general formula is 0/0 at t = 0 and |t| = 1/(4*beta); those
-    # taps take their limits, the rest are evaluated in one expression
+    # taps take their limits, the rest are evaluated in one expression.
+    # The edge limit is evaluated only when a tap lies on the edge: at a
+    # tiny rolloff pi/(4*beta) overflows and no tap does.
     edge = np.abs(np.abs(t) - 1.0 / (4.0 * beta)) <= 1e-12
     general = (t != 0.0) & ~edge
     h = np.full_like(t, 1.0 - beta + 4.0 * beta / np.pi)  # the t = 0 limit
-    h[edge] = (beta / np.sqrt(2.0)) * (
-        (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * beta))
-        + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * beta))
-    )
+    if edge.any():
+        h[edge] = (beta / np.sqrt(2.0)) * (
+            (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * beta))
+            + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * beta))
+        )
     tg = t[general]
     num = np.sin(np.pi * tg * (1.0 - beta)) + 4.0 * beta * tg * np.cos(
         np.pi * tg * (1.0 + beta)

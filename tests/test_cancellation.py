@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
+import reference
 from fdsim import cancellation, channel, harness, link, sigproc
+from fdsim._kernels import phase_spectrum, upsample_convolve_fft
 from fdsim.errors import EstimationError
 
 FILT = sigproc.srrc_taps(0.25, 8, 2)
@@ -56,7 +58,6 @@ def test_noiseless_estimate_is_exact():
     est = train(h, 0.0, 5, 0.0, 8, np.random.default_rng(0))
     err = np.sum(np.abs(est.taps_hat - h.taps) ** 2)
     assert err / np.sum(np.abs(h.taps) ** 2) < 1e-9
-    assert est.training_symbols_used == 5
     assert est.residual_training_error < 1e-12
 
 
@@ -105,109 +106,34 @@ def test_model_for_another_channel_rejected():
                                   np.random.default_rng(0), eight_taps)
 
 
-def data_waveform(seed=7, n_bits=400):
+def data_symbols(seed=7, n_bits=400):
     rng = np.random.default_rng(seed)
-    sym = sigproc.modulate_psk(rng.integers(0, 2, size=n_bits), 4)
-    return sigproc.pulse_shape(sym, FILT, 20e6)
+    return sigproc.modulate_psk(rng.integers(0, 2, size=n_bits), 4)
 
 
 def test_perfect_estimate_cancels_exactly():
     h = short_channel()
-    x = data_waveform()
-    est = cancellation.ChannelEstimate(taps_hat=h.taps, training_symbols_used=5,
-                                       residual_training_error=0.0)
+    x = sigproc.pulse_shape(data_symbols(), FILT, 20e6)
     si = channel.apply_channel(x, h, 0.0)
-    x_hat = cancellation.build_cancellation(x, est, 0.0)
-    y = cancellation.cancel(si, x_hat)
-    rel = np.sum(np.abs(y.samples) ** 2) / np.sum(np.abs(si.samples) ** 2)
-    assert rel < 1e-12
-
-
-def test_zero_estimate_is_passthrough():
-    x = data_waveform()
-    est = cancellation.ChannelEstimate(taps_hat=np.zeros(8, dtype=complex),
-                                       training_symbols_used=5,
-                                       residual_training_error=1.0)
-    x_hat = cancellation.build_cancellation(x, est, 0.0)
-    assert not np.any(x_hat.samples)
-    y = cancellation.cancel(x, x_hat)
-    assert np.allclose(y.samples[: len(x.samples)], x.samples, atol=1e-15)
-    assert not np.any(y.samples[len(x.samples) :])
-
-
-def test_build_cancellation_linearity():
-    x = data_waveform()
-    est = cancellation.ChannelEstimate(taps_hat=short_channel().taps,
-                                       training_symbols_used=5,
-                                       residual_training_error=0.0)
-    a = cancellation.build_cancellation(x, est, 0.0)
-    scaled = sigproc.Waveform(samples=2.5 * x.samples, sample_rate_hz=20e6,
-                              samples_per_symbol=2, delay_samples=x.delay_samples)
-    b = cancellation.build_cancellation(scaled, est, 0.0)
-    assert np.allclose(b.samples, 2.5 * a.samples, atol=1e-14)
-
-
-def test_cancel_rejects_rate_mismatch():
-    x = data_waveform()
-    other = sigproc.Waveform(samples=x.samples, sample_rate_hz=10e6,
-                             samples_per_symbol=2)
-    with pytest.raises(ValueError):
-        cancellation.cancel(x, other)
+    y = reference.si_less_replica(x.samples, h.taps, h.taps, 0.0)
+    assert y.shape == si.samples.shape
+    assert sigproc.energy(y) / sigproc.energy(si.samples) < 1e-12
 
 
 def test_residual_matches_direct_reconstruction():
-    # Eq. 8 two ways: cancel() subtraction vs direct error-convolution
+    # Eq. 8 two ways: the trial's subtraction inside the SI spectrum vs
+    # the direct error convolution, for a noisy LS estimate
     h = short_channel()
-    x = data_waveform()
-    rng = np.random.default_rng(21)
+    sym = data_symbols()
     est = train(h, 0.0, 5, 1e-5, 8, np.random.default_rng(2))
-    si = channel.apply_channel(x, h, 0.0)
-    z = sigproc.awgn(len(si.samples), 1e-5, rng)
-    noisy = sigproc.Waveform(samples=si.samples + z, sample_rate_hz=20e6,
-                             samples_per_symbol=2, delay_samples=si.delay_samples)
-    y = cancellation.cancel(noisy, cancellation.build_cancellation(x, est, 0.0))
-
-    err = h.taps.astype(complex).copy()
-    err[: len(est.taps_hat)] -= est.taps_hat
-    direct = np.convolve(x.samples, err)
-    direct_full = direct + z[: len(direct)]
-    n = min(len(direct_full), len(y.samples))
-    diff = np.sum(np.abs(y.samples[:n] - direct_full[:n]) ** 2)
-    assert diff / np.sum(np.abs(direct_full[:n]) ** 2) < 1e-12
-
-
-def test_residual_power_zero_for_perfect_estimate():
-    h = short_channel()
-    x = data_waveform()
-    est = cancellation.ChannelEstimate(taps_hat=h.taps, training_symbols_used=5,
-                                       residual_training_error=0.0)
-    p = cancellation.residual_power(h, est, x, 0.0, np.zeros(1, dtype=complex))
-    assert p < 1e-25
-
-
-def test_residual_power_full_si_energy():
-    # white input, so the residual power factorizes as P_x * sum|h|^2
-    h = short_channel()
-    rng = np.random.default_rng(33)
-    white = (rng.standard_normal(100000) + 1j * rng.standard_normal(100000)) / np.sqrt(2)
-    x = sigproc.Waveform(samples=white, sample_rate_hz=20e6, samples_per_symbol=2)
-    est = cancellation.ChannelEstimate(taps_hat=np.zeros(8, dtype=complex),
-                                       training_symbols_used=5,
-                                       residual_training_error=1.0)
-    p = cancellation.residual_power(h, est, x, 0.0, np.zeros(1, dtype=complex))
-    expected = np.sum(np.abs(h.taps) ** 2)
-    assert p == pytest.approx(expected, rel=0.01)
-
-
-def test_residual_power_noise_floor():
-    h = short_channel()
-    x = data_waveform(n_bits=4000)
-    est = cancellation.ChannelEstimate(taps_hat=h.taps, training_symbols_used=5,
-                                       residual_training_error=0.0)
-    z = sigproc.awgn(len(x.samples) + len(h.taps) - 1, 1e-4,
-                     np.random.default_rng(17))
-    p = cancellation.residual_power(h, est, x, 0.0, z)
-    assert p == pytest.approx(1e-4, rel=0.05)
+    spectrum = phase_spectrum(np.convolve(FILT.taps, h.taps), 2, len(sym))
+    y = upsample_convolve_fft(sym, spectrum, minus=np.convolve(FILT.taps, est.taps_hat))
+    x = sigproc.pulse_shape(sym, FILT, 20e6).samples
+    direct = reference.eq8_residual(x, h.taps, est.taps_hat, 0.0)
+    assert y.shape == direct.shape
+    assert sigproc.energy(direct) > 0.0
+    for ref in (direct, reference.si_less_replica(x, h.taps, est.taps_hat, 0.0)):
+        assert sigproc.energy(y - ref) / sigproc.energy(ref) < 1e-12
 
 
 def _clear_caches():

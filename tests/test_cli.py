@@ -252,3 +252,25 @@ def test_sweep_rejects_an_unrepresentable_ebn0_value(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "ebn0_db" in err
     assert not out.exists()
+
+
+def test_run_rejects_an_overflowing_signal_bandwidth(tmp_path, capsys):
+    # sample_rate_hz / signal_bandwidth_hz overflows to inf
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("signal_bandwidth_hz = 5e-324\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "signal_bandwidth_hz" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_rejects_an_overflowing_bandwidth_value(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_bits = 400\naxis = bandwidth_hz\nvalues = 10e6,5e-324\n"
+                   "trials_per_point = 1\n")
+    out = tmp_path / "r.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "signal_bandwidth_hz" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -1,5 +1,7 @@
 """Tests for modulation, pulse shaping, matched filtering, and noise."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,17 @@ def test_srrc_singular_taps_match_their_limits(beta, sps):
         limit = scale * np.mean(_srrc_general(t[i] + np.array([-1e-7, 1e-7]), beta))
         assert filt.taps[i] == pytest.approx(limit, rel=1e-6)
     assert np.sum(filt.taps**2) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_srrc_tiny_rolloff_is_quiet_and_finite():
+    # pi/(4*beta) overflows and no tap lies on |t| = 1/(4*beta), so the
+    # edge limit, which would warn "invalid value", must not be evaluated
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        taps = sigproc.srrc_taps(1e-320, 8, 2).taps
+    assert np.all(np.isfinite(taps))
+    assert np.sum(taps**2) == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(taps, sigproc.srrc_taps(1e-300, 8, 2).taps)
 
 
 def test_srrc_rejects_bad_rolloff():
