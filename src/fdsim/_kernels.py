@@ -20,12 +20,16 @@ and ``upsample_convolve_fft`` filters a symbol sequence with them
 through numpy's FFT.  A +B trial subtracts its replica inside that
 spectrum: the replica is the same symbols through the short filter
 SRRC ⊛ estimate, so the trial filters its symbols once, through the
-difference of the two filters' polyphase spectra.  The kernel works in
-one ``(n_fft, sps)`` buffer, where row q holds output block q (samples
-q*sps ... q*sps + sps - 1): it forms the product spectrum there (and,
-for +B, the replica's spectrum and the difference before it), inverts
-it in place and returns the buffer's leading samples, so the interleaved
-output needs no copy and a trial allocates one spectrum-sized array.
+difference of the two filters' polyphase spectra.  The short filter has
+only a few taps per phase, so its spectrum is one product with a DFT
+matrix of that many columns, which ``phase_spectrum`` builds once with
+the long filter's spectrum, rather than one FFT per phase.  The kernel
+works in one ``(n_fft, sps)`` buffer, where row q holds output block q
+(samples q*sps ... q*sps + sps - 1), the layout of the stored spectra:
+it forms the product spectrum there (and, for +B, the replica's
+spectrum and the difference before it), inverts it in place and
+returns the buffer's leading samples, so the interleaved output needs
+no copy and a trial allocates one spectrum-sized array.
 
 The module keeps its name because the stage benchmark (``perfbench/``)
 times every full convolution by tracing ``fdsim._kernels.fir_convolve``.
@@ -169,28 +173,41 @@ class PhaseSpectrum:
     """The DFTs of a filter's polyphase components, for
     ``upsample_convolve_fft``.
 
-    Row j of ``spectra`` (read-only, ``sps`` rows of ``n_fft`` bins) is
-    the DFT of taps j, j + sps, j + 2*sps, ...; ``n_taps`` is the
-    filter's length.
+    Column j of ``spectra`` (``n_fft`` rows of ``sps`` bins) is the DFT
+    of taps j, j + sps, j + 2*sps, ...; ``n_taps`` is the filter's
+    length.  ``replica_dft`` is the ``(n_fft, m)`` DFT matrix that
+    transforms the phases of a subtracted filter of up to ``m`` taps per
+    phase, m = ⌈n_minus / sps⌉ (0 when nothing is subtracted).  Both
+    arrays are read-only.
     """
 
     spectra: np.ndarray
     n_taps: int
+    replica_dft: np.ndarray
 
 
-def phase_spectrum(h, sps: int, n_symbols: int) -> PhaseSpectrum:
+def phase_spectrum(h, sps: int, n_symbols: int, n_minus: int = 0) -> PhaseSpectrum:
     """The polyphase spectrum of taps ``h`` (complex allowed) at ``sps``,
-    long enough to filter up to ``n_symbols`` symbols without wrap-around."""
+    long enough to filter up to ``n_symbols`` symbols without wrap-around,
+    and able to subtract filters of up to ``n_minus`` taps (at most
+    ``len(h)``) from it."""
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 1 or h.size == 0:
         raise ValueError("taps must be a non-empty 1-d sequence")
     if sps < 1 or n_symbols < 1:
         raise ValueError("sps and n_symbols must be >= 1")
+    if not 0 <= n_minus <= len(h):
+        raise ValueError("n_minus must be in [0, len(h)]")
     p = _n_phases(len(h), sps)
     n_fft = fft_size(n_symbols + p - 1)
-    spectra = np.fft.fft(_phases(h, sps, p).T, n_fft, axis=1)
-    spectra.setflags(write=False)
-    return PhaseSpectrum(spectra=spectra, n_taps=len(h))
+    spectra = np.fft.fft(_phases(h, sps, p), n_fft, axis=0)
+    # W[q, k] = exp(-2πi·qk/n_fft), its exponent reduced mod n_fft exactly
+    twiddles = np.exp(-2j * np.pi / n_fft * np.arange(n_fft))
+    m = -(-n_minus // sps)
+    replica_dft = twiddles[np.outer(np.arange(n_fft), np.arange(m)) % n_fft]
+    for a in (spectra, replica_dft):
+        a.setflags(write=False)
+    return PhaseSpectrum(spectra=spectra, n_taps=len(h), replica_dft=replica_dft)
 
 
 def upsample_convolve_fft(symbols, spectrum: PhaseSpectrum, minus=None) -> np.ndarray:
@@ -198,17 +215,19 @@ def upsample_convolve_fft(symbols, spectrum: PhaseSpectrum, minus=None) -> np.nd
 
     Equals ``fir_convolve`` of the zero-stuffed stream with the taps that
     ``spectrum`` was built from, at its full length; with ``minus``
-    (complex taps no longer than that filter), with those taps less
-    ``minus``.  Output sample q*sps + j is symbol sequence ⊛ phase j at
+    (complex taps, at most m * sps of them and at most that filter's
+    length), with those taps less ``minus``.  Output sample q*sps + j is symbol sequence ⊛ phase j at
     q, so one FFT of the symbols, one product with every phase's spectrum
-    and one inverse FFT per phase give all of them.  The result is a view
-    of the leading samples of the ``(n_fft, sps)`` buffer those FFTs run
-    in, whose rows are the output blocks in order.
+    and one inverse FFT per phase give all of them; the spectrum of
+    ``minus``'s phases is one product with ``spectrum.replica_dft``.  The
+    result is a view of the leading samples of the ``(n_fft, sps)``
+    buffer those transforms run in, whose rows are the output blocks in
+    order.
     """
     symbols = np.asarray(symbols, dtype=np.complex128)
     if symbols.ndim != 1 or symbols.size == 0:
         raise ValueError("upsample_convolve_fft requires a non-empty 1-d symbol sequence")
-    sps, n_fft = spectrum.spectra.shape
+    n_fft, sps = spectrum.spectra.shape
     p = _n_phases(spectrum.n_taps, sps)
     n_out = len(symbols) * sps + spectrum.n_taps - 1
     n_blocks = len(symbols) + p - 1
@@ -218,14 +237,15 @@ def upsample_convolve_fft(symbols, spectrum: PhaseSpectrum, minus=None) -> np.nd
     blocks = np.empty((n_fft, sps), dtype=np.complex128)
     symbols_fft = np.fft.fft(symbols, n_fft)[:, None]
     if minus is None:
-        np.multiply(spectrum.spectra.T, symbols_fft, out=blocks)
+        np.multiply(spectrum.spectra, symbols_fft, out=blocks)
     else:
         minus = np.asarray(minus, dtype=np.complex128)
-        if minus.ndim != 1 or minus.size > spectrum.n_taps:
-            raise ValueError("minus must be a 1-d sequence no longer than the "
-                             "spectrum's filter")
-        np.fft.fft(_phases(minus, sps, p), n_fft, axis=0, out=blocks)
-        np.subtract(spectrum.spectra.T, blocks, out=blocks)
+        m = spectrum.replica_dft.shape[1]
+        limit = min(m * sps, spectrum.n_taps)
+        if minus.ndim != 1 or minus.size > limit:
+            raise ValueError(f"minus must be a 1-d sequence of at most {limit} taps")
+        np.matmul(spectrum.replica_dft, _phases(minus, sps, m), out=blocks)
+        np.subtract(spectrum.spectra, blocks, out=blocks)
         blocks *= symbols_fft
     np.fft.ifft(blocks, axis=0, out=blocks)
     return blocks.reshape(-1)[:n_out]

@@ -13,7 +13,10 @@ The SI reaches the receiver at the symbol rate: the trial's symbols pass
 once through the design's spectrum of the SRRC pulse through the SI
 channel.  With +B the replica is subtracted inside that spectrum: the SI
 after cancellation is the symbols through the pulse⊛channel filter less
-amp·(SRRC ⊛ estimate), which is linear in the filter.  This is the only
+amp·(SRRC ⊛ estimate), which is linear in the filter.  The replica
+filter's spectrum is one product with the design's DFT matrix and its
+training uses the design's noise-free training response, so a +B trial
+transforms and convolves no more than an RF-only one.  This is the only
 canceller in the package.
 """
 
@@ -51,6 +54,13 @@ POWER_RANGE_DBM = (-1000.0, 1000.0)
 #: noise variance it sets lies between about 1e-204 and 1e197, so it and
 #: the noise powers a trial sums stay normal floats.
 EBN0_RANGE_DB = (-1000.0, 1000.0)
+
+#: Longest received frame, in samples, that a config may ask for:
+#: (n_bits / n_b + span_symbols) * samples_per_symbol + n_taps - 1.  A
+#: frame of 2**24 complex128 samples is 268 MB, and a trial holds about
+#: 2.4 frames at once, so a larger frame is a config error, not an
+#: allocation that exhausts memory mid-trial.
+MAX_FRAME_SAMPLES = 2**24
 
 
 @dataclass(frozen=True)
@@ -137,6 +147,15 @@ class LinkConfig:
             )
         if self.n_bits % self.n_b:
             raise ConfigError(f"n_bits={self.n_bits} not divisible by n_b={self.n_b}")
+        n_frame = ((self.n_bits // self.n_b + self.span_symbols) * self.samples_per_symbol
+                   + self.n_taps - 1)
+        if n_frame > MAX_FRAME_SAMPLES:
+            raise ConfigError(
+                f"signal_bandwidth_hz = {self.signal_bandwidth_hz:g} and n_bits = "
+                f"{self.n_bits} give a {n_frame}-sample frame, above "
+                f"MAX_FRAME_SAMPLES = {MAX_FRAME_SAMPLES}; raise signal_bandwidth_hz "
+                f"or lower n_bits"
+            )
         n_training_samples = (self.n_training + self.span_symbols) * self.samples_per_symbol
         order = self.effective_estimator_order
         if self.uses_baseband_cancellation and order > n_training_samples:
@@ -263,8 +282,9 @@ class TrialDesign:
     ``config``: the SRRC filter, the SI channel and its tap energy, the
     polyphase spectrum of one transmitted pulse through that channel, the
     SINR measurement window ``[head, tail)`` of the received frame, and
-    (for +B, else ``None``) the LS training model.  Its arrays are
-    read-only.  A +B trial subtracts its replica inside ``si_spectrum``."""
+    (for +B, else ``None``) the LS training model for the SI channel.  Its
+    arrays are read-only.  A +B trial subtracts its replica inside
+    ``si_spectrum``, which holds the DFT matrix for the replica's length."""
 
     config: LinkConfig
     filt: sigproc.SrrcFilter
@@ -303,13 +323,16 @@ def trial_design(config: LinkConfig) -> TrialDesign:
     pulse = sigproc.Waveform(samples=filt.taps, sample_rate_hz=config.sample_rate_hz,
                              samples_per_symbol=sps)
     si_pulse = channel.apply_channel(pulse, h_aa, config.p_ta_dbm)
-    spectrum = phase_spectrum(si_pulse.samples, sps, n_sym)
-    head, tail = _sinr_window(config, filt, h_aa, n_sym * sps + spectrum.n_taps - 1)
     training = None
+    n_replica = 0
     if config.uses_baseband_cancellation:
         burst = cancellation.make_training_signal(config.n_training, filt, config.sample_rate_hz)
         training = cancellation.training_model(burst, config.effective_estimator_order,
-                                               len(h_aa.taps))
+                                               len(h_aa.taps), h_aa)
+        # the replica filter amp·(srrc ⊛ ĥ)
+        n_replica = len(filt.taps) + config.effective_estimator_order - 1
+    spectrum = phase_spectrum(si_pulse.samples, sps, n_sym, n_replica)
+    head, tail = _sinr_window(config, filt, h_aa, n_sym * sps + spectrum.n_taps - 1)
     return TrialDesign(config, filt, h_aa, spectrum, training, head, tail,
                        float(np.sum(np.abs(h_aa.taps) ** 2)))
 

@@ -104,6 +104,23 @@ def test_model_for_another_channel_rejected():
     with pytest.raises(ValueError, match="does not match"):
         cancellation.run_training(other_rate, 0.0, 0.0,
                                   np.random.default_rng(0), eight_taps)
+    training = eight_taps.training
+    for other in (short_channel(n=9), other_rate):
+        with pytest.raises(ValueError, match="does not match"):
+            cancellation.training_model(training, 8, 8, other)
+
+
+def test_model_built_for_the_channel_gives_the_same_estimate():
+    h = short_channel()
+    plain = model(5, 8, len(h.taps))
+    bound = cancellation.training_model(plain.training, 8, len(h.taps), h)
+    assert bound.channel is h and not bound.response.flags.writeable
+    assert np.array_equal(bound.response, np.convolve(plain.training.waveform.samples, h.taps))
+    for p_dbm, noise_var in ((0.0, 0.0), (3.0, 1e-4)):
+        a = cancellation.run_training(h, p_dbm, noise_var, np.random.default_rng(5), plain)
+        b = cancellation.run_training(h, p_dbm, noise_var, np.random.default_rng(5), bound)
+        assert np.array_equal(a.taps_hat, b.taps_hat)
+        assert a.residual_training_error == b.residual_training_error
 
 
 def data_symbols(seed=7, n_bits=400):
@@ -126,8 +143,9 @@ def test_residual_matches_direct_reconstruction():
     h = short_channel()
     sym = data_symbols()
     est = train(h, 0.0, 5, 1e-5, 8, np.random.default_rng(2))
-    spectrum = phase_spectrum(np.convolve(FILT.taps, h.taps), 2, len(sym))
-    y = upsample_convolve_fft(sym, spectrum, minus=np.convolve(FILT.taps, est.taps_hat))
+    replica = np.convolve(FILT.taps, est.taps_hat)
+    spectrum = phase_spectrum(np.convolve(FILT.taps, h.taps), 2, len(sym), len(replica))
+    y = upsample_convolve_fft(sym, spectrum, minus=replica)
     x = sigproc.pulse_shape(sym, FILT, 20e6).samples
     direct = reference.eq8_residual(x, h.taps, est.taps_hat, 0.0)
     assert y.shape == direct.shape

@@ -274,3 +274,15 @@ def test_sweep_rejects_an_overflowing_bandwidth_value(tmp_path, capsys):
     assert "config error" in err and "signal_bandwidth_hz" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_sweep_rejects_a_bandwidth_value_whose_frame_is_too_long(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_bits = 400\naxis = bandwidth_hz\nvalues = 10e6,20.0\n"
+                   "trials_per_point = 1\n")
+    out = tmp_path / "r.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "signal_bandwidth_hz" in err and "n_bits" in err
+    assert "Traceback" not in err
+    assert not out.exists()

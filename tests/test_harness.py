@@ -1,8 +1,17 @@
 """Tests for config parsing, sweeps, and result CSV round trips."""
 
+import json
+import math
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fdsim
 from fdsim import cancellation, channel, harness, link, sigproc
 from fdsim.errors import ConfigError, EstimationError, FdsimError
 from fdsim.harness import SweepSpec, parse_config, run_sweep
@@ -214,3 +223,36 @@ def test_read_rejects_wrong_header(tmp_path):
     path.write_text("a,b,c\n")
     with pytest.raises(ConfigError):
         harness.read_results(path)
+
+
+def _narrowband_rows(blas_threads: int) -> list:
+    code = ("import json\n"
+            "from dataclasses import astuple\n"
+            "from fdsim import harness, link\n"
+            "spec = harness.SweepSpec(base=link.LinkConfig(signal_bandwidth_hz=0.5e6),\n"
+            "    axis='ebn0_db', values=(20.0, 90.0), schemes=link.SCHEMES,\n"
+            "    trials_per_point=4, root_seed=1)\n"
+            "print(json.dumps([astuple(r) for r in harness.run_sweep(spec).rows]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(fdsim.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS=str(blas_threads))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    return json.loads(out.stdout)
+
+
+def test_blas_thread_count_moves_only_the_baseband_rows():
+    # the +B training model's LAPACK SVD may sum in another order on more
+    # BLAS threads; no other product in a trial depends on the thread count
+    one, two = _narrowband_rows(1), _narrowband_rows(2)
+    assert len(one) == len(two) == 2 * len(link.SCHEMES)
+    names = [f.name for f in fields(harness.SweepRow)]
+    for a, b in zip(one, two):
+        if not a[0].endswith("+B"):
+            assert a == b
+            continue
+        for name, x, y in zip(names, a, b):
+            if isinstance(x, float):
+                # the golden rows' tolerance (tests/test_golden.py)
+                assert math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-12), (name, a, b)
+            else:
+                assert x == y, (name, a, b)

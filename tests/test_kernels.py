@@ -77,33 +77,42 @@ def test_fft_kernel_matches_reference(sps, n, n_taps):
         assert np.max(np.abs(got - ref)) <= FFT_REL_TOL * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("sps", [2, 40])
-@pytest.mark.parametrize("n_minus", [0, 1, 57, 600])
+@pytest.mark.parametrize("sps", [2, 3, 4, 10, 20, 40])
+@pytest.mark.parametrize("n_minus", [0, 1, 57, 59, 599, 600])
 def test_fft_kernel_subtracts_minus_taps(sps, n_minus):
     rng = np.random.default_rng(sps + n_minus)
     h = rng.standard_normal(600) + 1j * rng.standard_normal(600)
     minus = rng.standard_normal(n_minus) + 1j * rng.standard_normal(n_minus)
     symbols = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 300))
     kept_symbols, kept_minus = symbols.copy(), minus.copy()
-    spectrum = phase_spectrum(h, sps, len(symbols))
-    got = upsample_convolve_fft(symbols, spectrum, minus=minus)
     diff = h.copy()
     diff[:n_minus] -= minus
     ref = fir_convolve(_stuffed(symbols, sps), diff)
-    assert got.shape == ref.shape
-    assert np.max(np.abs(got - ref)) <= FFT_REL_TOL * np.max(np.abs(ref))
+    # a spectrum built for the replica's length, and one for the longest
+    for n_built in (n_minus, len(h)):
+        spectrum = phase_spectrum(h, sps, len(symbols), n_built)
+        got = upsample_convolve_fft(symbols, spectrum, minus=minus)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= FFT_REL_TOL * np.max(np.abs(ref))
+        # a replica longer than the spectrum's whole phases, or its filter
+        too_long = min(-(-n_built // sps) * sps, len(h)) + 1
+        with pytest.raises(ValueError):
+            upsample_convolve_fft(symbols, spectrum, minus=np.ones(too_long))
     # the kernel works in a buffer of its own, never in its arguments
     assert np.array_equal(symbols, kept_symbols) and np.array_equal(minus, kept_minus)
     with pytest.raises(ValueError):
-        upsample_convolve_fft(symbols, spectrum, minus=np.ones(601))
+        phase_spectrum(h, sps, len(symbols), len(h) + 1)
 
 
 def test_fft_kernel_rejects_more_symbols_than_its_spectrum():
     spectrum = phase_spectrum(np.ones(600, dtype=complex), 40, 1000)
-    assert spectrum.spectra.shape == (40, fft_size(1000 + 15 - 1))
+    n_fft = fft_size(1000 + 15 - 1)
+    assert spectrum.spectra.shape == (n_fft, 40) and spectrum.spectra.flags.c_contiguous
+    assert spectrum.replica_dft.shape == (n_fft, 0)
     assert not spectrum.spectra.flags.writeable
+    assert not spectrum.replica_dft.flags.writeable
     with pytest.raises(ValueError):
-        upsample_convolve_fft(np.ones(spectrum.spectra.shape[1]), spectrum)
+        upsample_convolve_fft(np.ones(n_fft), spectrum)
 
 
 def test_fft_size_is_the_next_5_smooth_number():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import reference
-from fdsim import cancellation, channel, link, sigproc
+from fdsim import _kernels, cancellation, channel, harness, link, sigproc
 from fdsim.errors import ConfigError
 from fdsim.link import LinkConfig, LinkReport, run_trial
 
@@ -49,6 +49,36 @@ def test_config_rejects_indivisible_bits():
 def test_config_rejects_out_of_range_keys(key, value):
     with pytest.raises(ConfigError, match=key):
         LinkConfig(**{key: value})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LinkConfig(signal_bandwidth_hz=20.0),  # sps 10**6, a 10**9-sample frame
+    lambda: LinkConfig(signal_bandwidth_hz=1e-10),  # sps 2 * 10**17
+    lambda: harness.config_for_point(LinkConfig(), "PS+B", "bandwidth_hz", 20.0),
+], ids=["20 Hz", "1e-10 Hz", "sweep value"])
+def test_config_rejects_a_frame_above_the_bound(build):
+    # rejected at construction, before anything frame-sized is allocated
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(ConfigError, match=r"signal_bandwidth_hz.*n_bits"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_config_frame_bound_is_inclusive():
+    # at sps 2 the frame is n_bits + 8 * 2 + 255 samples
+    n_bits = link.MAX_FRAME_SAMPLES - 16 - 255
+    n_bits -= n_bits % 2
+    LinkConfig(n_bits=n_bits)
+    with pytest.raises(ConfigError, match="MAX_FRAME_SAMPLES"):
+        LinkConfig(n_bits=n_bits + 2)
 
 
 def test_config_accepts_the_ends_of_the_ebn0_range():
@@ -263,7 +293,7 @@ def test_trials_leave_their_shared_design_untouched(scheme):
 #: Peak traced allocation of one warm narrowband trial, in received frames
 #: (40 575 complex128 samples, 649 kB): the trial holds at most the frame,
 #: one more frame-length waveform or the SI's FFT buffer, and a half-size
-#: scratch array.  Measured 2.59 (PS) and 2.60 (PS+B); 6.6 and 7.6 when
+#: scratch array.  Measured 2.35 (PS) and 2.36 (PS+B); 6.6 and 7.6 when
 #: each step of the frame allocated its own arrays.
 ALLOCATION_BOUND_FRAMES = 3.0
 
@@ -287,6 +317,35 @@ def test_narrowband_trial_allocates_little_beyond_its_frame(scheme):
         if not tracing:
             tracemalloc.stop()
     assert peak <= ALLOCATION_BOUND_FRAMES * frame_bytes
+
+
+@pytest.mark.parametrize("bandwidth_hz", [10e6, 0.5e6])
+def test_baseband_trial_transforms_like_an_rf_only_trial(monkeypatch, bandwidth_hz):
+    # +B reuses its design's replica DFT matrix and training response: a
+    # trial of every scheme makes one FFT and one inverse FFT and no full
+    # convolution
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    convolve = counted("fir_convolve", _kernels.fir_convolve)
+    for module in (_kernels, cancellation, channel, sigproc):
+        monkeypatch.setattr(module, "fir_convolve", convolve)
+    seen = {}
+    for scheme in link.SCHEMES:
+        cfg = LinkConfig(scheme=scheme, signal_bandwidth_hz=bandwidth_hz, ebn0_db=20.0,
+                         n_bits=400)
+        design = link.trial_design(cfg)
+        calls.clear()
+        run_trial(cfg, np.random.default_rng(0), design)
+        seen[scheme] = sorted(calls)
+    assert seen == {scheme: ["fft", "ifft"] for scheme in link.SCHEMES}
 
 
 def test_design_for_another_config_is_rejected():
