@@ -1,18 +1,17 @@
 """Link-level simulator for full-duplex radios with analog-baseband
 self-interference cancellation."""
 
-from .cancellation import (ChannelEstimate, TrainingModel, TrainingSignal,
-                           run_training, training_model)
-from .channel import (BasebandChannel, ChannelProfile, DesiredChannel,
-                      apply_channel, band_isolation_db, derive_baseband_channel,
-                      load_profile, make_desired_channel, save_profile,
-                      support_length, synthesize_profile)
+from .cancellation import ChannelEstimate, TrainingModel, run_training, training_model
+from .channel import (BasebandChannel, ChannelProfile, apply_channel,
+                      band_isolation_db, derive_baseband_channel, load_profile,
+                      make_desired_channel, save_profile, support_length,
+                      synthesize_profile)
 from .errors import (CalibrationError, ConfigError, EstimationError, FdsimError,
                      ProfileError)
 from .harness import (SweepResult, SweepRow, SweepSpec, parse_config,
                       read_results, run_sweep, write_results)
 from .link import LinkConfig, LinkReport, ber, ebn0_to_noise_variance, run_trial
-from .sigproc import (SrrcFilter, Waveform, awgn, demodulate_psk,
+from .sigproc import (SrrcFilter, awgn, demodulate_psk,
                       matched_filter_downsample, modulate_psk, pulse_shape,
                       srrc_taps)
 

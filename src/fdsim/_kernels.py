@@ -1,9 +1,9 @@
 """The FIR convolution kernels.
 
 The simulator spends nearly all of its time in complex FIR convolutions.
-``fir_convolve`` is the full linear convolution.  A trial uses it only
-for the training burst's channel response; the only other caller is
-``channel.apply_channel``, once per trial design, for one pulse.  Pulse
+``fir_convolve`` is the full linear convolution.  No trial calls it: a
+trial design does, for one pulse (``channel.apply_channel``) and, for +B,
+for the training burst's response through the channel.  Pulse
 shaping and matched filtering are multirate, so they have their own
 polyphase kernels, which compute only the samples the link uses:
 ``upsample_convolve`` skips the products with the zeros of a zero-stuffed

@@ -20,7 +20,6 @@ import numpy as np
 
 from ._kernels import fir_convolve
 from .errors import CalibrationError, ProfileError
-from .sigproc import Waveform
 
 # Published characteristics of the patch-antenna prototype.
 PS_PEAK_DB = 53.9
@@ -97,15 +96,7 @@ class BasebandChannel:
     """Complex impulse-response taps at the simulation sample rate."""
 
     taps: np.ndarray
-    sample_rate_hz: float
     shift_samples: int = 0  # circular shift applied when centering the taps
-
-
-@dataclass(frozen=True)
-class DesiredChannel:
-    """Single-tap link from the far node, set by its received power."""
-
-    gain: complex
 
 
 def dbm_to_linear(dbm: float) -> float:
@@ -357,30 +348,26 @@ def derive_baseband_channel(profile: ChannelProfile, f_c: float, band_hz: float,
         extra = (n_taps // 8 - dominant) % n_taps
         shift += extra
         taps = np.roll(taps, extra)
-    return BasebandChannel(taps=taps, sample_rate_hz=sample_rate_hz, shift_samples=shift)
+    return BasebandChannel(taps=taps, shift_samples=shift)
 
 
-def apply_channel(wave: Waveform, chan: BasebandChannel, tx_power_dbm: float) -> Waveform:
-    """Pass a waveform through the channel at the given transmit power."""
-    if wave.sample_rate_hz != chan.sample_rate_hz:
-        raise ValueError("waveform and channel sample rates differ")
-    amp = math.sqrt(dbm_to_linear(tx_power_dbm))
-    out = amp * fir_convolve(wave.samples, chan.taps)
-    return Waveform(samples=out, sample_rate_hz=wave.sample_rate_hz,
-                    samples_per_symbol=wave.samples_per_symbol,
-                    delay_samples=wave.delay_samples)
+def apply_channel(samples, chan: BasebandChannel, tx_power_dbm: float) -> np.ndarray:
+    """Pass samples at the channel's rate through the channel at the
+    given transmit power (0 dBm is unit amplitude)."""
+    return math.sqrt(dbm_to_linear(tx_power_dbm)) * fir_convolve(samples, chan.taps)
 
 
 def make_desired_channel(p_rb_dbm: float, p_tb_dbm: float,
-                         rng: np.random.Generator) -> DesiredChannel:
-    """Single complex tap delivering the target received power.
+                         rng: np.random.Generator) -> complex:
+    """The single complex tap of the link from the far node, delivering
+    the target received power.
 
     A unit-average-power transmit waveform sent at p_tb_dbm arrives with
     average power p_rb_dbm; the phase is uniform random.
     """
     mag = math.sqrt(dbm_to_linear(p_rb_dbm) / dbm_to_linear(p_tb_dbm))
     phase = rng.uniform(0.0, 2.0 * np.pi)
-    return DesiredChannel(gain=mag * np.exp(1j * phase))
+    return mag * np.exp(1j * phase)
 
 
 def support_length(taps: np.ndarray, energy_fraction: float = 0.999) -> int:

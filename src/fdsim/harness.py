@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ConfigError, FdsimError
-from .link import SCHEMES, LinkConfig, run_trial, trial_design
+from .link import INT_FIELDS, SCHEMES, LinkConfig, run_trial, trial_design
 from .sigproc import SUPPORTED_ORDERS
 
 #: Sweep axis name -> the LinkConfig field it sets.  ``mod_order`` is the
@@ -28,6 +28,7 @@ RESULT_HEADER = ("scheme", "axis", "axis_value", "sinr_db", "ber",
 
 _LINK_FIELDS = {f.name for f in fields(LinkConfig)}
 _SWEEP_KEYS = ("axis", "values", "schemes", "trials_per_point", "root_seed")
+_INT_KEYS = INT_FIELDS | {"trials_per_point", "root_seed"}
 
 
 @dataclass(frozen=True)
@@ -139,8 +140,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 
 def _parse_value(key: str, raw: str):
-    int_keys = {"n_b", "mod_order", "n_bits", "n_training", "span_symbols",
-                "estimator_order", "n_taps", "seed", "trials_per_point", "root_seed"}
     try:
         if key == "scheme":
             return raw
@@ -150,11 +149,9 @@ def _parse_value(key: str, raw: str):
             return raw
         if key == "values":
             return tuple(float(v) for v in raw.split(","))
-        if key == "estimator_order" and raw.lower() == "none":
-            return None
         if key == "f_c_hz" and raw.lower() == "none":
             return None
-        if key in int_keys:
+        if key in _INT_KEYS:
             return int(raw)
         return float(raw)
     except ValueError:

@@ -4,10 +4,11 @@ Runs one frame from the near node's perspective: both nodes transmit,
 the self-interference arrives through the scheme's measured-style channel,
 optional baseband cancellation subtracts its estimated replica, and the
 surviving signal is matched-filtered and detected.  Metrics are the
-measured SINR, bit error rate, and Shannon rate.  What a config's trials
-share (filter, SI channel, pulse spectrum, SINR window, training model)
-is its trial design, which the caller builds once and passes to each
-trial.
+measured SINR, bit error rate, and Shannon rate.  The stages pass plain
+sample arrays, at the config's sample rate and samples per symbol.  What
+a config's trials share (filter, SI channel, pulse spectrum, SINR window,
+training model) is its trial design, which the caller builds once and
+passes to each trial.
 
 The SI reaches the receiver at the symbol rate: the trial's symbols pass
 once through the design's spectrum of the SRRC pulse through the SI
@@ -23,6 +24,7 @@ canceller in the package.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -81,15 +83,24 @@ class LinkConfig:
     ebn0_db: float = 90.0  # cancellation-limited by default
     rolloff: float = 0.25
     span_symbols: int = 8
-    estimator_order: int | None = None  # None: DEFAULT_ESTIMATOR_ORDER
+    estimator_order: int = DEFAULT_ESTIMATOR_ORDER
     n_taps: int = 256
     seed: int = 0
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.type == "str":
+                kind, ok = "a string", isinstance(value, str)
+            elif f.name in INT_FIELDS:
+                kind, ok = "an integer", isinstance(value, (int, np.integer))
+            else:
+                kind = "a real number"
+                ok = isinstance(value, numbers.Real) or (f.name == "f_c_hz" and value is None)
+            if not ok or isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
             # ebn0_db = +inf is the noise-free link
-            if (isinstance(value, float) and not math.isfinite(value)
+            if (isinstance(value, (float, np.floating)) and not math.isfinite(value)
                     and not (f.name == "ebn0_db" and value == math.inf)):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         low, high = POWER_RANGE_DBM
@@ -107,7 +118,7 @@ class LinkConfig:
             raise ConfigError(f"n_training must be >= 1, got {self.n_training}")
         if self.n_taps < 2 or self.n_taps & (self.n_taps - 1):
             raise ConfigError(f"n_taps must be a power of two >= 2, got {self.n_taps}")
-        if self.estimator_order is not None and self.estimator_order < 1:
+        if self.estimator_order < 1:
             raise ConfigError(
                 f"estimator_order must be >= 1, got {self.estimator_order}"
             )
@@ -157,7 +168,7 @@ class LinkConfig:
                 f"or lower n_bits"
             )
         n_training_samples = (self.n_training + self.span_symbols) * self.samples_per_symbol
-        order = self.effective_estimator_order
+        order = self.estimator_order
         if self.uses_baseband_cancellation and order > n_training_samples:
             raise ConfigError(
                 f"estimator_order {order} exceeds the {n_training_samples} "
@@ -177,13 +188,6 @@ class LinkConfig:
         return int(round(self.sample_rate_hz / self.signal_bandwidth_hz))
 
     @property
-    def effective_estimator_order(self) -> int:
-        """The canceller's model order (``estimator_order`` or the default)."""
-        if self.estimator_order is None:
-            return DEFAULT_ESTIMATOR_ORDER
-        return self.estimator_order
-
-    @property
     def rf_scheme(self) -> str:
         return self.scheme.split("+")[0]
 
@@ -196,6 +200,11 @@ class LinkConfig:
         return self.f_c_hz if self.f_c_hz is not None else SCHEME_FC_HZ[self.rf_scheme]
 
 
+#: The integer-valued ``LinkConfig`` fields, read from their declared
+#: types.  A numpy integer is an integer; a bool is not.
+INT_FIELDS = frozenset(f.name for f in fields(LinkConfig) if f.type == "int")
+
+
 @dataclass(frozen=True)
 class LinkReport:
     """Per-trial metrics; the rate field is always log2(1 + linear SINR)."""
@@ -205,7 +214,6 @@ class LinkReport:
     rate_bps_hz: float
     residual_power_dbm: float
     estimate_error_db: float | None
-    config: LinkConfig
 
     def __post_init__(self):
         if not 0.0 <= self.ber <= 1.0:
@@ -320,18 +328,15 @@ def trial_design(config: LinkConfig) -> TrialDesign:
     h_aa = self_interference_channel(config)
     # the SI of one transmitted pulse; a frame's SI is the sum of its
     # symbol-spaced shifts scaled by the symbols
-    pulse = sigproc.Waveform(samples=filt.taps, sample_rate_hz=config.sample_rate_hz,
-                             samples_per_symbol=sps)
-    si_pulse = channel.apply_channel(pulse, h_aa, config.p_ta_dbm)
+    si_pulse = channel.apply_channel(filt.taps, h_aa, config.p_ta_dbm)
     training = None
     n_replica = 0
     if config.uses_baseband_cancellation:
-        burst = cancellation.make_training_signal(config.n_training, filt, config.sample_rate_hz)
-        training = cancellation.training_model(burst, config.effective_estimator_order,
-                                               len(h_aa.taps), h_aa)
+        burst = cancellation.make_training_signal(config.n_training, filt)
+        training = cancellation.training_model(burst, config.estimator_order, h_aa)
         # the replica filter amp·(srrc ⊛ ĥ)
-        n_replica = len(filt.taps) + config.effective_estimator_order - 1
-    spectrum = phase_spectrum(si_pulse.samples, sps, n_sym, n_replica)
+        n_replica = len(filt.taps) + config.estimator_order - 1
+    spectrum = phase_spectrum(si_pulse, sps, n_sym, n_replica)
     head, tail = _sinr_window(config, filt, h_aa, n_sym * sps + spectrum.n_taps - 1)
     return TrialDesign(config, filt, h_aa, spectrum, training, head, tail,
                        float(np.sum(np.abs(h_aa.taps) ** 2)))
@@ -359,8 +364,8 @@ def run_trial(config: LinkConfig, rng: np.random.Generator | None = None,
 
     estimate = None
     if design.training is not None:
-        estimate = cancellation.run_training(h_aa, config.p_ta_dbm, noise_var,
-                                             rng, design.training)
+        estimate = cancellation.run_training(design.training, config.p_ta_dbm,
+                                             noise_var, rng)
 
     n_sym = config.n_bits // config.n_b
     bits_a = rng.integers(0, 2, size=config.n_bits)
@@ -387,21 +392,18 @@ def run_trial(config: LinkConfig, rng: np.random.Generator | None = None,
     frame += upsample_convolve_fft(s_a, design.si_spectrum, minus=replica)
     head, tail = design.head, design.tail
     p_residual = _mean_power(frame[head:tail])
-    x_b = sigproc.pulse_shape(s_b, filt, config.sample_rate_hz)
-    desired = x_b.samples
+    desired = sigproc.pulse_shape(s_b, filt)
     # the gain as the left operand, which numpy's complex product is not
     # bitwise symmetric in
-    np.multiply(math.sqrt(channel.dbm_to_linear(p_tb_dbm)) * h_ba.gain, desired,
+    np.multiply(math.sqrt(channel.dbm_to_linear(p_tb_dbm)) * h_ba, desired,
                 out=desired)
     # the desired waveform is zero past its end, inside the window too
     gamma_db = _power_ratio_db(_mean_power(desired[head:tail], tail - head), p_residual)
     frame[: len(desired)] += desired
-    r_a = sigproc.Waveform(samples=frame, sample_rate_hz=config.sample_rate_hz,
-                           samples_per_symbol=sps, delay_samples=filt.group_delay)
 
     # detection: matched filter, known-phase equalization, demodulation
-    symbols = sigproc.matched_filter_downsample(r_a, filt, n_symbols=n_sym)
-    symbols = symbols * np.exp(-1j * np.angle(h_ba.gain))
+    symbols = sigproc.matched_filter_downsample(frame, filt, n_symbols=n_sym)
+    symbols = symbols * np.exp(-1j * np.angle(h_ba))
     bits_hat = sigproc.demodulate_psk(symbols, config.mod_order)
     p_b = ber(bits_b, bits_hat)
     residual_dbm = 10.0 * math.log10(max(p_residual, 1e-300))
@@ -417,6 +419,5 @@ def run_trial(config: LinkConfig, rng: np.random.Generator | None = None,
     return LinkReport(sinr_db=gamma_db, ber=p_b,
                       rate_bps_hz=rate_from_sinr_db(gamma_db),
                       residual_power_dbm=residual_dbm,
-                      estimate_error_db=est_err_db,
-                      config=config)
+                      estimate_error_db=est_err_db)
 

@@ -1,9 +1,10 @@
-"""Bit/symbol/waveform conversions.
+"""Bit/symbol/waveform conversions on plain sample arrays.
 
 Gray-coded M-PSK mapping, square-root-raised-cosine pulse shaping with
-matched filtering, circularly-symmetric complex Gaussian noise, and the
-|x|² sum behind the link's mean powers.  The PSK mapping and detection
-read per-order tables built once at import (``PSK_TABLES``).
+matched filtering (which compensates the delay of both filters),
+circularly-symmetric complex Gaussian noise, and the |x|² sum behind the
+link's mean powers.  The PSK mapping and detection read per-order tables
+built once at import (``PSK_TABLES``).
 """
 
 from __future__ import annotations
@@ -92,26 +93,6 @@ class SrrcFilter:
         return (len(self.taps) - 1) // 2
 
 
-@dataclass(frozen=True)
-class Waveform:
-    """Complex baseband sample sequence with rate and delay metadata.
-
-    ``delay_samples`` accumulates filter group delay so the receiver can
-    sample at the correct symbol instants after matched filtering.
-    """
-
-    samples: np.ndarray
-    sample_rate_hz: float
-    samples_per_symbol: int
-    delay_samples: int = 0
-
-    def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
-        if int(self.samples_per_symbol) != self.samples_per_symbol or self.samples_per_symbol < 1:
-            raise ValueError("samples_per_symbol must be an integer >= 1")
-
-
 def modulate_psk(bits, m_order: int) -> np.ndarray:
     """Map a {0,1} sequence onto Gray-coded unit-modulus PSK symbols."""
     table = psk_table(m_order)
@@ -181,7 +162,7 @@ def srrc_taps(rolloff: float, span_symbols: int, samples_per_symbol: int) -> Srr
                       samples_per_symbol=sps)
 
 
-def pulse_shape(symbols, filt: SrrcFilter, sample_rate_hz: float) -> Waveform:
+def pulse_shape(symbols, filt: SrrcFilter) -> np.ndarray:
     """Zero-stuff to the filter's sample rate and convolve with its taps.
 
     The output is the full convolution of the zero-stuffed stream (an
@@ -192,25 +173,20 @@ def pulse_shape(symbols, filt: SrrcFilter, sample_rate_hz: float) -> Waveform:
     symbols = np.asarray(symbols, dtype=np.complex128)
     if symbols.size == 0:
         symbols = np.zeros(1, dtype=np.complex128)
-    sps = filt.samples_per_symbol
-    out = upsample_convolve(symbols, filt.taps, sps)
-    return Waveform(samples=out, sample_rate_hz=sample_rate_hz,
-                    samples_per_symbol=sps, delay_samples=filt.group_delay)
+    return upsample_convolve(symbols, filt.taps, filt.samples_per_symbol)
 
 
-def matched_filter_downsample(wave: Waveform, filt: SrrcFilter,
+def matched_filter_downsample(samples, filt: SrrcFilter,
                               n_symbols: int | None = None) -> np.ndarray:
-    """Matched-filter a waveform and sample it at symbol instants.
+    """Matched-filter samples shaped by ``filt`` and sample the output at
+    the symbol instants.
 
-    Compensates the accumulated group delay recorded on the waveform plus
-    this filter's own delay.
+    The first instant is ``2 * filt.group_delay``: the shaping filter's
+    delay plus this filter's own.
     """
-    if wave.samples_per_symbol != filt.samples_per_symbol:
-        raise ValueError("waveform and filter samples_per_symbol differ")
-    if len(wave.samples) < len(filt.taps):
+    if len(samples) < len(filt.taps):
         raise ValueError("waveform shorter than the matched filter span")
-    offset = int(round(wave.delay_samples + filt.group_delay))
-    sym = convolve_decimate(wave.samples, filt.taps, offset,
+    sym = convolve_decimate(samples, filt.taps, 2 * filt.group_delay,
                             filt.samples_per_symbol, n_symbols)
     if n_symbols is not None and len(sym) < n_symbols:
         raise ValueError("waveform too short for the requested symbol count")

@@ -93,21 +93,21 @@ def test_criterion_3_estimator_exactness_and_scaling():
     filt = sigproc.srrc_taps(0.25, 8, 2)
     rng = np.random.default_rng(3)
     true = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) * 0.05
-    h = channel.BasebandChannel(taps=true, sample_rate_hz=20e6)
+    h = channel.BasebandChannel(taps=true)
 
     def model(n_tr):
-        training = cancellation.make_training_signal(n_tr, filt, 20e6)
-        return cancellation.training_model(training, 8, len(true))
+        training = cancellation.make_training_signal(n_tr, filt)
+        return cancellation.training_model(training, 8, h)
 
-    est = cancellation.run_training(h, 0.0, 0.0, np.random.default_rng(0), model(5))
+    est = cancellation.run_training(model(5), 0.0, 0.0, np.random.default_rng(0))
     exact = float(np.sum(np.abs(est.taps_hat - true) ** 2)
                   / np.sum(np.abs(true) ** 2))
 
     def mean_err(p_dbm, n_tr, trials=500):
         tot = 0.0
         for t in range(trials):
-            e = cancellation.run_training(h, p_dbm, 1e-6,
-                                          np.random.default_rng(1000 + t), model(n_tr))
+            e = cancellation.run_training(model(n_tr), p_dbm, 1e-6,
+                                          np.random.default_rng(1000 + t))
             tot += float(np.sum(np.abs(e.taps_hat - true) ** 2))
         return tot / trials
 
@@ -128,11 +128,11 @@ def test_criterion_4_perfect_cancellation():
     h = channel.derive_baseband_channel(prof, channel.PS_PEAK_HZ, 20e6, 20e6, 256)
     rng = np.random.default_rng(4)
     sym = sigproc.modulate_psk(rng.integers(0, 2, size=2000), 4)
-    x = sigproc.pulse_shape(sym, filt, 20e6)
-    si = channel.apply_channel(x, h, 0.0).samples
-    y = reference.si_less_replica(x.samples, h.taps, h.taps, 0.0)
+    x = sigproc.pulse_shape(sym, filt)
+    si = channel.apply_channel(x, h, 0.0)
+    y = reference.si_less_replica(x, h.taps, h.taps, 0.0)
     rel = float(np.sum(np.abs(y) ** 2) / np.sum(np.abs(si) ** 2))
-    res = reference.eq8_residual(x.samples, h.taps, h.taps, 0.0)
+    res = reference.eq8_residual(x, h.taps, h.taps, 0.0)
     direct = float(np.mean(np.abs(res[256:-256]) ** 2))
     si_power = float(np.mean(np.abs(si) ** 2))
 
@@ -145,10 +145,7 @@ def test_criterion_4_perfect_cancellation():
             design = link.trial_design(LinkConfig(scheme=scheme, signal_bandwidth_hz=b))
             cfg = design.config
             sps, n_sym = cfg.samples_per_symbol, cfg.n_bits // cfg.n_b
-            pulse = sigproc.Waveform(samples=design.filt.taps,
-                                     sample_rate_hz=cfg.sample_rate_hz,
-                                     samples_per_symbol=sps)
-            si_pulse = channel.apply_channel(pulse, design.h_aa, cfg.p_ta_dbm).samples
+            si_pulse = channel.apply_channel(design.filt.taps, design.h_aa, cfg.p_ta_dbm)
             spectrum = phase_spectrum(si_pulse, sps, n_sym, len(si_pulse))
             assert np.array_equal(spectrum.spectra, design.si_spectrum.spectra)
             s = sigproc.modulate_psk(rng.integers(0, 2, size=cfg.n_bits), cfg.mod_order)

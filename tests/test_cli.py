@@ -117,7 +117,8 @@ def test_sweep_rerun_is_byte_identical(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("ebn0_db", "nan"), ("ebn0_db", "-inf"), ("p_ta_dbm", "inf"),
     ("f_c_hz", "nan"), ("n_taps", "100"), ("n_training", "0"),
-    ("estimator_order", "0"), ("estimator_order", "27"), ("rolloff", "0"),
+    ("estimator_order", "0"), ("estimator_order", "27"), ("estimator_order", "none"),
+    ("n_taps", "256.0"), ("rolloff", "0"),
     ("span_symbols", "2"), ("signal_bandwidth_hz", "20e6"),
     ("signal_bandwidth_hz", "0"), ("seed", "-1"), ("n_bits", "0"),
     ("n_bits", "-2"), ("channel_bandwidth_hz", "30e6"),

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -41,6 +42,23 @@ def test_empty_config_gives_table_defaults():
 def test_parse_rejects_bad_modulation():
     with pytest.raises(ConfigError):
         parse_config({"mod_order": "3"})
+
+
+def test_readme_link_defaults_are_the_config_defaults():
+    text = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    listing = text.split("Link keys and defaults:", 1)[1].split("A sweep runs", 1)[0]
+    documented = dict(re.findall(r"`(\w+)=([^`]+)`", listing))
+    assert set(documented) == {f.name for f in fields(LinkConfig)}
+    base = parse_config(documented).base
+    for f in fields(LinkConfig):
+        assert getattr(base, f.name) == getattr(LinkConfig(), f.name), f.name
+
+
+@pytest.mark.parametrize("key, value", [("n_bits", 2000.0), ("seed", 1.5),
+                                        ("n_b", True), ("estimator_order", "none")])
+def test_parse_rejects_a_non_integer_integer_key(key, value):
+    with pytest.raises(ConfigError, match=key):
+        parse_config({key: value})
 
 
 def test_parse_rejects_unknown_key():

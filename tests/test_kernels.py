@@ -122,20 +122,19 @@ def test_fft_size_is_the_next_5_smooth_number():
         assert fft_size(n) == next(m for m in smooth if m >= n)
 
 
-@pytest.mark.parametrize("sps", [2, 40])
+@pytest.mark.parametrize("sps", [2, 10, 40])
 def test_sigproc_filters_match_reference(sps):
     filt = sigproc.srrc_taps(0.25, 8, sps)
     symbols = np.exp(1j * np.random.default_rng(sps).uniform(0.0, 7.0, 300))
-    wave = sigproc.pulse_shape(symbols, filt, 20e6)
+    shaped = sigproc.pulse_shape(symbols, filt)
     ref = fir_convolve(_stuffed(symbols, sps), filt.taps)
-    _assert_close(wave.samples, ref, np.max(np.abs(ref)))
-    assert wave.delay_samples == filt.group_delay
+    _assert_close(shaped, ref, np.max(np.abs(ref)))
 
-    full = fir_convolve(wave.samples, filt.taps)
-    offset = wave.delay_samples + filt.group_delay
+    # the matched filter samples past both filters' group delays
+    full = fir_convolve(shaped, filt.taps)
     for n_symbols in (None, len(symbols)):
-        _assert_close(sigproc.matched_filter_downsample(wave, filt, n_symbols),
-                      full[offset::sps][:n_symbols], np.max(np.abs(full)))
+        _assert_close(sigproc.matched_filter_downsample(shaped, filt, n_symbols),
+                      full[2 * filt.group_delay::sps][:n_symbols], np.max(np.abs(full)))
 
 
 def test_kernels_reject_complex_taps():

@@ -88,6 +88,34 @@ def test_config_accepts_the_ends_of_the_ebn0_range():
         LinkConfig(ebn0_db=-math.inf)
 
 
+def test_integer_fields_are_read_from_the_field_types():
+    assert link.INT_FIELDS == {"n_b", "mod_order", "n_bits", "n_training",
+                               "span_symbols", "estimator_order", "n_taps", "seed"}
+
+
+@pytest.mark.parametrize("kind", [float, bool])
+@pytest.mark.parametrize("key", sorted(link.INT_FIELDS))
+def test_config_rejects_a_non_integer_integer_key(key, kind):
+    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+        LinkConfig(**{key: kind(getattr(LinkConfig(), key))})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rolloff", "0.25"), ("ebn0_db", True), ("f_c_hz", "2.4e9"),
+    ("p_ta_dbm", 1j), ("scheme", 1), ("estimator_order", None),
+])
+def test_config_rejects_a_wrongly_typed_key(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be"):
+        LinkConfig(**{key: value})
+
+
+def test_config_accepts_numpy_integers():
+    plain = LinkConfig(scheme="PS+B", n_bits=400)
+    cfg = replace(plain, **{k: np.int64(getattr(plain, k)) for k in link.INT_FIELDS})
+    assert cfg == plain
+    assert run_trial(cfg) == run_trial(plain)
+
+
 def test_config_rejects_order_beyond_training():
     # (1 + 8) * 2 = 18 training samples cannot identify the default 26 taps
     with pytest.raises(ConfigError, match="estimator_order"):
@@ -115,8 +143,7 @@ def test_scheme_default_carriers():
 def test_report_enforces_rate_consistency():
     with pytest.raises(ValueError):
         LinkReport(sinr_db=10.0, ber=0.0, rate_bps_hz=1.0,
-                   residual_power_dbm=-100.0, estimate_error_db=None,
-                   config=LinkConfig())
+                   residual_power_dbm=-100.0, estimate_error_db=None)
 
 
 def test_ber_counts_flips():
@@ -188,13 +215,13 @@ def test_trial_si_equals_sample_rate_channel(monkeypatch, scheme, bandwidth_hz):
     # filter's input is the trial's self-interference, after the replica
     # is subtracted for +B
     monkeypatch.setattr(channel, "make_desired_channel",
-                        lambda p_rb_dbm, p_tb_dbm, rng: channel.DesiredChannel(1e-30))
+                        lambda p_rb_dbm, p_tb_dbm, rng: 1e-30)
     seen = []
     matched_filter = sigproc.matched_filter_downsample
 
-    def capture(wave, *args, **kwargs):
-        seen.append(wave.samples)
-        return matched_filter(wave, *args, **kwargs)
+    def capture(samples, *args, **kwargs):
+        seen.append(samples)
+        return matched_filter(samples, *args, **kwargs)
 
     monkeypatch.setattr(sigproc, "matched_filter_downsample", capture)
     cfg = LinkConfig(scheme=scheme, signal_bandwidth_hz=bandwidth_hz,
@@ -210,16 +237,14 @@ def test_trial_si_equals_sample_rate_channel(monkeypatch, scheme, bandwidth_hz):
     if cfg.uses_baseband_cancellation:
         noise_var = link.ebn0_to_noise_variance(
             cfg.ebn0_db, channel.dbm_to_linear(cfg.p_rb_dbm) / sps, cfg.n_b, sps)
-        estimate = cancellation.run_training(h_aa, cfg.p_ta_dbm, noise_var, rng,
-                                             design.training)
+        estimate = cancellation.run_training(design.training, cfg.p_ta_dbm, noise_var, rng)
     bits_a = rng.integers(0, 2, size=cfg.n_bits)
     filt = sigproc.srrc_taps(cfg.rolloff, cfg.span_symbols, sps)
-    x_a = sigproc.pulse_shape(sigproc.modulate_psk(bits_a, cfg.mod_order), filt,
-                              cfg.sample_rate_hz)
-    si = channel.apply_channel(x_a, h_aa, cfg.p_ta_dbm).samples
+    x_a = sigproc.pulse_shape(sigproc.modulate_psk(bits_a, cfg.mod_order), filt)
+    si = channel.apply_channel(x_a, h_aa, cfg.p_ta_dbm)
     ref = si
     if estimate is not None:
-        ref = reference.si_less_replica(x_a.samples, h_aa.taps, estimate.taps_hat,
+        ref = reference.si_less_replica(x_a, h_aa.taps, estimate.taps_hat,
                                         cfg.p_ta_dbm)
     assert seen[0].shape == ref.shape
     assert np.max(np.abs(seen[0] - ref)) <= 1e-12 * np.max(np.abs(si))

@@ -35,9 +35,6 @@ def link_configs(draw):
     if scheme.endswith("+B"):
         max_order = min(max_order, n_taps)
     orders = st.integers(1, max_order)
-    # None is the default order, 26, which +B must be able to identify
-    if not scheme.endswith("+B") or max_order >= 26:
-        orders = st.one_of(st.none(), orders)
     return LinkConfig(
         n_b=n_b, mod_order=2**n_b,
         n_bits=n_b * draw(st.integers(1, 5000)),

@@ -252,16 +252,16 @@ def test_srrc_rejects_bad_rolloff():
 
 def test_pulse_shape_single_symbol_is_taps():
     filt = sigproc.srrc_taps(0.25, 8, 2)
-    wave = sigproc.pulse_shape([1.0 + 0j], filt, 20e6)
-    assert np.allclose(wave.samples[: len(filt.taps)], filt.taps, atol=1e-14)
-    assert np.argmax(np.abs(wave.samples)) == filt.group_delay
+    wave = sigproc.pulse_shape([1.0 + 0j], filt)
+    assert np.allclose(wave[: len(filt.taps)], filt.taps, atol=1e-14)
+    assert np.argmax(np.abs(wave)) == filt.group_delay
 
 
 def test_pulse_shape_zero_symbols():
     filt = sigproc.srrc_taps(0.25, 8, 2)
-    wave = sigproc.pulse_shape(np.zeros(7, dtype=complex), filt, 20e6)
-    assert len(wave.samples) == 7 * 2 + len(filt.taps) - 1
-    assert not np.any(wave.samples)
+    wave = sigproc.pulse_shape(np.zeros(7, dtype=complex), filt)
+    assert len(wave) == 7 * 2 + len(filt.taps) - 1
+    assert not np.any(wave)
 
 
 def test_pulse_shape_power_matches_symbol_power():
@@ -269,8 +269,8 @@ def test_pulse_shape_power_matches_symbol_power():
     bits = rng.integers(0, 2, size=2000)
     sym = sigproc.modulate_psk(bits, 4)
     filt = sigproc.srrc_taps(0.25, 8, 2)
-    wave = sigproc.pulse_shape(sym, filt, 20e6)
-    energy_per_symbol = np.sum(np.abs(wave.samples) ** 2) / len(sym)
+    wave = sigproc.pulse_shape(sym, filt)
+    energy_per_symbol = np.sum(np.abs(wave) ** 2) / len(sym)
     assert energy_per_symbol == pytest.approx(1.0, rel=0.01)
 
 
@@ -279,7 +279,7 @@ def test_matched_filter_round_trip():
     sym = sigproc.modulate_psk(rng.integers(0, 2, size=400), 4)
     for span, evm_bound in ((8, 0.01), (32, 1e-3)):
         filt = sigproc.srrc_taps(0.25, span, 2)
-        wave = sigproc.pulse_shape(sym, filt, 20e6)
+        wave = sigproc.pulse_shape(sym, filt)
         out = sigproc.matched_filter_downsample(wave, filt, n_symbols=len(sym))
         interior = slice(span, len(sym) - span)
         err = out[interior] - sym[interior]
@@ -288,23 +288,21 @@ def test_matched_filter_round_trip():
 
 def test_matched_filter_single_symbol():
     filt = sigproc.srrc_taps(0.25, 8, 2)
-    wave = sigproc.pulse_shape([1j], filt, 20e6)
+    wave = sigproc.pulse_shape([1j], filt)
     out = sigproc.matched_filter_downsample(wave, filt)
     assert abs(out[0] - 1j) < 1e-3
 
 
 def test_matched_filter_zero_waveform():
     filt = sigproc.srrc_taps(0.25, 8, 2)
-    wave = sigproc.Waveform(samples=np.zeros(64, dtype=complex),
-                            sample_rate_hz=20e6, samples_per_symbol=2)
+    wave = np.zeros(64, dtype=complex)
     out = sigproc.matched_filter_downsample(wave, filt)
     assert not np.any(out)
 
 
 def test_matched_filter_rejects_short_waveform():
     filt = sigproc.srrc_taps(0.25, 8, 2)
-    wave = sigproc.Waveform(samples=np.zeros(4, dtype=complex),
-                            sample_rate_hz=20e6, samples_per_symbol=2)
+    wave = np.zeros(4, dtype=complex)
     with pytest.raises(ValueError):
         sigproc.matched_filter_downsample(wave, filt)
 
