@@ -35,7 +35,7 @@ def _build_parser() -> _Parser:
     run = sub.add_parser("run", help="run a single full-duplex trial")
     run.add_argument("--config", help="flat key = value config file")
     run.add_argument("--scheme", choices=link.SCHEMES)
-    run.add_argument("--seed", type=int)
+    run.add_argument("--seed", type=int, help="override root seed")
     run.add_argument("--out", help="write a one-row result CSV here")
     run.add_argument("--verbose", action="store_true")
 
@@ -63,12 +63,12 @@ def _build_parser() -> _Parser:
 
 def _cmd_run(args) -> int:
     spec = harness.parse_config(args.config) if args.config else harness.parse_config({})
+    if args.seed is not None:
+        spec = replace(spec, root_seed=args.seed)
     cfg = spec.base
     if args.scheme:
         cfg = replace(cfg, scheme=args.scheme, f_c_hz=None)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    report = link.run_trial(cfg)
+    report = link.run_trial(cfg, np.random.default_rng(spec.root_seed))
     print(f"scheme          : {cfg.scheme}")
     print(f"sinr_db         : {report.sinr_db:.4f}")
     print(f"ber             : {report.ber:.6g}")

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .errors import ConfigError, FdsimError
-from .link import INT_FIELDS, SCHEMES, LinkConfig, run_trial, trial_design
+from .link import SCHEMES, LinkConfig, check_field_types, run_trial, trial_design
 from .sigproc import SUPPORTED_ORDERS
 
 #: Sweep axis name -> the LinkConfig field it sets.  ``mod_order`` is the
@@ -23,24 +23,18 @@ _AXIS_FIELDS = {"ebn0_db": "ebn0_db", "bandwidth_hz": "signal_bandwidth_hz",
                 "p_rb_dbm": "p_rb_dbm"}
 AXES = (*_AXIS_FIELDS, "mod_order")
 
-RESULT_HEADER = ("scheme", "axis", "axis_value", "sinr_db", "ber",
-                 "rate_bps_hz", "trials", "sinr_se_db", "ber_se")
-
-_LINK_FIELDS = {f.name for f in fields(LinkConfig)}
-_SWEEP_KEYS = ("axis", "values", "schemes", "trials_per_point", "root_seed")
-_INT_KEYS = INT_FIELDS | {"trials_per_point", "root_seed"}
-
 
 @dataclass(frozen=True)
 class SweepSpec:
     base: LinkConfig
     axis: str = "ebn0_db"
-    values: tuple = ()
-    schemes: tuple = ("PS",)
+    values: tuple[float, ...] = ()
+    schemes: tuple[str, ...] = ("PS",)
     trials_per_point: int = 50
     root_seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.axis not in AXES:
             raise ConfigError(f"axis must be one of {AXES}, got {self.axis!r}")
         if not self.values:
@@ -59,6 +53,13 @@ class SweepSpec:
                 raise ConfigError(f"unknown scheme {s!r}")
         if self.trials_per_point < 1:
             raise ConfigError("trials_per_point must be >= 1")
+        if self.root_seed < 0:
+            raise ConfigError(f"root_seed must be >= 0, got {self.root_seed}")
+
+
+#: The config-file keys: the ``LinkConfig``, then the ``SweepSpec`` fields.
+_CONFIG_FIELDS = {f.name: f for f in fields(LinkConfig) + fields(SweepSpec)
+                  if f.name != "base"}
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,9 @@ class SweepRow:
     trials: int
     sinr_se_db: float
     ber_se: float
+
+
+RESULT_HEADER = tuple(f.name for f in fields(SweepRow))
 
 
 @dataclass(frozen=True)
@@ -98,9 +102,8 @@ def config_for_point(base: LinkConfig, scheme: str, axis: str, value) -> LinkCon
     cfg = replace(base, scheme=scheme)
     if axis == "mod_order":
         m = int(value)
-        n_b = int(round(math.log2(m)))
-        n_bits = base.n_bits - base.n_bits % n_b
-        return replace(cfg, mod_order=m, n_b=n_b, n_bits=max(n_bits, n_b))
+        n_b = m.bit_length() - 1
+        return replace(cfg, mod_order=m, n_bits=max(base.n_bits - base.n_bits % n_b, n_b))
     if axis not in _AXIS_FIELDS:
         raise ConfigError(f"unknown axis {axis!r}")
     return replace(cfg, **{_AXIS_FIELDS[axis]: float(value)})
@@ -112,10 +115,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     rows = []
     for scheme in spec.schemes:
         for value in spec.values:
-            cfg = config_for_point(spec.base, scheme, spec.axis, value)
             sinrs, bers, rates = [], [], []
             trial = 0
             try:
+                cfg = config_for_point(spec.base, scheme, spec.axis, value)
                 design = trial_design(cfg)
                 for trial in range(spec.trials_per_point):
                     rng = np.random.default_rng(trial_seed(spec.root_seed, scheme, value, trial))
@@ -139,23 +142,29 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(rows=tuple(rows))
 
 
-def _parse_value(key: str, raw: str):
+#: Declared field type -> parser of one value written in a config file.
+_PARSERS = {"str": str, "int": int, "float": float,
+            "float | None": lambda raw: None if raw.lower() == "none" else float(raw)}
+
+
+def _parse_value(field, raw: str):
+    """``raw`` as ``field``'s declared type; a ``tuple[T, ...]`` is a comma list."""
     try:
-        if key == "scheme":
-            return raw
-        if key == "schemes":
-            return tuple(s.strip() for s in raw.split(","))
-        if key == "axis":
-            return raw
-        if key == "values":
-            return tuple(float(v) for v in raw.split(","))
-        if key == "f_c_hz" and raw.lower() == "none":
-            return None
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        if field.type.startswith("tuple["):
+            parse = _PARSERS[field.type.removeprefix("tuple[").removesuffix(", ...]")]
+            return tuple(parse(v.strip()) for v in raw.split(","))
+        return _PARSERS[field.type](raw)
     except ValueError:
-        raise ConfigError(f"cannot parse value {raw!r} for key {key!r}") from None
+        raise ConfigError(f"cannot parse value {raw!r} for key {field.name!r}") from None
+
+
+def _format_value(value) -> str:
+    """Inverse of ``_parse_value``: ``none``, floats by ``repr``, tuples joined."""
+    if isinstance(value, tuple):
+        return ",".join(map(_format_value, value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return "none" if value is None else str(value)
 
 
 def parse_config(source) -> SweepSpec:
@@ -180,53 +189,35 @@ def parse_config(source) -> SweepSpec:
                 if key in raw:
                     raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
                 raw[key] = value
-    link_kwargs, sweep_kwargs = {}, {}
+    kwargs = {}
     for key, value in raw.items():
-        parsed = _parse_value(key, value) if isinstance(value, str) else value
-        if key in _LINK_FIELDS:
-            link_kwargs[key] = parsed
-        elif key in _SWEEP_KEYS:
-            sweep_kwargs[key] = parsed
-        else:
+        if key not in _CONFIG_FIELDS:
             raise ConfigError(f"unknown configuration key {key!r}")
-    base = LinkConfig(**link_kwargs)
-    sweep_kwargs.setdefault("axis", "ebn0_db")
-    sweep_kwargs.setdefault("values", (base.ebn0_db,))
-    sweep_kwargs.setdefault("schemes", (base.scheme,))
-    return SweepSpec(base=base, **sweep_kwargs)
+        kwargs[key] = _parse_value(_CONFIG_FIELDS[key], value) if isinstance(value, str) else value
+    base = LinkConfig(**{f.name: kwargs.pop(f.name) for f in fields(LinkConfig)
+                         if f.name in kwargs})
+    kwargs.setdefault("values", (base.ebn0_db,))
+    kwargs.setdefault("schemes", (base.scheme,))
+    return SweepSpec(base=base, **kwargs)
 
 
 def emit_config(spec: SweepSpec) -> str:
     """Serialize a SweepSpec back to the flat config format."""
-    lines = []
-    for f in fields(LinkConfig):
-        value = getattr(spec.base, f.name)
-        if value is None:
-            value = "none"
-        lines.append(f"{f.name} = {value}")
-    lines.append(f"axis = {spec.axis}")
-    lines.append("values = " + ",".join(repr(float(v)) for v in spec.values))
-    lines.append("schemes = " + ",".join(spec.schemes))
-    lines.append(f"trials_per_point = {spec.trials_per_point}")
-    lines.append(f"root_seed = {spec.root_seed}")
-    return "\n".join(lines) + "\n"
+    values = {**asdict(spec.base), **asdict(spec)}
+    return "".join(f"{key} = {_format_value(values[key])}\n" for key in _CONFIG_FIELDS)
 
 
 def write_results(result: SweepResult, path) -> None:
     """Emit the sweep CSV with full float precision and LF line endings."""
     lines = [",".join(RESULT_HEADER)]
-    for row in result.rows:
-        lines.append(",".join([
-            row.scheme, row.axis, repr(row.axis_value), repr(row.sinr_db),
-            repr(row.ber), repr(row.rate_bps_hz), str(row.trials),
-            repr(row.sinr_se_db), repr(row.ber_se),
-        ]))
+    lines += [",".join(_format_value(getattr(row, key)) for key in RESULT_HEADER)
+              for row in result.rows]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_results(path) -> SweepResult:
-    """Inverse of write_results for the numeric fields."""
+    """Inverse of write_results."""
     rows = []
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -236,10 +227,5 @@ def read_results(path) -> SweepResult:
             parts = line.rstrip("\n").split(",")
             if len(parts) != len(RESULT_HEADER):
                 raise ConfigError(f"{path}: malformed row {line!r}")
-            rows.append(SweepRow(
-                scheme=parts[0], axis=parts[1], axis_value=float(parts[2]),
-                sinr_db=float(parts[3]), ber=float(parts[4]),
-                rate_bps_hz=float(parts[5]), trials=int(parts[6]),
-                sinr_se_db=float(parts[7]), ber_se=float(parts[8]),
-            ))
+            rows.append(SweepRow(*map(_parse_value, fields(SweepRow), parts)))
     return SweepResult(rows=tuple(rows))

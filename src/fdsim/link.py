@@ -57,11 +57,12 @@ POWER_RANGE_DBM = (-1000.0, 1000.0)
 #: the noise powers a trial sums stay normal floats.
 EBN0_RANGE_DB = (-1000.0, 1000.0)
 
-#: Longest received frame, in samples, that a config may ask for:
-#: (n_bits / n_b + span_symbols) * samples_per_symbol + n_taps - 1.  A
-#: frame of 2**24 complex128 samples is 268 MB, and a trial holds about
-#: 2.4 frames at once, so a larger frame is a config error, not an
-#: allocation that exhausts memory mid-trial.
+#: Longest received frame (``LinkConfig.frame_samples``) a config may ask
+#: for.  A frame of 2**24 complex128 samples is 268 MB, and a trial peaks
+#: at 2.35 frames at sps 40 and at 9.0 at sps 2 (its per-symbol arrays),
+#: so a larger frame is a config error, not an allocation that exhausts
+#: memory mid-trial.  A +B design at sps 2 holds 11.7 frames more, 17.5
+#: while it is built (its replica DFT matrix).
 MAX_FRAME_SAMPLES = 2**24
 
 
@@ -69,7 +70,6 @@ MAX_FRAME_SAMPLES = 2**24
 class LinkConfig:
     """Simulation parameters; defaults follow the prototype's network setup."""
 
-    n_b: int = 2
     mod_order: int = 4
     n_bits: int = 2000
     n_training: int = 5
@@ -85,20 +85,11 @@ class LinkConfig:
     span_symbols: int = 8
     estimator_order: int = DEFAULT_ESTIMATOR_ORDER
     n_taps: int = 256
-    seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "str":
-                kind, ok = "a string", isinstance(value, str)
-            elif f.name in INT_FIELDS:
-                kind, ok = "an integer", isinstance(value, (int, np.integer))
-            else:
-                kind = "a real number"
-                ok = isinstance(value, numbers.Real) or (f.name == "f_c_hz" and value is None)
-            if not ok or isinstance(value, bool):
-                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
             # ebn0_db = +inf is the noise-free link
             if (isinstance(value, (float, np.floating)) and not math.isfinite(value)
                     and not (f.name == "ebn0_db" and value == math.inf)):
@@ -112,8 +103,6 @@ class LinkConfig:
         if math.isfinite(self.ebn0_db) and not low <= self.ebn0_db <= high:
             raise ConfigError(f"ebn0_db must be in [{low:g}, {high:g}] dB or inf, "
                               f"got {self.ebn0_db}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_training < 1:
             raise ConfigError(f"n_training must be >= 1, got {self.n_training}")
         if self.n_taps < 2 or self.n_taps & (self.n_taps - 1):
@@ -122,10 +111,10 @@ class LinkConfig:
             raise ConfigError(
                 f"estimator_order must be >= 1, got {self.estimator_order}"
             )
-        if self.mod_order != 2**self.n_b:
-            raise ConfigError(f"mod_order {self.mod_order} != 2**n_b with n_b={self.n_b}")
+        # n_b is read from mod_order, so mod_order is checked first
         if self.mod_order not in sigproc.SUPPORTED_ORDERS:
-            raise ConfigError(f"unsupported modulation order {self.mod_order}")
+            raise ConfigError(f"mod_order must be one of {sigproc.SUPPORTED_ORDERS}, "
+                              f"got {self.mod_order}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         # the SRRC design (sigproc.srrc_taps) needs sps >= 2, rolloff in
@@ -145,25 +134,20 @@ class LinkConfig:
                               "small: sample_rate_hz / signal_bandwidth_hz overflows")
         if abs(sps - round(sps)) > 1e-9:
             raise ConfigError(
-                f"sample_rate/signal_bandwidth = {sps} is not an integer"
+                f"sample_rate_hz / signal_bandwidth_hz = {sps} is not an integer"
             )
         if not 0.0 < self.channel_bandwidth_hz <= self.sample_rate_hz:
             raise ConfigError(
                 f"channel_bandwidth_hz must be in (0, sample_rate_hz], got "
                 f"{self.channel_bandwidth_hz}"
             )
-        if self.n_bits < self.n_b:
-            raise ConfigError(
-                f"n_bits must be >= n_b (one symbol), got {self.n_bits}"
-            )
-        if self.n_bits % self.n_b:
-            raise ConfigError(f"n_bits={self.n_bits} not divisible by n_b={self.n_b}")
-        n_frame = ((self.n_bits // self.n_b + self.span_symbols) * self.samples_per_symbol
-                   + self.n_taps - 1)
-        if n_frame > MAX_FRAME_SAMPLES:
+        if self.n_bits < self.n_b or self.n_bits % self.n_b:
+            raise ConfigError(f"n_bits must be a positive multiple of log2(mod_order) "
+                              f"= {self.n_b}, got {self.n_bits}")
+        if self.frame_samples > MAX_FRAME_SAMPLES:
             raise ConfigError(
                 f"signal_bandwidth_hz = {self.signal_bandwidth_hz:g} and n_bits = "
-                f"{self.n_bits} give a {n_frame}-sample frame, above "
+                f"{self.n_bits} give a {self.frame_samples}-sample frame, above "
                 f"MAX_FRAME_SAMPLES = {MAX_FRAME_SAMPLES}; raise signal_bandwidth_hz "
                 f"or lower n_bits"
             )
@@ -184,8 +168,22 @@ class LinkConfig:
             )
 
     @property
+    def n_b(self) -> int:
+        """Bits per symbol, log2(mod_order)."""
+        return int(self.mod_order).bit_length() - 1
+
+    @property
+    def n_symbols(self) -> int:
+        return self.n_bits // self.n_b
+
+    @property
     def samples_per_symbol(self) -> int:
         return int(round(self.sample_rate_hz / self.signal_bandwidth_hz))
+
+    @property
+    def frame_samples(self) -> int:
+        """Length of the received frame, the shaped symbols through the SI."""
+        return (self.n_symbols + self.span_symbols) * self.samples_per_symbol + self.n_taps - 1
 
     @property
     def rf_scheme(self) -> str:
@@ -200,33 +198,48 @@ class LinkConfig:
         return self.f_c_hz if self.f_c_hz is not None else SCHEME_FC_HZ[self.rf_scheme]
 
 
-#: The integer-valued ``LinkConfig`` fields, read from their declared
-#: types.  A numpy integer is an integer; a bool is not.
-INT_FIELDS = frozenset(f.name for f in fields(LinkConfig) if f.type == "int")
+#: Declared field type -> (what it holds, the classes it takes).  A numpy
+#: integer is an integer; a bool is neither an integer nor a real number.
+_FIELD_TYPES = {"str": ("a string", str), "int": ("an integer", (int, np.integer)),
+                "float": ("a real number", numbers.Real),
+                "float | None": ("a real number or none", (numbers.Real, type(None))),
+                "LinkConfig": ("a LinkConfig", LinkConfig)}
+
+
+def check_field_types(record) -> None:
+    """Raise a ``ConfigError`` naming the first field of the dataclass
+    ``record`` whose value is not of its declared type; a field declared
+    ``tuple[T, ...]`` holds a tuple of ``T``."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        item_type = f.type.removeprefix("tuple[").removesuffix(", ...]")
+        kind, classes = _FIELD_TYPES[item_type]
+        items = (value,) if item_type == f.type else value
+        if not (isinstance(items, tuple) and all(
+                isinstance(v, classes) and not isinstance(v, bool) for v in items)):
+            kind = kind if item_type == f.type else f"a tuple, each item {kind}"
+            raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class LinkReport:
-    """Per-trial metrics; the rate field is always log2(1 + linear SINR)."""
+    """Per-trial metrics."""
 
     sinr_db: float
     ber: float
-    rate_bps_hz: float
     residual_power_dbm: float
     estimate_error_db: float | None
 
     def __post_init__(self):
         if not 0.0 <= self.ber <= 1.0:
             raise ValueError(f"ber {self.ber} outside [0, 1]")
-        expected = rate_from_sinr_db(self.sinr_db)
-        if not math.isclose(self.rate_bps_hz, expected, rel_tol=1e-12, abs_tol=1e-12):
-            raise ValueError("rate_bps_hz inconsistent with sinr_db")
 
-
-def rate_from_sinr_db(sinr_db: float) -> float:
-    if sinr_db == math.inf:
-        return math.inf
-    return math.log2(1.0 + 10.0 ** (sinr_db / 10.0))
+    @property
+    def rate_bps_hz(self) -> float:
+        """Shannon rate, log2(1 + linear SINR)."""
+        if self.sinr_db == math.inf:
+            return math.inf
+        return math.log2(1.0 + 10.0 ** (self.sinr_db / 10.0))
 
 
 def ebn0_to_noise_variance(ebn0_db: float, reference_power: float, n_b: int,
@@ -305,16 +318,16 @@ class TrialDesign:
 
 
 def _sinr_window(config: LinkConfig, filt: sigproc.SrrcFilter,
-                 h_aa: channel.BasebandChannel, n_full: int) -> tuple[int, int]:
+                 h_aa: channel.BasebandChannel) -> tuple[int, int]:
     """The received samples ``[head, tail)`` over which the SINR is measured:
     past the filter and channel transients at both ends, or the whole frame
     when that leaves less than a symbol or starts after the desired
     waveform has ended (a frame of a few symbols)."""
-    n_desired = (config.n_bits // config.n_b) * config.samples_per_symbol + len(filt.taps) - 1
+    n_desired = config.n_symbols * config.samples_per_symbol + len(filt.taps) - 1
     head = 2 * filt.group_delay + channel.support_length(h_aa.taps, 0.9999)
-    tail = n_full - 2 * filt.group_delay
+    tail = config.frame_samples - 2 * filt.group_delay
     if tail - head < config.samples_per_symbol or head >= n_desired:
-        return 0, n_full
+        return 0, config.frame_samples
     return head, tail
 
 
@@ -322,7 +335,6 @@ def trial_design(config: LinkConfig) -> TrialDesign:
     """The trial design of this config.  A sweep builds one per point and
     passes it to each trial of the point; nothing keeps it after that."""
     sps = config.samples_per_symbol
-    n_sym = config.n_bits // config.n_b
     filt = sigproc.srrc_taps(config.rolloff, config.span_symbols, sps)
     filt.taps.setflags(write=False)
     h_aa = self_interference_channel(config)
@@ -336,20 +348,21 @@ def trial_design(config: LinkConfig) -> TrialDesign:
         training = cancellation.training_model(burst, config.estimator_order, h_aa)
         # the replica filter amp·(srrc ⊛ ĥ)
         n_replica = len(filt.taps) + config.estimator_order - 1
-    spectrum = phase_spectrum(si_pulse, sps, n_sym, n_replica)
-    head, tail = _sinr_window(config, filt, h_aa, n_sym * sps + spectrum.n_taps - 1)
+    spectrum = phase_spectrum(si_pulse, sps, config.n_symbols, n_replica)
+    head, tail = _sinr_window(config, filt, h_aa)
     return TrialDesign(config, filt, h_aa, spectrum, training, head, tail,
                        float(np.sum(np.abs(h_aa.taps) ** 2)))
 
 
-def run_trial(config: LinkConfig, rng: np.random.Generator | None = None,
+def run_trial(config: LinkConfig, rng: np.random.Generator,
               design: TrialDesign | None = None) -> LinkReport:
     """Simulate one full-duplex frame and report the link metrics.
 
-    ``design`` is ``trial_design(config)``, built here when not given.
+    ``rng`` draws, in this order, the training noise (+B only), both
+    nodes' bits, the desired channel's phase and the receiver noise, so
+    the same config and generator state give the same report.  ``design``
+    is ``trial_design(config)``, built here when not given.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     if design is None:
         design = trial_design(config)
     elif design.config != config:
@@ -367,7 +380,6 @@ def run_trial(config: LinkConfig, rng: np.random.Generator | None = None,
         estimate = cancellation.run_training(design.training, config.p_ta_dbm,
                                              noise_var, rng)
 
-    n_sym = config.n_bits // config.n_b
     bits_a = rng.integers(0, 2, size=config.n_bits)
     bits_b = rng.integers(0, 2, size=config.n_bits)
     s_a = sigproc.modulate_psk(bits_a, config.mod_order)
@@ -387,8 +399,7 @@ def run_trial(config: LinkConfig, rng: np.random.Generator | None = None,
     # (channel.apply_channel(pulse_shape(s_a), h_aa), at the symbol rate)
     # and then the desired waveform are added to it, so at most two
     # frame-length arrays are alive at once
-    n_full = n_sym * sps + design.si_spectrum.n_taps - 1
-    frame = sigproc.awgn(n_full, noise_var, rng)
+    frame = sigproc.awgn(config.frame_samples, noise_var, rng)
     frame += upsample_convolve_fft(s_a, design.si_spectrum, minus=replica)
     head, tail = design.head, design.tail
     p_residual = _mean_power(frame[head:tail])
@@ -402,7 +413,7 @@ def run_trial(config: LinkConfig, rng: np.random.Generator | None = None,
     frame[: len(desired)] += desired
 
     # detection: matched filter, known-phase equalization, demodulation
-    symbols = sigproc.matched_filter_downsample(frame, filt, n_symbols=n_sym)
+    symbols = sigproc.matched_filter_downsample(frame, filt, n_symbols=config.n_symbols)
     symbols = symbols * np.exp(-1j * np.angle(h_ba))
     bits_hat = sigproc.demodulate_psk(symbols, config.mod_order)
     p_b = ber(bits_b, bits_hat)
@@ -416,8 +427,6 @@ def run_trial(config: LinkConfig, rng: np.random.Generator | None = None,
             max(sigproc.energy(err) / design.si_tap_energy, 1e-300)
         )
 
-    return LinkReport(sinr_db=gamma_db, ber=p_b,
-                      rate_bps_hz=rate_from_sinr_db(gamma_db),
-                      residual_power_dbm=residual_dbm,
+    return LinkReport(sinr_db=gamma_db, ber=p_b, residual_power_dbm=residual_dbm,
                       estimate_error_db=est_err_db)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fdsim import channel, harness
+from fdsim import channel, harness, link
 from fdsim.cli import main
 
 
@@ -120,8 +120,10 @@ def test_sweep_rerun_is_byte_identical(tmp_path, capsys):
     ("estimator_order", "0"), ("estimator_order", "27"), ("estimator_order", "none"),
     ("n_taps", "256.0"), ("rolloff", "0"),
     ("span_symbols", "2"), ("signal_bandwidth_hz", "20e6"),
-    ("signal_bandwidth_hz", "0"), ("seed", "-1"), ("n_bits", "0"),
+    ("signal_bandwidth_hz", "0"), ("root_seed", "-1"), ("n_bits", "0"),
     ("n_bits", "-2"), ("channel_bandwidth_hz", "30e6"),
+    # n_b is log2(mod_order) and trials draw from root_seed: neither is a key
+    ("n_b", "2"), ("seed", "0"),
 ])
 def test_sweep_rejects_invalid_config(tmp_path, capsys, key, value):
     cfg = tmp_path / "s.cfg"
@@ -131,6 +133,20 @@ def test_sweep_rejects_invalid_config(tmp_path, capsys, key, value):
                  "--out", str(tmp_path / "r.csv")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+def test_run_seeds_its_trial_from_the_root_seed(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_bits = 400\nroot_seed = 3\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["run", "--config", str(cfg), "--seed", "4"]) == 0
+    assert capsys.readouterr().out != from_file
+    cfg.write_text("n_bits = 400\n")
+    assert main(["run", "--config", str(cfg), "--seed", "3"]) == 0
+    assert capsys.readouterr().out == from_file
+    report = link.run_trial(link.LinkConfig(n_bits=400), np.random.default_rng(3))
+    assert f"sinr_db         : {report.sinr_db:.4f}\n" in from_file
 
 
 def test_run_rejects_negative_seed(capsys):

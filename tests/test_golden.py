@@ -43,3 +43,12 @@ def test_sweep_matches_golden_rows(name):
                 assert math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL), (f.name, got, want)
             else:
                 assert a == b, (f.name, got, want)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.csv")), ids=lambda p: p.stem)
+def test_result_io_reproduces_the_golden_csv(path, tmp_path):
+    # the result schema is read from SweepRow's fields; a golden file read
+    # and written back must come out byte for byte
+    out = tmp_path / path.name
+    harness.write_results(harness.read_results(path), out)
+    assert out.read_bytes() == path.read_bytes()

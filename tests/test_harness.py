@@ -44,9 +44,13 @@ def test_parse_rejects_bad_modulation():
         parse_config({"mod_order": "3"})
 
 
-def test_readme_link_defaults_are_the_config_defaults():
+def _readme_listing(start: str, end: str) -> str:
     text = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
-    listing = text.split("Link keys and defaults:", 1)[1].split("A sweep runs", 1)[0]
+    return text.split(start, 1)[1].split(end, 1)[0]
+
+
+def test_readme_link_defaults_are_the_config_defaults():
+    listing = _readme_listing("Link keys and defaults:", "A sweep runs")
     documented = dict(re.findall(r"`(\w+)=([^`]+)`", listing))
     assert set(documented) == {f.name for f in fields(LinkConfig)}
     base = parse_config(documented).base
@@ -54,11 +58,38 @@ def test_readme_link_defaults_are_the_config_defaults():
         assert getattr(base, f.name) == getattr(LinkConfig(), f.name), f.name
 
 
-@pytest.mark.parametrize("key, value", [("n_bits", 2000.0), ("seed", 1.5),
-                                        ("n_b", True), ("estimator_order", "none")])
+def test_readme_sweep_keys_are_the_spec_fields():
+    # each key in backticks, its values and rules in parentheses
+    listing = re.sub(r"\([^)]*\)", "", _readme_listing("Sweep keys:", "Profile CSVs"))
+    documented = re.findall(r"`(\w+)`", listing)
+    assert documented == [f.name for f in fields(SweepSpec) if f.name != "base"]
+
+
+@pytest.mark.parametrize("key, value", [("n_bits", 2000.0), ("root_seed", 1.5),
+                                        ("trials_per_point", True),
+                                        ("estimator_order", "none")])
 def test_parse_rejects_a_non_integer_integer_key(key, value):
     with pytest.raises(ConfigError, match=key):
         parse_config({key: value})
+
+
+#: Sweep keys of a wrong type or value: each is a ConfigError naming the key,
+#: whether the spec is built in Python or parsed from a mapping.
+BAD_SWEEP_KEYS = [
+    ("trials_per_point", True), ("trials_per_point", 2.5),
+    ("root_seed", "x"), ("root_seed", 1.5), ("root_seed", -1), ("root_seed", False),
+    ("values", ("a",)), ("values", (True,)), ("values", (1.0, 2j)),
+    ("schemes", ("PS", 1)),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_SWEEP_KEYS,
+                         ids=[f"{key}={value!r}" for key, value in BAD_SWEEP_KEYS])
+def test_sweep_spec_rejects_a_bad_key(key, value):
+    with pytest.raises(ConfigError, match=key):
+        small_spec(**{key: value})
+    with pytest.raises(ConfigError, match=key):
+        parse_config({"n_bits": 400, key: value})
 
 
 def test_parse_rejects_unknown_key():
@@ -76,7 +107,7 @@ def test_parse_file_round_trip(tmp_path):
 
 def test_parse_file_rejects_duplicate_key(tmp_path):
     path = tmp_path / "c.cfg"
-    path.write_text("seed = 1\nseed = 2\n")
+    path.write_text("root_seed = 1\nroot_seed = 2\n")
     with pytest.raises(ConfigError):
         parse_config(path)
 
@@ -160,6 +191,18 @@ def test_sweep_errors_annotated_with_coordinates(monkeypatch):
     monkeypatch.setattr(cancellation, "run_training", failing_training)
     spec = small_spec(schemes=("PS+B",))
     with pytest.raises(FdsimError, match=r"degenerate \[scheme=PS\+B.*trial=0\]"):
+        run_sweep(spec)
+
+
+@pytest.mark.parametrize("axis, good, bad, key", [
+    ("ebn0_db", 20.0, 2000.0, "ebn0_db"),
+    ("bandwidth_hz", 2e6, 3e6, "signal_bandwidth_hz"),
+    ("p_rb_dbm", -60.0, 2000.0, "p_rb_dbm"),
+])
+def test_sweep_value_errors_name_their_point(axis, good, bad, key):
+    spec = small_spec(axis=axis, values=(good, bad), schemes=("AC",))
+    point = re.escape(f"[scheme=AC, {axis}={bad}, trial=0]")
+    with pytest.raises(ConfigError, match=f"{key}.*{point}"):
         run_sweep(spec)
 
 

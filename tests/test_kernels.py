@@ -147,9 +147,10 @@ def test_kernels_reject_complex_taps():
 def test_import_and_a_trial_of_every_scheme_load_no_scipy():
     # scipy costs about 0.6 s of start-up and half the peak memory that
     # every `fdsim` process would pay; it is a test-only dependency
-    code = ("import sys, fdsim\n"
+    code = ("import sys, fdsim, numpy as np\n"
             "for scheme in fdsim.link.SCHEMES:\n"
-            "    fdsim.run_trial(fdsim.LinkConfig(scheme=scheme, n_bits=200))\n"
+            "    fdsim.run_trial(fdsim.LinkConfig(scheme=scheme, n_bits=200),\n"
+            "                    np.random.default_rng(0))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(fdsim.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

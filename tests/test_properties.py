@@ -23,7 +23,7 @@ ebn0s_db = st.floats(*EBN0_RANGE_DB)
 
 @st.composite
 def link_configs(draw):
-    n_b = draw(st.integers(1, 4))
+    mod_order = draw(st.sampled_from(sigproc.SUPPORTED_ORDERS))
     sps = draw(st.integers(2, 40))
     sample_rate_hz = draw(st.floats(1e5, 1e9))
     n_training = draw(st.integers(1, 20))
@@ -36,8 +36,8 @@ def link_configs(draw):
         max_order = min(max_order, n_taps)
     orders = st.integers(1, max_order)
     return LinkConfig(
-        n_b=n_b, mod_order=2**n_b,
-        n_bits=n_b * draw(st.integers(1, 5000)),
+        mod_order=mod_order,
+        n_bits=(mod_order.bit_length() - 1) * draw(st.integers(1, 5000)),
         n_training=n_training,
         f_c_hz=draw(st.one_of(st.none(), finite)),
         sample_rate_hz=sample_rate_hz,
@@ -49,7 +49,6 @@ def link_configs(draw):
         span_symbols=span_symbols,
         estimator_order=draw(orders),
         n_taps=n_taps,
-        seed=draw(st.integers(0, 2**64 - 1)),
     )
 
 
