@@ -186,6 +186,11 @@ class PhaseSpectrum:
     replica_dft: np.ndarray
 
 
+def spectrum_shape(n_taps: int, sps: int, n_symbols: int, n_minus: int) -> tuple[int, int]:
+    """The ``(n_fft, m)`` shape of ``phase_spectrum``'s replica DFT matrix."""
+    return fft_size(n_symbols + _n_phases(n_taps, sps) - 1), -(-n_minus // sps)
+
+
 def phase_spectrum(h, sps: int, n_symbols: int, n_minus: int = 0) -> PhaseSpectrum:
     """The polyphase spectrum of taps ``h`` (complex allowed) at ``sps``,
     long enough to filter up to ``n_symbols`` symbols without wrap-around,
@@ -198,12 +203,10 @@ def phase_spectrum(h, sps: int, n_symbols: int, n_minus: int = 0) -> PhaseSpectr
         raise ValueError("sps and n_symbols must be >= 1")
     if not 0 <= n_minus <= len(h):
         raise ValueError("n_minus must be in [0, len(h)]")
-    p = _n_phases(len(h), sps)
-    n_fft = fft_size(n_symbols + p - 1)
-    spectra = np.fft.fft(_phases(h, sps, p), n_fft, axis=0)
+    n_fft, m = spectrum_shape(len(h), sps, n_symbols, n_minus)
+    spectra = np.fft.fft(_phases(h, sps, _n_phases(len(h), sps)), n_fft, axis=0)
     # W[q, k] = exp(-2πi·qk/n_fft), its exponent reduced mod n_fft exactly
     twiddles = np.exp(-2j * np.pi / n_fft * np.arange(n_fft))
-    m = -(-n_minus // sps)
     replica_dft = twiddles[np.outer(np.arange(n_fft), np.arange(m)) % n_fft]
     for a in (spectra, replica_dft):
         a.setflags(write=False)

@@ -21,37 +21,40 @@ import numpy as np
 from ._kernels import fir_convolve
 from .errors import CalibrationError, ProfileError
 
-# Published characteristics of the patch-antenna prototype.
-PS_PEAK_DB = 53.9
-PS_PEAK_HZ = 2.438e9
-PS_BAND_DB = 42.5
-AC_PEAK_DB = 78.1
-AC_PEAK_HZ = 2.457e9
-AC_BAND_DB = 35.3
 BAND_WIDTH_HZ = 10e6  # bandwidth over which the band isolation is quoted
 
-# Shape constants.  Both notches are Gaussian bumps in dB: the PS antenna
-# null is broad, the AC canceller null is deep and narrow.  Floors are
-# re-solved at runtime against the 10-MHz band targets.
-PS_SIGMA_HZ = 3.0e6
-AC_SIGMA_HZ = 1.4e6
+
+@dataclass(frozen=True)
+class SchemeShape:
+    """An RF scheme's published isolation and its synthesized notch's shape."""
+
+    peak_db: float  # published peak isolation, at peak_hz
+    peak_hz: float
+    band_db: float  # published isolation over BAND_WIDTH_HZ; the floor is solved for it
+    sigma_hz: float  # width of the notch, a Gaussian bump in dB
+    ripple_db: float  # the ripple envelope is TEXTURE_RMS_DB plus a Gaussian this high,
+    ripple_center_hz: float  # centred this far from the peak (in |f - peak_hz|),
+    ripple_sigma_hz: float  # and this wide
+
+
+#: The prototype's RF schemes, the one place their published figures live.
+#: The PS antenna null is broad, with mild ripple at its peak; the AC
+#: canceller null is deep and narrow, its ripple strongest at its edges.
+SCHEME_SHAPES = {
+    "PS": SchemeShape(peak_db=53.9, peak_hz=2.438e9, band_db=42.5, sigma_hz=3.0e6,
+                      ripple_db=0.019, ripple_center_hz=0.0, ripple_sigma_hz=0.25e6),
+    "AC": SchemeShape(peak_db=78.1, peak_hz=2.457e9, band_db=35.3, sigma_hz=1.4e6,
+                      ripple_db=0.24, ripple_center_hz=0.9e6, ripple_sigma_hz=0.5e6),
+}
 
 # Fine-scale isolation ripple on the synthesized profiles.  A measured
 # isolation curve is never analytically smooth; the texture is a
 # deterministic sum of slow cosines in the dB domain, far below the plotted
 # curve but responsible for the diffuse impulse-response tail that a
-# finite-order canceller cannot model.  On top of a uniform
-# measurement-grade ripple, each notch carries extra fine structure in its
-# null region — strongest around the edges of the deep active null, mild at
-# the passive peak.  The envelope levels are calibrated so the synthetic
-# pair reproduces the published relative-SINR behaviour of the prototype,
-# which the paper reports but whose underlying curves it does not tabulate.
+# finite-order canceller cannot model.  Its envelope levels (this uniform
+# one and each scheme's) are calibrated to the prototype's published
+# relative-SINR behaviour, whose underlying curves the paper does not give.
 TEXTURE_RMS_DB = 0.02
-AC_EDGE_RIPPLE_DB = 0.24
-AC_EDGE_RIPPLE_CENTER_HZ = 0.9e6
-AC_EDGE_RIPPLE_SIGMA_HZ = 0.5e6
-PS_PEAK_RIPPLE_DB = 0.019
-PS_PEAK_RIPPLE_SIGMA_HZ = 0.25e6
 TEXTURE_SEED = 0x51C4A7
 TEXTURE_COMPONENTS = 64
 TEXTURE_DELAY_RANGE_S = (1.0e-6, 4.0e-6)
@@ -130,44 +133,26 @@ def _texture_db(f_rel: np.ndarray) -> np.ndarray:
     return math.sqrt(2.0 / TEXTURE_COMPONENTS) * np.cos(arg).sum(axis=1)
 
 
-def _notch(f_rel: np.ndarray, scheme: str):
-    """The isolation notch (dB) at offsets ``f_rel`` from the peak, as a
-    function of its floor.  The Gaussian bump and the ripple do not depend
-    on the floor, so they are computed here once, not per floor tried."""
-    peak_db = PS_PEAK_DB if scheme == "PS" else AC_PEAK_DB
-    sigma_hz = PS_SIGMA_HZ if scheme == "PS" else AC_SIGMA_HZ
-    bump = np.exp(-(f_rel**2) / (2.0 * sigma_hz**2))
-    envelope = np.full_like(np.asarray(f_rel, dtype=float), TEXTURE_RMS_DB)
-    if scheme == "AC":
-        envelope = envelope + AC_EDGE_RIPPLE_DB * np.exp(
-            -((np.abs(f_rel) - AC_EDGE_RIPPLE_CENTER_HZ) ** 2)
-            / (2.0 * AC_EDGE_RIPPLE_SIGMA_HZ**2)
-        )
-    else:
-        envelope = envelope + PS_PEAK_RIPPLE_DB * np.exp(
-            -(f_rel**2) / (2.0 * PS_PEAK_RIPPLE_SIGMA_HZ**2)
-        )
-    ripple = envelope * _texture_db(f_rel)
-
-    def notch_db(floor_db: float) -> np.ndarray:
-        smooth = floor_db + (peak_db - floor_db) * bump
-        return smooth + ripple
-
-    return notch_db
-
-
 def _calibration(scheme: str, freqs_hz: np.ndarray):
     """The notch of ``scheme`` on ``freqs_hz`` as a function of its floor,
     and the mismatch the floor is solved for: the notch's band isolation
-    minus the published band target, in dB."""
-    peak_hz = PS_PEAK_HZ if scheme == "PS" else AC_PEAK_HZ
-    target_db = PS_BAND_DB if scheme == "PS" else AC_BAND_DB
-    notch_db = _notch(freqs_hz - peak_hz, scheme)
+    minus the published band target, in dB.  The Gaussian bump and the
+    ripple do not depend on the floor, so they are computed once here."""
+    shape = SCHEME_SHAPES[scheme]
+    f_rel = freqs_hz - shape.peak_hz
+    bump = np.exp(-(f_rel**2) / (2.0 * shape.sigma_hz**2))
+    envelope = TEXTURE_RMS_DB + shape.ripple_db * np.exp(
+        -((np.abs(f_rel) - shape.ripple_center_hz) ** 2) / (2.0 * shape.ripple_sigma_hz**2)
+    )
+    ripple = envelope * _texture_db(f_rel)
     zero_phase = np.zeros_like(freqs_hz)
 
+    def notch_db(floor_db: float) -> np.ndarray:
+        return floor_db + (shape.peak_db - floor_db) * bump + ripple
+
     def mismatch(floor_db: float) -> float:
-        prof = ChannelProfile(freqs_hz, notch_db(floor_db), zero_phase, peak_hz)
-        return band_isolation_db(prof, peak_hz) - target_db
+        prof = ChannelProfile(freqs_hz, notch_db(floor_db), zero_phase, shape.peak_hz)
+        return band_isolation_db(prof, shape.peak_hz) - shape.band_db
 
     return notch_db, mismatch
 
@@ -229,16 +214,15 @@ def _brentq(f, a: float, b: float, xtol: float,
 
 
 def synthesize_profile(scheme: str, freqs_hz: np.ndarray | None = None) -> ChannelProfile:
-    """Build a calibrated PS or AC isolation/phase profile.
+    """Build the calibrated isolation/phase profile of an RF scheme.
 
     The notch floor is solved so the mean isolation over the quoted 10 MHz
     band matches the published value to within 0.1 dB; the peak value and
     frequency are exact by construction.
     """
-    if scheme not in ("PS", "AC"):
-        raise ValueError(f"scheme must be 'PS' or 'AC', got {scheme!r}")
-    peak_hz = PS_PEAK_HZ if scheme == "PS" else AC_PEAK_HZ
-    target_db = PS_BAND_DB if scheme == "PS" else AC_BAND_DB
+    if scheme not in SCHEME_SHAPES:
+        raise ValueError(f"scheme must be one of {tuple(SCHEME_SHAPES)}, got {scheme!r}")
+    peak_hz, target_db = SCHEME_SHAPES[scheme].peak_hz, SCHEME_SHAPES[scheme].band_db
     if freqs_hz is None:
         freqs_hz = peak_hz + np.linspace(-12e6, 12e6, 1921)  # 12.5 kHz spacing
     freqs_hz = np.asarray(freqs_hz, dtype=float)

@@ -50,7 +50,7 @@ def _build_parser() -> _Parser:
 
     synth = sub.add_parser("synthesize-profile",
                            help="emit a calibrated isolation/phase profile CSV")
-    synth.add_argument("--scheme", required=True, choices=("PS", "AC"))
+    synth.add_argument("--scheme", required=True, choices=tuple(channel.SCHEME_SHAPES))
     synth.add_argument("--out", required=True)
 
     derive = sub.add_parser("derive-channel",

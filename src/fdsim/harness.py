@@ -18,10 +18,10 @@ from .link import SCHEMES, LinkConfig, check_field_types, run_trial, trial_desig
 from .sigproc import SUPPORTED_ORDERS
 
 #: Sweep axis name -> the LinkConfig field it sets.  ``mod_order`` is the
-#: one axis that also moves other fields (see ``config_for_point``).
+#: one axis that also moves another field (see ``config_for_point``).
 _AXIS_FIELDS = {"ebn0_db": "ebn0_db", "bandwidth_hz": "signal_bandwidth_hz",
-                "p_rb_dbm": "p_rb_dbm"}
-AXES = (*_AXIS_FIELDS, "mod_order")
+                "p_rb_dbm": "p_rb_dbm", "mod_order": "mod_order"}
+AXES = tuple(_AXIS_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,8 @@ def parse_config(source) -> SweepSpec:
     """Parse a flat ``key = value`` config into a SweepSpec.
 
     ``source`` is a path or an already-split mapping.  Absent keys fall
-    back to the defaults; unknown keys are rejected.
+    back to the defaults, ``values`` to the base config's value on the
+    sweep's axis; unknown keys are rejected.
     """
     if isinstance(source, dict):
         raw = dict(source)
@@ -196,7 +197,10 @@ def parse_config(source) -> SweepSpec:
         kwargs[key] = _parse_value(_CONFIG_FIELDS[key], value) if isinstance(value, str) else value
     base = LinkConfig(**{f.name: kwargs.pop(f.name) for f in fields(LinkConfig)
                          if f.name in kwargs})
-    kwargs.setdefault("values", (base.ebn0_db,))
+    axis = kwargs.get("axis", SweepSpec.axis)
+    if "values" not in kwargs and isinstance(axis, str) and axis in _AXIS_FIELDS:
+        # a float, so that a default mod_order point seeds like a parsed one
+        kwargs["values"] = (float(getattr(base, _AXIS_FIELDS[axis])),)
     kwargs.setdefault("schemes", (base.scheme,))
     return SweepSpec(base=base, **kwargs)
 

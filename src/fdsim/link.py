@@ -31,14 +31,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import cancellation, channel, sigproc
-from ._kernels import PhaseSpectrum, phase_spectrum, upsample_convolve_fft
+from ._kernels import PhaseSpectrum, phase_spectrum, spectrum_shape, upsample_convolve_fft
 from .errors import ConfigError, ProfileError
 
-SCHEMES = ("PS", "AC", "PS+B", "AC+B")
-
-#: Scheme-optimal carrier frequencies (the system is tuned to whichever
-#: RF scheme is in use).
-SCHEME_FC_HZ = {"PS": channel.PS_PEAK_HZ, "AC": channel.AC_PEAK_HZ}
+#: The RF schemes, then each with baseband cancellation (+B).
+SCHEMES = (*channel.SCHEME_SHAPES, *(f"{s}+B" for s in channel.SCHEME_SHAPES))
 
 #: Default canceller model order: the longest FIR identifiable from the
 #: default 5-symbol training burst at the widest default bandwidth.  Kept
@@ -58,11 +55,11 @@ POWER_RANGE_DBM = (-1000.0, 1000.0)
 EBN0_RANGE_DB = (-1000.0, 1000.0)
 
 #: Longest received frame (``LinkConfig.frame_samples``) a config may ask
-#: for.  A frame of 2**24 complex128 samples is 268 MB, and a trial peaks
-#: at 2.35 frames at sps 40 and at 9.0 at sps 2 (its per-symbol arrays),
-#: so a larger frame is a config error, not an allocation that exhausts
-#: memory mid-trial.  A +B design at sps 2 holds 11.7 frames more, 17.5
-#: while it is built (its replica DFT matrix).
+#: for, and most entries of a +B design's replica DFT matrix.  A frame of
+#: 2**24 complex128 samples is 268 MB, and a trial peaks at 2.35 frames at
+#: sps 40 and at 9.0 at sps 2 (its per-symbol arrays); the matrix is
+#: 10.6 frames at sps 2.  Either above this bound is a config error, not
+#: an allocation that exhausts memory mid-design or mid-trial.
 MAX_FRAME_SAMPLES = 2**24
 
 
@@ -151,20 +148,30 @@ class LinkConfig:
                 f"MAX_FRAME_SAMPLES = {MAX_FRAME_SAMPLES}; raise signal_bandwidth_hz "
                 f"or lower n_bits"
             )
+        if not self.uses_baseband_cancellation:
+            return
         n_training_samples = (self.n_training + self.span_symbols) * self.samples_per_symbol
         order = self.estimator_order
-        if self.uses_baseband_cancellation and order > n_training_samples:
+        if order > n_training_samples:
             raise ConfigError(
-                f"estimator_order {order} exceeds the {n_training_samples} "
-                f"training samples ((n_training + span_symbols) * "
-                f"samples_per_symbol); increase n_training or lower "
-                f"estimator_order"
+                f"estimator_order {order} exceeds the {n_training_samples} training "
+                f"samples ((n_training + span_symbols) * samples_per_symbol); "
+                f"increase n_training or lower estimator_order"
             )
         # a longer replica would outlast the received frame
-        if self.uses_baseband_cancellation and order > self.n_taps:
+        if order > self.n_taps:
+            raise ConfigError(f"estimator_order {order} exceeds n_taps = {self.n_taps}; "
+                              f"lower estimator_order or raise n_taps")
+        # the design's replica DFT matrix, for the SRRC⊛SI pulse and SRRC⊛ĥ
+        n_srrc = self.span_symbols * self.samples_per_symbol + 1
+        rows, cols = spectrum_shape(n_srrc + self.n_taps - 1, self.samples_per_symbol,
+                                    self.n_symbols, n_srrc + order - 1)
+        if rows * cols > MAX_FRAME_SAMPLES:
             raise ConfigError(
-                f"estimator_order {order} exceeds n_taps = {self.n_taps}; "
-                f"lower estimator_order or raise n_taps"
+                f"n_bits = {self.n_bits} and signal_bandwidth_hz = "
+                f"{self.signal_bandwidth_hz:g} give a {rows} x {cols} replica DFT "
+                f"matrix, above MAX_FRAME_SAMPLES = {MAX_FRAME_SAMPLES} entries; "
+                f"lower n_bits or raise signal_bandwidth_hz"
             )
 
     @property
@@ -195,7 +202,8 @@ class LinkConfig:
 
     @property
     def carrier_hz(self) -> float:
-        return self.f_c_hz if self.f_c_hz is not None else SCHEME_FC_HZ[self.rf_scheme]
+        shape = channel.SCHEME_SHAPES[self.rf_scheme]  # tuned to the RF scheme's peak
+        return self.f_c_hz if self.f_c_hz is not None else shape.peak_hz
 
 
 #: Declared field type -> (what it holds, the classes it takes).  A numpy

@@ -33,10 +33,8 @@ def _mean_metrics(cfg: LinkConfig, trials: int, seed_base: int):
 
 def test_criterion_1_profile_calibration():
     checks = []
-    for scheme, peak_db, peak_hz, band_db in (
-        ("PS", channel.PS_PEAK_DB, channel.PS_PEAK_HZ, channel.PS_BAND_DB),
-        ("AC", channel.AC_PEAK_DB, channel.AC_PEAK_HZ, channel.AC_BAND_DB),
-    ):
+    for scheme, shape in channel.SCHEME_SHAPES.items():
+        peak_db, peak_hz, band_db = shape.peak_db, shape.peak_hz, shape.band_db
         prof = channel.synthesize_profile(scheme)
         i = int(np.argmax(prof.isolation_db))
         checks.append((f"{scheme} peak {prof.isolation_db[i]:.2f} dB "
@@ -69,13 +67,13 @@ def test_criterion_2_baseband_equivalence():
                 and abs(abs(chan.taps[4]) - expected) < 1e-6 * expected)
 
     prof = channel.synthesize_profile("AC")
-    chan = channel.derive_baseband_channel(prof, channel.AC_PEAK_HZ,
-                                           20e6, 20e6, n_taps)
+    ac_peak_hz = channel.SCHEME_SHAPES["AC"].peak_hz
+    chan = channel.derive_baseband_channel(prof, ac_peak_hz, 20e6, 20e6, n_taps)
     resp = np.fft.fft(chan.taps)
     f_bb = np.fft.fftfreq(n_taps, d=1.0 / 20e6)
     resp = resp * np.exp(2j * np.pi * f_bb * chan.shift_samples / 20e6)
     in_band = np.abs(f_bb) <= 9e6
-    f_pass = f_bb[in_band] + channel.AC_PEAK_HZ
+    f_pass = f_bb[in_band] + ac_peak_hz
     mag = 0.5 * 10.0 ** (-np.interp(f_pass, prof.freqs_hz, prof.isolation_db) / 20.0)
     ph = np.interp(f_pass, prof.freqs_hz, np.unwrap(np.deg2rad(prof.phase_deg)))
     mag_err = float(np.max(np.abs(np.abs(resp[in_band]) - mag) / mag))
@@ -125,7 +123,8 @@ def test_criterion_4_perfect_cancellation():
     # the sample-rate reference: SI less its replica, and Eq. 8, for ĥ = h
     filt = sigproc.srrc_taps(0.25, 8, 2)
     prof = channel.synthesize_profile("PS")
-    h = channel.derive_baseband_channel(prof, channel.PS_PEAK_HZ, 20e6, 20e6, 256)
+    h = channel.derive_baseband_channel(prof, channel.SCHEME_SHAPES["PS"].peak_hz,
+                                        20e6, 20e6, 256)
     rng = np.random.default_rng(4)
     sym = sigproc.modulate_psk(rng.integers(0, 2, size=2000), 4)
     x = sigproc.pulse_shape(sym, filt)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,29 +31,32 @@ def test_profile_rejects_non_increasing_grid():
 
 
 def test_synthesize_ps_peak():
+    ps = channel.SCHEME_SHAPES["PS"]
     prof = channel.synthesize_profile("PS")
     i = np.argmax(prof.isolation_db)
-    assert abs(prof.freqs_hz[i] - channel.PS_PEAK_HZ) < 200e3
-    assert prof.isolation_db[i] == pytest.approx(channel.PS_PEAK_DB, abs=0.25)
+    assert abs(prof.freqs_hz[i] - ps.peak_hz) < 200e3
+    assert prof.isolation_db[i] == pytest.approx(ps.peak_db, abs=0.25)
 
 
 def test_synthesize_ps_band_mean():
+    ps = channel.SCHEME_SHAPES["PS"]
     prof = channel.synthesize_profile("PS")
-    band = channel.band_isolation_db(prof, channel.PS_PEAK_HZ)
-    assert band == pytest.approx(channel.PS_BAND_DB, abs=0.1)
+    band = channel.band_isolation_db(prof, ps.peak_hz)
+    assert band == pytest.approx(ps.band_db, abs=0.1)
 
 
 def test_synthesize_ac_peak_and_band():
+    ac = channel.SCHEME_SHAPES["AC"]
     prof = channel.synthesize_profile("AC")
     i = np.argmax(prof.isolation_db)
-    assert abs(prof.freqs_hz[i] - channel.AC_PEAK_HZ) < 200e3
-    assert prof.isolation_db[i] == pytest.approx(channel.AC_PEAK_DB, abs=0.3)
-    band = channel.band_isolation_db(prof, channel.AC_PEAK_HZ)
-    assert band == pytest.approx(channel.AC_BAND_DB, abs=0.1)
+    assert abs(prof.freqs_hz[i] - ac.peak_hz) < 200e3
+    assert prof.isolation_db[i] == pytest.approx(ac.peak_db, abs=0.3)
+    band = channel.band_isolation_db(prof, ac.peak_hz)
+    assert band == pytest.approx(ac.band_db, abs=0.1)
 
 
 def test_synthesize_rejects_narrow_grid():
-    grid = channel.PS_PEAK_HZ + np.linspace(-2e6, 2e6, 101)
+    grid = channel.SCHEME_SHAPES["PS"].peak_hz + np.linspace(-2e6, 2e6, 101)
     with pytest.raises(ProfileError):
         channel.synthesize_profile("PS", grid)
 
@@ -73,13 +77,12 @@ CALIBRATION_GRIDS = {
 
 
 @pytest.mark.parametrize("grid", CALIBRATION_GRIDS)
-@pytest.mark.parametrize("scheme", ["PS", "AC"])
+@pytest.mark.parametrize("scheme", channel.SCHEME_SHAPES)
 def test_brent_port_matches_scipy_on_calibration(scheme, grid):
-    peak_hz = channel.PS_PEAK_HZ if scheme == "PS" else channel.AC_PEAK_HZ
-    target_db = channel.PS_BAND_DB if scheme == "PS" else channel.AC_BAND_DB
-    freqs = peak_hz + CALIBRATION_GRIDS[grid]
+    shape = channel.SCHEME_SHAPES[scheme]
+    freqs = shape.peak_hz + CALIBRATION_GRIDS[grid]
     notch_db, mismatch = channel._calibration(scheme, freqs)
-    bracket = (1.0, target_db - 1e-9)
+    bracket = (1.0, shape.band_db - 1e-9)
     floor_db = brentq(mismatch, *bracket, xtol=1e-6)
     assert channel._brentq(mismatch, *bracket, xtol=1e-6) == floor_db
     prof = channel.synthesize_profile(scheme, freqs)
@@ -125,7 +128,8 @@ def test_brent_port_failures_are_calibration_errors():
 
 def test_unreachable_band_target_is_a_calibration_error(monkeypatch):
     # no floor can bring the band isolation above the peak isolation
-    monkeypatch.setattr(channel, "PS_BAND_DB", channel.PS_PEAK_DB + 5.0)
+    ps = channel.SCHEME_SHAPES["PS"]
+    monkeypatch.setitem(channel.SCHEME_SHAPES, "PS", replace(ps, band_db=ps.peak_db + 5.0))
     with pytest.raises(CalibrationError, match="PS profile calibration failed"):
         channel.synthesize_profile("PS")
 
@@ -212,21 +216,23 @@ def test_derive_linear_phase_delays_tap():
 
 def test_derive_ps_dc_bin_matches_peak():
     prof = channel.synthesize_profile("PS")
-    chan = channel.derive_baseband_channel(prof, channel.PS_PEAK_HZ, 20e6, 20e6, 256)
+    ps = channel.SCHEME_SHAPES["PS"]
+    chan = channel.derive_baseband_channel(prof, ps.peak_hz, 20e6, 20e6, 256)
     dc = abs(np.fft.fft(chan.taps)[0])
-    assert dc == pytest.approx(0.5 * 10.0 ** (-channel.PS_PEAK_DB / 20.0), rel=0.01)
+    assert dc == pytest.approx(0.5 * 10.0 ** (-ps.peak_db / 20.0), rel=0.01)
 
 
 def test_derive_round_trip_matches_profile_in_band():
     prof = channel.synthesize_profile("AC")
     n_taps = 256
-    chan = channel.derive_baseband_channel(prof, channel.AC_PEAK_HZ, 20e6, 20e6, n_taps)
+    ac_peak_hz = channel.SCHEME_SHAPES["AC"].peak_hz
+    chan = channel.derive_baseband_channel(prof, ac_peak_hz, 20e6, 20e6, n_taps)
     resp = np.fft.fft(chan.taps)
     f_bb = np.fft.fftfreq(n_taps, d=1.0 / 20e6)
     # undo the causality shift before comparing phases
     resp = resp * np.exp(2j * np.pi * f_bb * chan.shift_samples / 20e6)
     in_band = np.abs(f_bb) <= 9e6  # interior points only
-    f_pass = f_bb[in_band] + channel.AC_PEAK_HZ
+    f_pass = f_bb[in_band] + ac_peak_hz
     mag_expect = 0.5 * 10.0 ** (-np.interp(f_pass, prof.freqs_hz, prof.isolation_db) / 20.0)
     ph_expect = np.interp(f_pass, prof.freqs_hz,
                           np.unwrap(np.deg2rad(prof.phase_deg)))

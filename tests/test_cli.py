@@ -135,6 +135,18 @@ def test_sweep_rejects_invalid_config(tmp_path, capsys, key, value):
     assert "config error" in err and key in err
 
 
+@pytest.mark.parametrize("axis, value", [("ebn0_db", 90.0), ("p_rb_dbm", -60.0),
+                                         ("bandwidth_hz", 10e6), ("mod_order", 4.0)])
+def test_sweep_values_default_to_the_base_value_on_the_axis(tmp_path, capsys, axis, value):
+    assert harness.parse_config({"axis": axis}).values == (value,)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"n_bits = 400\ntrials_per_point = 1\naxis = {axis}\n")
+    out = tmp_path / "r.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    (row,) = harness.read_results(out).rows
+    assert (row.axis, row.axis_value) == (axis, value)
+
+
 def test_run_seeds_its_trial_from_the_root_seed(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("n_bits = 400\nroot_seed = 3\n")

@@ -65,6 +65,12 @@ def test_readme_sweep_keys_are_the_spec_fields():
     assert documented == [f.name for f in fields(SweepSpec) if f.name != "base"]
 
 
+def test_readme_axes_are_the_harness_axes():
+    listing = _readme_listing("Sweep keys:", "Profile CSVs")
+    axes = re.search(r"`axis` \(([^)]*)\)", listing).group(1)
+    assert tuple(re.findall(r"`(\w+)`", axes)) == harness.AXES
+
+
 @pytest.mark.parametrize("key, value", [("n_bits", 2000.0), ("root_seed", 1.5),
                                         ("trials_per_point", True),
                                         ("estimator_order", "none")])

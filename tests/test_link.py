@@ -78,6 +78,28 @@ def test_config_frame_bound_is_inclusive():
         LinkConfig(n_bits=n_bits + 2)
 
 
+def test_config_bounds_the_baseband_replica_dft_matrix():
+    # at sps 2 a +B design's replica DFT matrix, not the frame, binds first:
+    # 1 600 000 bits need 810000 x 21 = 17.0 M entries, 1 500 000 need
+    # 759375 x 21 = 15.9 M; an RF-only design builds no such matrix
+    LinkConfig(scheme="PS+B", n_bits=1_500_000)
+    LinkConfig(scheme="PS", n_bits=1_600_000)
+    with pytest.raises(ConfigError, match=r"n_bits.*signal_bandwidth_hz.*810000 x 21"):
+        LinkConfig(scheme="PS+B", n_bits=1_600_000)
+
+
+@pytest.mark.parametrize("bandwidth_hz", [10e6, 5e6, 2e6])
+def test_config_bound_is_the_size_of_the_design_replica_dft(monkeypatch, bandwidth_hz):
+    cfg = LinkConfig(scheme="AC+B", n_bits=400, signal_bandwidth_hz=bandwidth_hz)
+    entries = link.trial_design(cfg).si_spectrum.replica_dft.size
+    assert cfg.frame_samples < entries
+    monkeypatch.setattr(link, "MAX_FRAME_SAMPLES", entries)
+    replace(cfg, n_bits=400)
+    monkeypatch.setattr(link, "MAX_FRAME_SAMPLES", entries - 1)
+    with pytest.raises(ConfigError, match="replica DFT"):
+        replace(cfg, n_bits=400)
+
+
 def test_config_accepts_the_ends_of_the_ebn0_range():
     for ebn0_db in link.EBN0_RANGE_DB + (math.inf,):
         LinkConfig(ebn0_db=ebn0_db)
