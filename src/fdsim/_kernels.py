@@ -1,16 +1,12 @@
-"""The FIR convolution kernels.
+"""The multirate FIR kernels of a link trial.
 
-The simulator spends nearly all of its time in complex FIR convolutions.
-``fir_convolve`` is the full linear convolution.  No trial calls it: a
-trial design does, for one pulse (``channel.apply_channel``) and, for +B,
-for the training burst's response through the channel.  Pulse
-shaping and matched filtering are multirate, so they have their own
-polyphase kernels, which compute only the samples the link uses:
-``upsample_convolve`` skips the products with the zeros of a zero-stuffed
-symbol stream, and ``convolve_decimate`` computes only the kept outputs.
-Both take real taps (the SRRC filter) and run the real and imaginary
-parts of the signal through one real matrix product, which is much
-faster than a complex one on a strided view.
+Pulse shaping and matched filtering are multirate, so they have their
+own polyphase kernels, which compute only the samples the link uses:
+``upsample_convolve`` skips the products with the zeros of a
+zero-stuffed symbol stream, and ``convolve_decimate`` computes only the
+kept outputs.  Both take real taps (the SRRC filter) and run the real
+and imaginary parts of the signal through one real matrix product,
+which is much faster than a complex one on a strided view.
 
 The self-interference of a trial is the zero-stuffed symbol stream
 through the SRRC filter and then the long complex channel, so the link
@@ -30,23 +26,11 @@ it forms the product spectrum there (and, for +B, the replica's
 spectrum and the difference before it), inverts it in place and
 returns the buffer's leading samples, so the interleaved output needs
 no copy and a trial allocates one spectrum-sized array.
-
-The module keeps its name because the stage benchmark (``perfbench/``)
-times every full convolution by tracing ``fdsim._kernels.fir_convolve``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def fir_convolve(x, h):
-    """Full linear convolution of two 1-d sequences, complex128 output."""
-    x = np.ascontiguousarray(x, dtype=np.complex128)
-    h = np.ascontiguousarray(h, dtype=np.complex128)
-    if x.size == 0 or h.size == 0:
-        raise ValueError("fir_convolve requires non-empty inputs")
-    return np.convolve(x, h)
 
 
 def _real_taps(h) -> np.ndarray:
@@ -92,7 +76,7 @@ def _n_phases(n_taps: int, sps: int) -> int:
 
 
 def upsample_convolve(symbols, h, sps: int) -> np.ndarray:
-    """``fir_convolve`` of the zero-stuffed symbol stream with real taps ``h``.
+    """``np.convolve`` of the zero-stuffed symbol stream with real taps ``h``.
 
     The stream has ``len(symbols) * sps`` samples with the symbols at
     multiples of ``sps``; the result has its full convolution length,
@@ -121,7 +105,7 @@ def upsample_convolve(symbols, h, sps: int) -> np.ndarray:
 
 def convolve_decimate(x, h, offset: int, step: int,
                       count: int | None = None) -> np.ndarray:
-    """``fir_convolve(x, h)[offset::step][:count]`` for real taps ``h``.
+    """``np.convolve(x, h)[offset::step][:count]`` for real taps ``h``.
 
     Only the kept outputs are computed.  Reading x in rows of ``step``
     samples, output k is the sum over phases j of the row k + j times the
@@ -216,7 +200,7 @@ def phase_spectrum(h, sps: int, n_symbols: int, n_minus: int = 0) -> PhaseSpectr
 def upsample_convolve_fft(symbols, spectrum: PhaseSpectrum, minus=None) -> np.ndarray:
     """``upsample_convolve`` by FFT at the symbol rate, for complex taps.
 
-    Equals ``fir_convolve`` of the zero-stuffed stream with the taps that
+    Equals ``np.convolve`` of the zero-stuffed stream with the taps that
     ``spectrum`` was built from, at its full length; with ``minus``
     (complex taps, at most m * sps of them and at most that filter's
     length), with those taps less ``minus``.  Output sample q*sps + j is symbol sequence ⊛ phase j at

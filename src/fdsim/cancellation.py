@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import fir_convolve
 from .channel import BasebandChannel, dbm_to_linear
 from .errors import EstimationError
 from .sigproc import SrrcFilter, awgn, constellation, energy, pulse_shape
@@ -83,7 +82,7 @@ def training_model(burst: np.ndarray, estimator_order: int,
     if rank < 1:
         raise EstimationError("training signal is degenerate; estimation failed")
     pinv = (vh[:rank].conj().T / sv[:rank]) @ u[:, :rank].conj().T
-    response = fir_convolve(burst, channel.taps)
+    response = np.convolve(burst, channel.taps)
     for a in (conv, pinv, response):
         a.setflags(write=False)
     return TrainingModel(conv=conv, pinv=pinv, response=response)

@@ -1,11 +1,12 @@
 """Self-interference channel models.
 
 Passband isolation/phase profiles for the passive (PS) and active (AC)
-antenna schemes, conversion to equivalent baseband impulse responses, and
-channel application.  Profiles are synthesized from the published scalar
-characteristics (peak isolation/frequency and 10-MHz band isolation) and
-calibrated at runtime, by Brent's root finder, so the band figures are met
-to better than 0.1 dB.
+antenna schemes and their conversion to equivalent baseband
+impulse-response taps, which the link convolves with its pulse.
+Profiles are synthesized from the published scalar characteristics
+(peak isolation/frequency and 10-MHz band isolation) and calibrated at
+runtime, by Brent's root finder, so the band figures are met to better
+than 0.1 dB.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import fir_convolve
 from .errors import CalibrationError, ProfileError
 
 BAND_WIDTH_HZ = 10e6  # bandwidth over which the band isolation is quoted
@@ -75,7 +75,6 @@ class ChannelProfile:
     freqs_hz: np.ndarray
     isolation_db: np.ndarray
     phase_deg: np.ndarray
-    center_hint_hz: float | None = None
 
     def __post_init__(self):
         f = np.asarray(self.freqs_hz, dtype=float)
@@ -107,10 +106,10 @@ def dbm_to_linear(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
-def band_isolation_db(profile: ChannelProfile, center_hz: float,
-                      width_hz: float = BAND_WIDTH_HZ, n: int = 2001) -> float:
-    """Effective isolation over a band: dB of the mean linear power gain."""
-    f = np.linspace(center_hz - width_hz / 2.0, center_hz + width_hz / 2.0, n)
+def band_isolation_db(profile: ChannelProfile, center_hz: float) -> float:
+    """Effective isolation over the ``BAND_WIDTH_HZ`` band around
+    ``center_hz``: dB of the mean linear power gain at 2001 points."""
+    f = np.linspace(center_hz - BAND_WIDTH_HZ / 2.0, center_hz + BAND_WIDTH_HZ / 2.0, 2001)
     if f[0] < profile.freqs_hz[0] or f[-1] > profile.freqs_hz[-1]:
         raise ProfileError("profile does not cover the requested band")
     iso = np.interp(f, profile.freqs_hz, profile.isolation_db)
@@ -151,7 +150,7 @@ def _calibration(scheme: str, freqs_hz: np.ndarray):
         return floor_db + (shape.peak_db - floor_db) * bump + ripple
 
     def mismatch(floor_db: float) -> float:
-        prof = ChannelProfile(freqs_hz, notch_db(floor_db), zero_phase, shape.peak_hz)
+        prof = ChannelProfile(freqs_hz, notch_db(floor_db), zero_phase)
         return band_isolation_db(prof, shape.peak_hz) - shape.band_db
 
     return notch_db, mismatch
@@ -244,7 +243,7 @@ def synthesize_profile(scheme: str, freqs_hz: np.ndarray | None = None) -> Chann
             f"{scheme} profile calibration residual {residual:.3f} dB exceeds 0.1 dB"
         )
     phase_deg = -360.0 * GROUP_DELAY_S * (freqs_hz - peak_hz)
-    return ChannelProfile(freqs_hz, notch_db(floor_db), phase_deg, peak_hz)
+    return ChannelProfile(freqs_hz, notch_db(floor_db), phase_deg)
 
 
 def save_profile(profile: ChannelProfile, path) -> None:
@@ -333,12 +332,6 @@ def derive_baseband_channel(profile: ChannelProfile, f_c: float, band_hz: float,
         shift += extra
         taps = np.roll(taps, extra)
     return BasebandChannel(taps=taps, shift_samples=shift)
-
-
-def apply_channel(samples, chan: BasebandChannel, tx_power_dbm: float) -> np.ndarray:
-    """Pass samples at the channel's rate through the channel at the
-    given transmit power (0 dBm is unit amplitude)."""
-    return math.sqrt(dbm_to_linear(tx_power_dbm)) * fir_convolve(samples, chan.taps)
 
 
 def make_desired_channel(p_rb_dbm: float, p_tb_dbm: float,

@@ -118,9 +118,8 @@ def _cmd_derive(args) -> int:
     spec = harness.parse_config(args.config) if args.config else harness.parse_config({})
     cfg = spec.base
     f_c = cfg.f_c_hz
-    if f_c is None:
-        mid = 0.5 * (profile.freqs_hz[0] + profile.freqs_hz[-1])
-        f_c = profile.center_hint_hz if profile.center_hint_hz is not None else mid
+    if f_c is None:  # the profile grid's midpoint
+        f_c = 0.5 * (profile.freqs_hz[0] + profile.freqs_hz[-1])
     chan = channel.derive_baseband_channel(profile, f_c, cfg.channel_bandwidth_hz,
                                            cfg.sample_rate_hz, cfg.n_taps)
     with open(args.out, "w", newline="") as fh:

@@ -348,7 +348,8 @@ def trial_design(config: LinkConfig) -> TrialDesign:
     h_aa = self_interference_channel(config)
     # the SI of one transmitted pulse; a frame's SI is the sum of its
     # symbol-spaced shifts scaled by the symbols
-    si_pulse = channel.apply_channel(filt.taps, h_aa, config.p_ta_dbm)
+    amp = math.sqrt(channel.dbm_to_linear(config.p_ta_dbm))
+    si_pulse = amp * np.convolve(filt.taps, h_aa.taps)
     training = None
     n_replica = 0
     if config.uses_baseband_cancellation:
@@ -404,7 +405,7 @@ def run_trial(config: LinkConfig, rng: np.random.Generator,
         replica = amp * np.convolve(filt.taps, estimate.taps_hat)
 
     # the received frame is built in the noise's buffer: the SI
-    # (channel.apply_channel(pulse_shape(s_a), h_aa), at the symbol rate)
+    # (amp·(pulse_shape(s_a) ⊛ h_aa), at the symbol rate)
     # and then the desired waveform are added to it, so at most two
     # frame-length arrays are alive at once
     frame = sigproc.awgn(config.frame_samples, noise_var, rng)

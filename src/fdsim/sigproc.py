@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# fir_convolve stays bound here: the stage benchmark patches and restores
-# it under this name
-from ._kernels import convolve_decimate, fir_convolve, upsample_convolve  # noqa: F401
+from ._kernels import convolve_decimate, upsample_convolve
 
 SUPPORTED_ORDERS = (2, 4, 8, 16)
 
@@ -165,14 +163,11 @@ def srrc_taps(rolloff: float, span_symbols: int, samples_per_symbol: int) -> Srr
 def pulse_shape(symbols, filt: SrrcFilter) -> np.ndarray:
     """Zero-stuff to the filter's sample rate and convolve with its taps.
 
-    The output is the full convolution of the zero-stuffed stream (an
-    empty symbol sequence shapes as one zero symbol), computed polyphase.
+    The output is the full convolution of the zero-stuffed stream,
+    computed polyphase; an empty symbol sequence is a ``ValueError``.
     With unit-energy taps the mean per-symbol waveform energy equals the
     mean symbol energy, so no extra scaling is applied.
     """
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    if symbols.size == 0:
-        symbols = np.zeros(1, dtype=np.complex128)
     return upsample_convolve(symbols, filt.taps, filt.samples_per_symbol)
 
 

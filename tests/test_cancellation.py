@@ -109,7 +109,7 @@ def data_symbols(seed=7, n_bits=400):
 def test_perfect_estimate_cancels_exactly():
     h = short_channel()
     x = sigproc.pulse_shape(data_symbols(), FILT)
-    si = channel.apply_channel(x, h, 0.0)
+    si = np.convolve(x, h.taps)
     y = reference.si_less_replica(x, h.taps, h.taps, 0.0)
     assert y.shape == si.shape
     assert sigproc.energy(y) / sigproc.energy(si) < 1e-12

@@ -1,4 +1,4 @@
-"""Tests for profile synthesis, baseband derivation, and channel application."""
+"""Tests for profile synthesis and baseband derivation."""
 
 import functools
 import math
@@ -15,8 +15,7 @@ from fdsim.errors import CalibrationError, ProfileError
 def flat_profile(iso_db=40.0, phase_deg=None, f_c=2.44e9, half=12e6, n=481):
     freqs = f_c + np.linspace(-half, half, n)
     phase = np.zeros(n) if phase_deg is None else phase_deg(freqs)
-    return channel.ChannelProfile(freqs, np.full(n, iso_db), phase,
-                                  center_hint_hz=f_c)
+    return channel.ChannelProfile(freqs, np.full(n, iso_db), phase)
 
 
 def test_profile_rejects_unequal_lengths():
@@ -273,30 +272,6 @@ def test_derive_rejects_insufficient_coverage():
     prof = flat_profile(half=4e6)
     with pytest.raises(ProfileError):
         channel.derive_baseband_channel(prof, 2.44e9, 20e6, 20e6, 256)
-
-
-def test_apply_channel_identity():
-    chan = channel.BasebandChannel(taps=np.array([1.0 + 0j]))
-    x = np.arange(8, dtype=complex)
-    out = channel.apply_channel(x, chan, 0.0)
-    assert np.allclose(out, x, atol=1e-15)
-
-
-def test_apply_channel_impulse_input():
-    taps = np.array([0.5, 0.25j, -0.1], dtype=complex)
-    chan = channel.BasebandChannel(taps=taps)
-    out = channel.apply_channel(np.array([1.0 + 0j]), chan, 0.0)
-    assert np.allclose(out, taps, atol=1e-15)
-
-
-def test_apply_channel_energy_conservation():
-    rng = np.random.default_rng(9)
-    x = (rng.standard_normal(20000) + 1j * rng.standard_normal(20000)) / np.sqrt(2)
-    taps = (rng.standard_normal(16) + 1j * rng.standard_normal(16)) * 0.1
-    chan = channel.BasebandChannel(taps=taps)
-    out = channel.apply_channel(x, chan, 0.0)
-    expected = np.sum(np.abs(x) ** 2) * np.sum(np.abs(taps) ** 2)
-    assert np.sum(np.abs(out) ** 2) == pytest.approx(expected, rel=0.01)
 
 
 def test_desired_channel_gain_magnitude():

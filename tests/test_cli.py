@@ -69,6 +69,7 @@ def test_synthesize_profile_csv(tmp_path, capsys):
 
 
 def test_derive_channel_from_profile(tmp_path, capsys):
+    # with f_c_hz unset the band is centred on the profile grid's midpoint
     prof_path = tmp_path / "ac.csv"
     taps_path = tmp_path / "taps.csv"
     assert main(["synthesize-profile", "--scheme", "AC",
@@ -78,6 +79,13 @@ def test_derive_channel_from_profile(tmp_path, capsys):
     lines = taps_path.read_text().splitlines()
     assert lines[0] == "index,real,imag"
     assert len(lines) == 257
+    profile = channel.load_profile(prof_path)
+    mid = 0.5 * (profile.freqs_hz[0] + profile.freqs_hz[-1])
+    cfg = link.LinkConfig()
+    expected = channel.derive_baseband_channel(profile, mid, cfg.channel_bandwidth_hz,
+                                               cfg.sample_rate_hz, cfg.n_taps).taps
+    rows = np.loadtxt(taps_path, delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 1] + 1j * rows[:, 2], expected)
 
 
 def test_sweep_end_to_end(tmp_path, capsys):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fdsim
-from fdsim import cancellation, channel, harness, link, sigproc
+from fdsim import cancellation, harness, link, sigproc
 from fdsim.errors import ConfigError, EstimationError, FdsimError
 from fdsim.harness import SweepSpec, parse_config, run_sweep
 from fdsim.link import LinkConfig
@@ -261,7 +261,7 @@ def test_no_design_outlives_its_sweep(monkeypatch):
     # a traced sweep after an untraced one must still see every design layer
     spec = small_spec(schemes=("AC+B",), trials_per_point=1)
     hooks = [(sigproc, "srrc_taps"), (cancellation, "make_training_signal"),
-             (link, "self_interference_channel"), (channel, "apply_channel")]
+             (link, "self_interference_channel"), (link, "phase_spectrum")]
     counts = []
     for _ in range(2):
         calls = {name: [] for _, name in hooks}

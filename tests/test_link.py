@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import reference
-from fdsim import _kernels, cancellation, channel, harness, link, sigproc
+from fdsim import cancellation, channel, harness, link, sigproc
 from fdsim.errors import ConfigError
 from fdsim.link import LinkConfig, LinkReport, run_trial
 
@@ -286,7 +286,7 @@ def test_trial_si_equals_sample_rate_channel(monkeypatch, scheme, bandwidth_hz):
     bits_a = rng.integers(0, 2, size=cfg.n_bits)
     filt = sigproc.srrc_taps(cfg.rolloff, cfg.span_symbols, sps)
     x_a = sigproc.pulse_shape(sigproc.modulate_psk(bits_a, cfg.mod_order), filt)
-    si = channel.apply_channel(x_a, h_aa, cfg.p_ta_dbm)
+    si = math.sqrt(channel.dbm_to_linear(cfg.p_ta_dbm)) * np.convolve(x_a, h_aa.taps)
     ref = si
     if estimate is not None:
         ref = reference.si_less_replica(x_a, h_aa.taps, estimate.taps_hat,
@@ -410,30 +410,34 @@ def test_sps2_trial_allocation_is_its_per_symbol_arrays(scheme):
 @pytest.mark.parametrize("bandwidth_hz", [10e6, 0.5e6])
 def test_baseband_trial_transforms_like_an_rf_only_trial(monkeypatch, bandwidth_hz):
     # +B reuses its design's replica DFT matrix and training response: a
-    # trial of every scheme makes one FFT and one inverse FFT and no full
-    # convolution
+    # trial of every scheme makes one FFT and one inverse FFT, and only a
+    # +B trial convolves, once, to form its short replica filter
+    # amp·(srrc ⊛ ĥ)
     calls = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            calls.append((name, len(out)) if name == "convolve" else name)
+            return out
         return wrapper
 
     for name in ("fft", "ifft", "rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
-    convolve = counted("fir_convolve", _kernels.fir_convolve)
-    for module in (_kernels, cancellation, channel, sigproc):
-        monkeypatch.setattr(module, "fir_convolve", convolve)
-    seen = {}
+    monkeypatch.setattr(np, "convolve", counted("convolve", np.convolve))
+    seen, expected = {}, {}
     for scheme in link.SCHEMES:
         cfg = LinkConfig(scheme=scheme, signal_bandwidth_hz=bandwidth_hz, ebn0_db=20.0,
                          n_bits=400)
         design = link.trial_design(cfg)
         calls.clear()
         run_trial(cfg, np.random.default_rng(0), design)
-        seen[scheme] = sorted(calls)
-    assert seen == {scheme: ["fft", "ifft"] for scheme in link.SCHEMES}
+        seen[scheme] = calls[:]
+        expected[scheme] = ["fft", "ifft"]
+        if cfg.uses_baseband_cancellation:
+            n_replica = len(design.filt.taps) + cfg.estimator_order - 1
+            expected[scheme] = [("convolve", n_replica), "fft", "ifft"]
+    assert seen == expected
 
 
 def test_design_for_another_config_is_rejected():

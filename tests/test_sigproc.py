@@ -257,6 +257,12 @@ def test_pulse_shape_single_symbol_is_taps():
     assert np.argmax(np.abs(wave)) == filt.group_delay
 
 
+def test_pulse_shape_rejects_empty_sequence():
+    filt = sigproc.srrc_taps(0.25, 8, 2)
+    with pytest.raises(ValueError):
+        sigproc.pulse_shape([], filt)
+
+
 def test_pulse_shape_zero_symbols():
     filt = sigproc.srrc_taps(0.25, 8, 2)
     wave = sigproc.pulse_shape(np.zeros(7, dtype=complex), filt)
