@@ -3,8 +3,8 @@ self-interference cancellation."""
 
 from .cancellation import ChannelEstimate, TrainingModel, run_training, training_model
 from .channel import (BasebandChannel, ChannelProfile, band_isolation_db,
-                      derive_baseband_channel, load_profile, make_desired_channel,
-                      save_profile, support_length, synthesize_profile)
+                      derive_baseband_channel, load_profile, save_profile,
+                      support_length, synthesize_profile)
 from .errors import (CalibrationError, ConfigError, EstimationError, FdsimError,
                      ProfileError)
 from .harness import (SweepResult, SweepRow, SweepSpec, parse_config,

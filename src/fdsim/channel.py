@@ -334,19 +334,6 @@ def derive_baseband_channel(profile: ChannelProfile, f_c: float, band_hz: float,
     return BasebandChannel(taps=taps, shift_samples=shift)
 
 
-def make_desired_channel(p_rb_dbm: float, p_tb_dbm: float,
-                         rng: np.random.Generator) -> complex:
-    """The single complex tap of the link from the far node, delivering
-    the target received power.
-
-    A unit-average-power transmit waveform sent at p_tb_dbm arrives with
-    average power p_rb_dbm; the phase is uniform random.
-    """
-    mag = math.sqrt(dbm_to_linear(p_rb_dbm) / dbm_to_linear(p_tb_dbm))
-    phase = rng.uniform(0.0, 2.0 * np.pi)
-    return mag * np.exp(1j * phase)
-
-
 def support_length(taps: np.ndarray, energy_fraction: float = 0.999) -> int:
     """Length of the causal prefix holding the given fraction of tap energy."""
     power = np.abs(taps) ** 2

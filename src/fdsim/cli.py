@@ -79,10 +79,7 @@ def _cmd_run(args) -> int:
     if args.verbose:
         print(f"config          : {cfg}")
     if args.out:
-        row = harness.SweepRow(scheme=cfg.scheme, axis="ebn0_db",
-                               axis_value=cfg.ebn0_db, sinr_db=report.sinr_db,
-                               ber=report.ber, rate_bps_hz=report.rate_bps_hz,
-                               trials=1, sinr_se_db=0.0, ber_se=0.0)
+        row = harness.point_row(cfg.scheme, "ebn0_db", cfg.ebn0_db, [report])
         harness.write_results(harness.SweepResult(rows=(row,)), args.out)
     return 0
 

@@ -84,8 +84,9 @@ class SweepResult:
 
 
 def trial_seed(root_seed: int, scheme: str, value, trial: int) -> int:
-    """Collision-free per-trial seed from the sweep coordinates."""
-    tag = f"{root_seed}|{scheme}|{value!r}|{trial}".encode()
+    """Collision-free per-trial seed from the sweep coordinates; the axis
+    value is hashed as a float, so ``10`` and ``10.0`` seed alike."""
+    tag = f"{root_seed}|{scheme}|{float(value)!r}|{trial}".encode()
     return int.from_bytes(hashlib.sha256(tag).digest()[:8], "little")
 
 
@@ -109,36 +110,40 @@ def config_for_point(base: LinkConfig, scheme: str, axis: str, value) -> LinkCon
     return replace(cfg, **{_AXIS_FIELDS[axis]: float(value)})
 
 
+def point_row(scheme: str, axis: str, value, reports) -> SweepRow:
+    """The result row of one sweep point: the mean of its trials' metrics,
+    with the standard errors of the mean SINR and BER (0 for one trial)."""
+    n = len(reports)
+    sinrs, bers, rates = (np.array([getattr(r, key) for r in reports])
+                          for key in ("sinr_db", "ber", "rate_bps_hz"))
+    return SweepRow(
+        scheme=scheme, axis=axis, axis_value=float(value),
+        sinr_db=float(np.mean(sinrs)), ber=float(np.mean(bers)),
+        rate_bps_hz=float(np.mean(rates)), trials=n,
+        sinr_se_db=float(np.std(sinrs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+        ber_se=float(np.std(bers, ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+    )
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run all (scheme, value, trial) points, one trial design per point,
     and aggregate per point."""
     rows = []
     for scheme in spec.schemes:
         for value in spec.values:
-            sinrs, bers, rates = [], [], []
+            reports = []
             trial = 0
             try:
                 cfg = config_for_point(spec.base, scheme, spec.axis, value)
                 design = trial_design(cfg)
                 for trial in range(spec.trials_per_point):
                     rng = np.random.default_rng(trial_seed(spec.root_seed, scheme, value, trial))
-                    report = run_trial(cfg, rng, design)
-                    sinrs.append(report.sinr_db)
-                    bers.append(report.ber)
-                    rates.append(report.rate_bps_hz)
+                    reports.append(run_trial(cfg, rng, design))
             except Exception as exc:
                 raise (ConfigError if isinstance(exc, ConfigError) else FdsimError)(
                     f"{exc} [scheme={scheme}, {spec.axis}={value}, trial={trial}]"
                 ) from exc
-            n = spec.trials_per_point
-            sinrs, bers, rates = np.array(sinrs), np.array(bers), np.array(rates)
-            rows.append(SweepRow(
-                scheme=scheme, axis=spec.axis, axis_value=float(value),
-                sinr_db=float(np.mean(sinrs)), ber=float(np.mean(bers)),
-                rate_bps_hz=float(np.mean(rates)), trials=n,
-                sinr_se_db=float(np.std(sinrs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
-                ber_se=float(np.std(bers, ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
-            ))
+            rows.append(point_row(scheme, spec.axis, value, reports))
     return SweepResult(rows=tuple(rows))
 
 
@@ -199,8 +204,7 @@ def parse_config(source) -> SweepSpec:
                          if f.name in kwargs})
     axis = kwargs.get("axis", SweepSpec.axis)
     if "values" not in kwargs and isinstance(axis, str) and axis in _AXIS_FIELDS:
-        # a float, so that a default mod_order point seeds like a parsed one
-        kwargs["values"] = (float(getattr(base, _AXIS_FIELDS[axis])),)
+        kwargs["values"] = (getattr(base, _AXIS_FIELDS[axis]),)
     kwargs.setdefault("schemes", (base.scheme,))
     return SweepSpec(base=base, **kwargs)
 

@@ -367,10 +367,15 @@ def run_trial(config: LinkConfig, rng: np.random.Generator,
               design: TrialDesign | None = None) -> LinkReport:
     """Simulate one full-duplex frame and report the link metrics.
 
+    The power model (0 dBm is unit power): ``p_ta_dbm`` sets the SI and
+    the training burst's amplitude; the far node's signal arrives at
+    ``p_rb_dbm`` with a uniform random phase; the noise is set by
+    ``ebn0_db`` relative to that signal's per-sample power ``p_rb / sps``.
+
     ``rng`` draws, in this order, the training noise (+B only), both
-    nodes' bits, the desired channel's phase and the receiver noise, so
-    the same config and generator state give the same report.  ``design``
-    is ``trial_design(config)``, built here when not given.
+    nodes' bits, the far node's phase and the receiver noise, so the same
+    config and generator state give the same report.  ``design`` is
+    ``trial_design(config)``, built here when not given.
     """
     if design is None:
         design = trial_design(config)
@@ -384,25 +389,24 @@ def run_trial(config: LinkConfig, rng: np.random.Generator,
     noise_var = ebn0_to_noise_variance(config.ebn0_db, p_rb_lin / sps,
                                        config.n_b, sps)
 
-    estimate = None
+    replica = est_err_db = None
     if design.training is not None:
-        estimate = cancellation.run_training(design.training, config.p_ta_dbm,
-                                             noise_var, rng)
+        # +B: the replica amp·(pulse_shape(s_a) ⊛ ĥ) is s_a through the
+        # filter amp·(srrc ⊛ ĥ), so the SI less its replica is s_a through
+        # the difference of the two filters
+        taps_hat = cancellation.run_training(design.training, config.p_ta_dbm,
+                                             noise_var, rng).taps_hat
+        amp = math.sqrt(channel.dbm_to_linear(config.p_ta_dbm))
+        replica = amp * np.convolve(filt.taps, taps_hat)
+        err = h_aa.taps.copy()
+        err[: len(taps_hat)] -= taps_hat
+        est_err_db = 10.0 * math.log10(max(sigproc.energy(err) / design.si_tap_energy, 1e-300))
 
     bits_a = rng.integers(0, 2, size=config.n_bits)
     bits_b = rng.integers(0, 2, size=config.n_bits)
     s_a = sigproc.modulate_psk(bits_a, config.mod_order)
     s_b = sigproc.modulate_psk(bits_b, config.mod_order)
-
-    p_tb_dbm = config.p_ta_dbm  # symmetric nodes
-    h_ba = channel.make_desired_channel(config.p_rb_dbm, p_tb_dbm, rng)
-    replica = None
-    if estimate is not None:
-        # +B: the replica amp·(pulse_shape(s_a) ⊛ ĥ) is s_a through the
-        # filter amp·(srrc ⊛ ĥ), so the SI less its replica is s_a through
-        # the difference of the two filters
-        amp = math.sqrt(channel.dbm_to_linear(config.p_ta_dbm))
-        replica = amp * np.convolve(filt.taps, estimate.taps_hat)
+    gain = math.sqrt(p_rb_lin) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
 
     # the received frame is built in the noise's buffer: the SI
     # (amp·(pulse_shape(s_a) ⊛ h_aa), at the symbol rate)
@@ -415,27 +419,15 @@ def run_trial(config: LinkConfig, rng: np.random.Generator,
     desired = sigproc.pulse_shape(s_b, filt)
     # the gain as the left operand, which numpy's complex product is not
     # bitwise symmetric in
-    np.multiply(math.sqrt(channel.dbm_to_linear(p_tb_dbm)) * h_ba, desired,
-                out=desired)
+    np.multiply(gain, desired, out=desired)
     # the desired waveform is zero past its end, inside the window too
     gamma_db = _power_ratio_db(_mean_power(desired[head:tail], tail - head), p_residual)
     frame[: len(desired)] += desired
 
     # detection: matched filter, known-phase equalization, demodulation
     symbols = sigproc.matched_filter_downsample(frame, filt, n_symbols=config.n_symbols)
-    symbols = symbols * np.exp(-1j * np.angle(h_ba))
+    symbols = symbols * np.exp(-1j * np.angle(gain))
     bits_hat = sigproc.demodulate_psk(symbols, config.mod_order)
-    p_b = ber(bits_b, bits_hat)
-    residual_dbm = 10.0 * math.log10(max(p_residual, 1e-300))
-
-    est_err_db = None
-    if estimate is not None:
-        err = np.array(h_aa.taps, dtype=np.complex128, copy=True)
-        err[: len(estimate.taps_hat)] -= estimate.taps_hat
-        est_err_db = 10.0 * math.log10(
-            max(sigproc.energy(err) / design.si_tap_energy, 1e-300)
-        )
-
-    return LinkReport(sinr_db=gamma_db, ber=p_b, residual_power_dbm=residual_dbm,
+    return LinkReport(sinr_db=gamma_db, ber=ber(bits_b, bits_hat),
+                      residual_power_dbm=10.0 * math.log10(max(p_residual, 1e-300)),
                       estimate_error_db=est_err_db)
-

@@ -132,25 +132,25 @@ def test_residual_matches_direct_reconstruction():
         assert sigproc.energy(y - ref) / sigproc.energy(ref) < 1e-12
 
 
-def _clear_caches():
+def _clear_si_channel_cache():
     link._baseband_channel.cache_clear()
 
 
-def test_cold_and_warm_caches_give_identical_results():
+def test_cold_and_warm_si_channel_cache_give_identical_results():
     cfg = link.LinkConfig(scheme="PS+B", n_bits=400, ebn0_db=25.0)
     spec = harness.SweepSpec(base=cfg, axis="bandwidth_hz", values=(10e6, 5e6),
                              schemes=link.SCHEMES, trials_per_point=2,
                              root_seed=3)
-    _clear_caches()
+    _clear_si_channel_cache()
     cold_report = link.run_trial(cfg, np.random.default_rng(4))
     warm_report = link.run_trial(cfg, np.random.default_rng(4))
-    _clear_caches()
+    _clear_si_channel_cache()
     cold_rows = harness.run_sweep(spec).rows
     assert harness.run_sweep(spec).rows == cold_rows
     assert cold_report == warm_report
 
 
-def test_cached_training_arrays_are_read_only():
+def test_training_model_arrays_are_read_only():
     h = short_channel()
     burst = cancellation.make_training_signal(5, FILT)
     m = cancellation.training_model(burst, 8, h)
@@ -184,7 +184,7 @@ def test_trial_design_arrays_are_read_only():
             a[0] = 0.0
 
 
-def test_cached_solve_matches_lstsq():
+def test_pinv_solve_matches_lstsq():
     h = short_channel()
     p_dbm, noise_var, order = 3.0, 1e-4, 8
     est = train(h, p_dbm, 5, noise_var, order, np.random.default_rng(9))
@@ -215,7 +215,7 @@ def test_convolution_matrix_matches_scipy_toeplitz(sps):
     assert np.array_equal(conv, ref)
 
 
-def test_configs_differing_in_solve_shape_do_not_share_entries():
+def test_configs_differing_in_solve_shape_get_their_own_training_models():
     base = link.LinkConfig(scheme="AC+B", n_bits=400, ebn0_db=40.0)
     variants = [base, replace(base, n_taps=128), replace(base, estimator_order=20),
                 replace(base, signal_bandwidth_hz=5e6)]
@@ -223,5 +223,5 @@ def test_configs_differing_in_solve_shape_do_not_share_entries():
     assert len({(m.conv.shape, m.response.shape) for m in models}) == len(variants)
     warm = [link.run_trial(cfg, np.random.default_rng(1)) for cfg in variants]
     for cfg, report in zip(variants, warm):
-        _clear_caches()
+        _clear_si_channel_cache()
         assert link.run_trial(cfg, np.random.default_rng(1)) == report

@@ -274,23 +274,6 @@ def test_derive_rejects_insufficient_coverage():
         channel.derive_baseband_channel(prof, 2.44e9, 20e6, 20e6, 256)
 
 
-def test_desired_channel_gain_magnitude():
-    d = channel.make_desired_channel(-60.0, 0.0, np.random.default_rng(0))
-    assert abs(d) ** 2 == pytest.approx(1e-6, rel=1e-9)
-
-
-def test_desired_channel_equal_powers_unit_gain():
-    d = channel.make_desired_channel(-10.0, -10.0, np.random.default_rng(0))
-    assert abs(d) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_desired_channel_random_phase():
-    a = channel.make_desired_channel(-60.0, 0.0, np.random.default_rng(1))
-    b = channel.make_desired_channel(-60.0, 0.0, np.random.default_rng(2))
-    assert abs(a) == pytest.approx(abs(b), rel=1e-12)
-    assert abs(np.angle(a) - np.angle(b)) > 1e-6
-
-
 def test_eq4_half_factor():
     prof = flat_profile(40.0)
     chan = channel.derive_baseband_channel(prof, 2.44e9, 20e6, 20e6, 256)

@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fdsim import channel, harness, link
-from fdsim.cli import main
+from fdsim.cli import _build_parser, main
 
 
 def test_no_command_is_usage_error(capsys):
@@ -14,6 +16,16 @@ def test_no_command_is_usage_error(capsys):
 
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["run", "--frobnicate"]) == 1
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].split() for line in block.splitlines()
+                if line.startswith("fdsim ")]
+    assert len(commands) == 5
+    for argv in commands:
+        assert _build_parser().parse_args(argv[1:]).command == argv[1], argv
 
 
 def test_run_defaults(capsys):

@@ -163,6 +163,31 @@ def test_trial_seeds_distinct():
     assert len(seeds) == 20
 
 
+@pytest.mark.parametrize("axis, variants", [
+    ("ebn0_db", ((10,), (10.0,), (np.float64(10.0),))),
+    ("mod_order", ((4,), (4.0,))),
+])
+def test_trial_seeds_hash_the_axis_value_as_a_float(axis, variants):
+    rows = {run_sweep(small_spec(axis=axis, values=v, trials_per_point=3)).rows
+            for v in variants}
+    assert len(rows) == 1
+
+
+def test_emitted_and_parsed_spec_gives_the_same_rows(tmp_path):
+    spec = small_spec(values=(10, 20), trials_per_point=3)
+    path = tmp_path / "spec.cfg"
+    path.write_text(harness.emit_config(spec))
+    assert run_sweep(parse_config(path)).rows == run_sweep(spec).rows
+
+
+def test_one_trial_row_holds_the_trial_metrics():
+    report = link.run_trial(LinkConfig(n_bits=400, ebn0_db=12.0), np.random.default_rng(2))
+    row = harness.point_row("PS", "ebn0_db", 12, [report])
+    assert (row.axis_value, row.trials, row.sinr_se_db, row.ber_se) == (12.0, 1, 0.0, 0.0)
+    assert (row.sinr_db, row.ber, row.rate_bps_hz) == (
+        report.sinr_db, report.ber, report.rate_bps_hz)
+
+
 def test_config_for_point_bandwidth_axis():
     cfg = harness.config_for_point(LinkConfig(), "AC+B", "bandwidth_hz", 2e6)
     assert cfg.signal_bandwidth_hz == 2e6

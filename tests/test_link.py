@@ -253,14 +253,49 @@ def test_noiseless_trial_is_error_free():
     assert rep.estimate_error_db < -200.0
 
 
+@pytest.mark.parametrize("p_rb_dbm", [-60.0, -10.0])
+@pytest.mark.parametrize("bandwidth_hz", [10e6, 0.5e6])
+def test_far_node_arrives_at_p_rb_with_a_random_phase(monkeypatch, p_rb_dbm, bandwidth_hz):
+    # with an SI 1e-100 below unit power and no noise, the matched filter's
+    # input over the desired waveform is the far node's shaped symbols
+    # times its gain
+    cfg = LinkConfig(p_ta_dbm=-1000.0, p_rb_dbm=p_rb_dbm, ebn0_db=math.inf,
+                     signal_bandwidth_hz=bandwidth_hz)
+    design = link.trial_design(cfg)
+    shaped, seen = [], []
+    pulse_shape, matched_filter = sigproc.pulse_shape, sigproc.matched_filter_downsample
+
+    def shape(symbols, filt):
+        out = pulse_shape(symbols, filt)
+        shaped.append(out.copy())  # before the trial scales it in place
+        return out
+
+    def capture(samples, *args, **kwargs):
+        seen.append(samples.copy())
+        return matched_filter(samples, *args, **kwargs)
+
+    monkeypatch.setattr(sigproc, "pulse_shape", shape)
+    monkeypatch.setattr(sigproc, "matched_filter_downsample", capture)
+    gains = []
+    for seed in (1, 2):
+        assert run_trial(cfg, np.random.default_rng(seed), design).ber == 0.0
+        x = shaped.pop()
+        y = seen.pop()[: len(x)]
+        # the mean power is p_rb / sps to within 3 %: the 1000 random
+        # symbols and the filter's 8-symbol ramps at the ends move it by ~1 %
+        p_rb = channel.dbm_to_linear(p_rb_dbm)
+        assert link._mean_power(y) == pytest.approx(p_rb / cfg.samples_per_symbol, rel=0.03)
+        gains.append(np.vdot(x, y) / np.vdot(x, x))
+        assert abs(gains[-1]) ** 2 == pytest.approx(p_rb, rel=1e-12)
+    assert abs(np.angle(gains[0] / gains[1])) > 1e-3
+
+
 @pytest.mark.parametrize("scheme", link.SCHEMES)
 @pytest.mark.parametrize("bandwidth_hz", [10e6, 0.5e6])
 def test_trial_si_equals_sample_rate_channel(monkeypatch, scheme, bandwidth_hz):
-    # with no noise and a far-node signal ~1e-28 of the SI, the matched
-    # filter's input is the trial's self-interference, after the replica
-    # is subtracted for +B
-    monkeypatch.setattr(channel, "make_desired_channel",
-                        lambda p_rb_dbm, p_tb_dbm, rng: 1e-30)
+    # with no noise and a far-node signal 1e-107 of the SI's transmit
+    # power, the matched filter's input is the trial's self-interference,
+    # after the replica is subtracted for +B
     seen = []
     matched_filter = sigproc.matched_filter_downsample
 
@@ -270,7 +305,7 @@ def test_trial_si_equals_sample_rate_channel(monkeypatch, scheme, bandwidth_hz):
 
     monkeypatch.setattr(sigproc, "matched_filter_downsample", capture)
     cfg = LinkConfig(scheme=scheme, signal_bandwidth_hz=bandwidth_hz,
-                     ebn0_db=math.inf, p_ta_dbm=7.0, n_bits=600)
+                     ebn0_db=math.inf, p_ta_dbm=7.0, p_rb_dbm=-1000.0, n_bits=600)
     design = link.trial_design(cfg)
     run_trial(cfg, np.random.default_rng(3), design)
 
