@@ -5,8 +5,7 @@ from .cancellation import ChannelEstimate, TrainingModel, run_training, training
 from .channel import (BasebandChannel, ChannelProfile, band_isolation_db,
                       derive_baseband_channel, load_profile, save_profile,
                       support_length, synthesize_profile)
-from .errors import (CalibrationError, ConfigError, EstimationError, FdsimError,
-                     ProfileError)
+from .errors import ConfigError, EstimationError, FdsimError, ProfileError
 from .harness import (SweepResult, SweepRow, SweepSpec, parse_config,
                       read_results, run_sweep, write_results)
 from .link import LinkConfig, LinkReport, ber, ebn0_to_noise_variance, run_trial

@@ -4,22 +4,21 @@ Passband isolation/phase profiles for the passive (PS) and active (AC)
 antenna schemes and their conversion to equivalent baseband
 impulse-response taps, which the link convolves with its pulse.
 Profiles are synthesized from the published scalar characteristics
-(peak isolation/frequency and 10-MHz band isolation) and calibrated at
-runtime, by Brent's root finder, so the band figures are met to better
-than 0.1 dB.
+(peak isolation/frequency and 10-MHz band isolation).  Each scheme's
+notch floor, which sets its band isolation, is stored in its
+``SchemeShape``, not solved at run time; the tests re-derive it with
+scipy's root finder and check the band figures to 0.1 dB.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import CalibrationError, ProfileError
+from .errors import ProfileError
 
 BAND_WIDTH_HZ = 10e6  # bandwidth over which the band isolation is quoted
 
@@ -30,7 +29,11 @@ class SchemeShape:
 
     peak_db: float  # published peak isolation, at peak_hz
     peak_hz: float
-    band_db: float  # published isolation over BAND_WIDTH_HZ; the floor is solved for it
+    band_db: float  # published isolation over BAND_WIDTH_HZ, which floor_db meets
+    # the notch floor: the root in (1, band_db) of the synthesized profile's
+    # band isolation minus band_db, found once by scipy's Brent root finder
+    # (xtol 1e-6) and stored; tests/test_channel.py re-derives it
+    floor_db: float
     sigma_hz: float  # width of the notch, a Gaussian bump in dB
     ripple_db: float  # the ripple envelope is TEXTURE_RMS_DB plus a Gaussian this high,
     ripple_center_hz: float  # centred this far from the peak (in |f - peak_hz|),
@@ -41,9 +44,11 @@ class SchemeShape:
 #: The PS antenna null is broad, with mild ripple at its peak; the AC
 #: canceller null is deep and narrow, its ripple strongest at its edges.
 SCHEME_SHAPES = {
-    "PS": SchemeShape(peak_db=53.9, peak_hz=2.438e9, band_db=42.5, sigma_hz=3.0e6,
+    "PS": SchemeShape(peak_db=53.9, peak_hz=2.438e9, band_db=42.5,
+                      floor_db=29.708635299441646, sigma_hz=3.0e6,
                       ripple_db=0.019, ripple_center_hz=0.0, ripple_sigma_hz=0.25e6),
-    "AC": SchemeShape(peak_db=78.1, peak_hz=2.457e9, band_db=35.3, sigma_hz=1.4e6,
+    "AC": SchemeShape(peak_db=78.1, peak_hz=2.457e9, band_db=35.3,
+                      floor_db=30.54008534500548, sigma_hz=1.4e6,
                       ripple_db=0.24, ripple_center_hz=0.9e6, ripple_sigma_hz=0.5e6),
 }
 
@@ -67,6 +72,11 @@ GROUP_DELAY_S = 5e-8
 
 PROFILE_HEADER = ("freq_hz", "isolation_db", "phase_deg")
 
+#: Accepted range of a profile's isolation, in dB.  The baseband tap
+#: magnitude 0.5 * 10**(-isolation/20) and its square then stay normal
+#: floats.
+ISOLATION_RANGE_DB = (-1000.0, 1000.0)
+
 
 @dataclass(frozen=True)
 class ChannelProfile:
@@ -88,6 +98,10 @@ class ChannelProfile:
             raise ProfileError("profile frequency grid must be strictly increasing")
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(iso)) and np.all(np.isfinite(ph))):
             raise ProfileError("profile values must be finite")
+        low, high = ISOLATION_RANGE_DB
+        if np.any(iso < low) or np.any(iso > high):
+            raise ProfileError(f"isolation_db must be in [{low:g}, {high:g}] dB, got "
+                               f"values in [{iso.min():g}, {iso.max():g}]")
         object.__setattr__(self, "freqs_hz", f)
         object.__setattr__(self, "isolation_db", iso)
         object.__setattr__(self, "phase_deg", ph)
@@ -116,134 +130,37 @@ def band_isolation_db(profile: ChannelProfile, center_hz: float) -> float:
     return -10.0 * np.log10(np.mean(10.0 ** (-iso / 10.0)))
 
 
-@lru_cache(maxsize=1)
-def _texture_components() -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(TEXTURE_SEED)
-    lo, hi = TEXTURE_DELAY_RANGE_S
-    delays = rng.uniform(lo, hi, TEXTURE_COMPONENTS)
-    phases = rng.uniform(0.0, 2.0 * np.pi, TEXTURE_COMPONENTS)
-    return delays, phases
-
-
 def _texture_db(f_rel: np.ndarray) -> np.ndarray:
     """Unit-RMS pseudo-random ripple as a function of offset from the peak."""
-    delays, phases = _texture_components()
+    rng = np.random.default_rng(TEXTURE_SEED)
+    delays = rng.uniform(*TEXTURE_DELAY_RANGE_S, TEXTURE_COMPONENTS)
+    phases = rng.uniform(0.0, 2.0 * np.pi, TEXTURE_COMPONENTS)
     arg = 2.0 * np.pi * np.outer(f_rel, delays) + phases
     return math.sqrt(2.0 / TEXTURE_COMPONENTS) * np.cos(arg).sum(axis=1)
 
 
-def _calibration(scheme: str, freqs_hz: np.ndarray):
-    """The notch of ``scheme`` on ``freqs_hz`` as a function of its floor,
-    and the mismatch the floor is solved for: the notch's band isolation
-    minus the published band target, in dB.  The Gaussian bump and the
-    ripple do not depend on the floor, so they are computed once here."""
+def synthesize_profile(scheme: str) -> ChannelProfile:
+    """The isolation/phase profile of an RF scheme on a 12.5 kHz grid
+    24 MHz wide around its peak.
+
+    The isolation is a notch in dB, ``floor + (peak - floor) * bump +
+    ripple``: its peak value and frequency are exact by construction, and
+    the stored floor puts its mean isolation over the quoted 10 MHz band
+    at the published value.
+    """
+    if scheme not in SCHEME_SHAPES:
+        raise ValueError(f"scheme must be one of {tuple(SCHEME_SHAPES)}, got {scheme!r}")
     shape = SCHEME_SHAPES[scheme]
+    freqs_hz = shape.peak_hz + np.linspace(-12e6, 12e6, 1921)
     f_rel = freqs_hz - shape.peak_hz
     bump = np.exp(-(f_rel**2) / (2.0 * shape.sigma_hz**2))
     envelope = TEXTURE_RMS_DB + shape.ripple_db * np.exp(
         -((np.abs(f_rel) - shape.ripple_center_hz) ** 2) / (2.0 * shape.ripple_sigma_hz**2)
     )
     ripple = envelope * _texture_db(f_rel)
-    zero_phase = np.zeros_like(freqs_hz)
-
-    def notch_db(floor_db: float) -> np.ndarray:
-        return floor_db + (shape.peak_db - floor_db) * bump + ripple
-
-    def mismatch(floor_db: float) -> float:
-        prof = ChannelProfile(freqs_hz, notch_db(floor_db), zero_phase)
-        return band_isolation_db(prof, shape.peak_hz) - shape.band_db
-
-    return notch_db, mismatch
-
-
-def _brentq(f, a: float, b: float, xtol: float,
-            rtol: float = 4 * sys.float_info.epsilon, maxiter: int = 100) -> float:
-    """A root of ``f`` in [a, b] by Brent's method (R. P. Brent, *Algorithms
-    for Minimization without Derivatives*, 1973, ch. 4).
-
-    A line-by-line port of scipy's ``brentq`` (its C ``brentq.c``) with the
-    same defaults, so it visits the same iterates and returns the same root
-    bit for bit.  Raises ``CalibrationError`` where scipy raises: when f is
-    NaN, when f(a) and f(b) have the same sign, or when no root is within
-    tolerance after ``maxiter`` steps.
-    """
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise CalibrationError(f"the function value at {x!r} is NaN")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise CalibrationError(f"f(a) and f(b) have the same sign ({fpre:.3g}, {fcur:.3g})")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis  # bisect
-        else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise CalibrationError(f"no convergence after {maxiter} iterations, value is {xcur!r}")
-
-
-def synthesize_profile(scheme: str, freqs_hz: np.ndarray | None = None) -> ChannelProfile:
-    """Build the calibrated isolation/phase profile of an RF scheme.
-
-    The notch floor is solved so the mean isolation over the quoted 10 MHz
-    band matches the published value to within 0.1 dB; the peak value and
-    frequency are exact by construction.
-    """
-    if scheme not in SCHEME_SHAPES:
-        raise ValueError(f"scheme must be one of {tuple(SCHEME_SHAPES)}, got {scheme!r}")
-    peak_hz, target_db = SCHEME_SHAPES[scheme].peak_hz, SCHEME_SHAPES[scheme].band_db
-    if freqs_hz is None:
-        freqs_hz = peak_hz + np.linspace(-12e6, 12e6, 1921)  # 12.5 kHz spacing
-    freqs_hz = np.asarray(freqs_hz, dtype=float)
-    if freqs_hz[0] > peak_hz - BAND_WIDTH_HZ / 2 or freqs_hz[-1] < peak_hz + BAND_WIDTH_HZ / 2:
-        raise ProfileError(
-            f"grid must cover the {BAND_WIDTH_HZ/1e6:.0f} MHz band around {peak_hz/1e9} GHz"
-        )
-    notch_db, mismatch = _calibration(scheme, freqs_hz)
-    try:
-        floor_db = _brentq(mismatch, 1.0, target_db - 1e-9, xtol=1e-6)
-    except CalibrationError as exc:
-        raise CalibrationError(
-            f"{scheme} profile calibration failed: no floor in (1, {target_db}) "
-            f"meets the {target_db} dB band target ({exc})"
-        ) from exc
-    residual = mismatch(floor_db)
-    if abs(residual) > 0.1:
-        raise CalibrationError(
-            f"{scheme} profile calibration residual {residual:.3f} dB exceeds 0.1 dB"
-        )
-    phase_deg = -360.0 * GROUP_DELAY_S * (freqs_hz - peak_hz)
-    return ChannelProfile(freqs_hz, notch_db(floor_db), phase_deg)
+    isolation_db = shape.floor_db + (shape.peak_db - shape.floor_db) * bump + ripple
+    phase_deg = -360.0 * GROUP_DELAY_S * (freqs_hz - shape.peak_hz)
+    return ChannelProfile(freqs_hz, isolation_db, phase_deg)
 
 
 def save_profile(profile: ChannelProfile, path) -> None:

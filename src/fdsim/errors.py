@@ -13,9 +13,5 @@ class ProfileError(FdsimError):
     """Malformed or inconsistent channel profile data."""
 
 
-class CalibrationError(FdsimError):
-    """Profile calibration failed to converge to the target band isolation."""
-
-
 class EstimationError(FdsimError):
     """Channel estimation could not be performed (training too short)."""

@@ -55,11 +55,12 @@ POWER_RANGE_DBM = (-1000.0, 1000.0)
 EBN0_RANGE_DB = (-1000.0, 1000.0)
 
 #: Longest received frame (``LinkConfig.frame_samples``) a config may ask
-#: for, and most entries of a +B design's replica DFT matrix.  A frame of
-#: 2**24 complex128 samples is 268 MB, and a trial peaks at 2.35 frames at
-#: sps 40 and at 9.0 at sps 2 (its per-symbol arrays); the matrix is
-#: 10.6 frames at sps 2.  Either above this bound is a config error, not
-#: an allocation that exhausts memory mid-design or mid-trial.
+#: for, and most entries of a +B design's replica DFT matrix and of its LS
+#: training matrix.  A frame of 2**24 complex128 samples is 268 MB, and a
+#: trial peaks at 2.35 frames at sps 40 and at 9.0 at sps 2 (its
+#: per-symbol arrays); the replica DFT matrix is 10.6 frames at sps 2.
+#: Any of them above this bound is a config error, not an allocation that
+#: exhausts memory mid-design or mid-trial.
 MAX_FRAME_SAMPLES = 2**24
 
 
@@ -162,6 +163,14 @@ class LinkConfig:
         if order > self.n_taps:
             raise ConfigError(f"estimator_order {order} exceeds n_taps = {self.n_taps}; "
                               f"lower estimator_order or raise n_taps")
+        # the design's LS training matrix, the burst through the channel
+        rows = n_training_samples + self.n_taps - 1
+        if rows * order > MAX_FRAME_SAMPLES:
+            raise ConfigError(
+                f"n_training = {self.n_training} and estimator_order = {order} give a "
+                f"{rows} x {order} training matrix, above MAX_FRAME_SAMPLES = "
+                f"{MAX_FRAME_SAMPLES} entries; lower n_training or estimator_order"
+            )
         # the design's replica DFT matrix, for the SRRC⊛SI pulse and SRRC⊛ĥ
         n_srrc = self.span_symbols * self.samples_per_symbol + 1
         rows, cols = spectrum_shape(n_srrc + self.n_taps - 1, self.samples_per_symbol,

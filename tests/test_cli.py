@@ -100,6 +100,16 @@ def test_derive_channel_from_profile(tmp_path, capsys):
     assert np.array_equal(rows[:, 1] + 1j * rows[:, 2], expected)
 
 
+def test_derive_channel_rejects_isolation_out_of_range(tmp_path, capsys):
+    prof_path = tmp_path / "p.csv"
+    prof_path.write_text("freq_hz,isolation_db,phase_deg\n"
+                         "2.42e9,-4000,0.0\n2.46e9,-4000,0.0\n")
+    taps_path = tmp_path / "taps.csv"
+    assert main(["derive-channel", str(prof_path), "--out", str(taps_path)]) == 2
+    assert "isolation_db" in capsys.readouterr().err
+    assert not taps_path.exists()
+
+
 def test_sweep_end_to_end(tmp_path, capsys):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("n_bits = 400\naxis = ebn0_db\nvalues = 10,20\n"
@@ -205,6 +215,15 @@ def test_run_rejects_order_beyond_training(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--scheme", "PS+B"]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "estimator_order" in err
+
+
+def test_run_rejects_a_training_matrix_above_the_bound(tmp_path, capsys):
+    # a 20000271 x 26 LS matrix, rejected before the design is built
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_training = 10000000\n")
+    assert main(["run", "--config", str(cfg), "--scheme", "PS+B"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "n_training" in err and "estimator_order" in err
 
 
 @pytest.mark.parametrize("lines", ["n_taps = 8\nn_bits = 400\n",

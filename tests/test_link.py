@@ -90,13 +90,41 @@ def test_config_bounds_the_baseband_replica_dft_matrix():
 
 @pytest.mark.parametrize("bandwidth_hz", [10e6, 5e6, 2e6])
 def test_config_bound_is_the_size_of_the_design_replica_dft(monkeypatch, bandwidth_hz):
-    cfg = LinkConfig(scheme="AC+B", n_bits=400, signal_bandwidth_hz=bandwidth_hz)
-    entries = link.trial_design(cfg).si_spectrum.replica_dft.size
-    assert cfg.frame_samples < entries
+    # enough bits that the replica DFT is the design's largest matrix
+    cfg = LinkConfig(scheme="AC+B", n_bits=4000, signal_bandwidth_hz=bandwidth_hz)
+    design = link.trial_design(cfg)
+    entries = design.si_spectrum.replica_dft.size
+    assert max(cfg.frame_samples, design.training.conv.size) < entries
+    monkeypatch.setattr(link, "MAX_FRAME_SAMPLES", entries)
+    replace(cfg, n_bits=4000)
+    monkeypatch.setattr(link, "MAX_FRAME_SAMPLES", entries - 1)
+    with pytest.raises(ConfigError, match="replica DFT"):
+        replace(cfg, n_bits=4000)
+
+
+def test_config_bounds_the_baseband_training_matrix():
+    # at sps 2 the training matrix is ((n_training + 8) * 2 + 255) x 26:
+    # 322503 training symbols give 645277 x 26 = 16 777 202 entries, one
+    # more gives 16 777 254; an RF-only design builds no such matrix
+    LinkConfig(scheme="PS+B", n_training=322_503)
+    LinkConfig(scheme="PS", n_training=10**7)
+    with pytest.raises(ConfigError, match=r"n_training.*estimator_order.*645279 x 26"):
+        LinkConfig(scheme="PS+B", n_training=322_504)
+    with pytest.raises(ConfigError, match=r"20000271 x 26 training matrix"):
+        LinkConfig(scheme="PS+B", n_training=10**7)
+
+
+@pytest.mark.parametrize("bandwidth_hz", [10e6, 2e6])
+def test_config_bound_is_the_size_of_the_design_training_matrix(monkeypatch, bandwidth_hz):
+    cfg = LinkConfig(scheme="PS+B", n_bits=400, n_training=200,
+                     signal_bandwidth_hz=bandwidth_hz)
+    design = link.trial_design(cfg)
+    entries = design.training.conv.size
+    assert max(cfg.frame_samples, design.si_spectrum.replica_dft.size) < entries
     monkeypatch.setattr(link, "MAX_FRAME_SAMPLES", entries)
     replace(cfg, n_bits=400)
     monkeypatch.setattr(link, "MAX_FRAME_SAMPLES", entries - 1)
-    with pytest.raises(ConfigError, match="replica DFT"):
+    with pytest.raises(ConfigError, match="training matrix"):
         replace(cfg, n_bits=400)
 
 

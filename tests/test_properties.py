@@ -94,9 +94,10 @@ def test_psk_round_trip(m_order, data):
 def profiles(draw):
     freqs = sorted(draw(st.lists(finite, min_size=2, max_size=40, unique=True)))
     n = len(freqs)
-    values = st.lists(finite, min_size=n, max_size=n)
-    return channel.ChannelProfile(np.array(freqs), np.array(draw(values)),
-                                  np.array(draw(values)))
+    isolation = st.lists(st.floats(*channel.ISOLATION_RANGE_DB), min_size=n, max_size=n)
+    phase = st.lists(finite, min_size=n, max_size=n)
+    return channel.ChannelProfile(np.array(freqs), np.array(draw(isolation)),
+                                  np.array(draw(phase)))
 
 
 @PROPERTIES
