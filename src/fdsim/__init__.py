@@ -1,7 +1,7 @@
 """Link-level simulator for full-duplex radios with analog-baseband
 self-interference cancellation."""
 
-from .cancellation import ChannelEstimate, TrainingModel, run_training, training_model
+from .cancellation import TrainingModel, run_training, training_model
 from .channel import (BasebandChannel, ChannelProfile, band_isolation_db,
                       derive_baseband_channel, load_profile, save_profile,
                       support_length, synthesize_profile)

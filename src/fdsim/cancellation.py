@@ -4,7 +4,7 @@ The estimate feeds the +B canceller, whose replica a link trial subtracts
 inside its SI spectrum (``link.run_trial``).  Everything but the noise is
 fixed for a channel, so the training model holds the burst's noise-free
 response through the channel, and a trial's training adds its noise to
-that and solves with one product."""
+that and solves with one product, which returns the estimated taps."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import BasebandChannel, dbm_to_linear
 from .errors import EstimationError
-from .sigproc import SrrcFilter, awgn, constellation, energy, pulse_shape
+from .sigproc import SrrcFilter, awgn, constellation, pulse_shape
 
 # Fixed QPSK probe pattern, as constellation indices.  A constant run
 # with a single antipodal symbol keeps the short-burst convolution matrix
@@ -23,12 +23,6 @@ from .sigproc import SrrcFilter, awgn, constellation, energy, pulse_shape
 # nearly unexcited).  Both nodes know the pattern; it is independent of
 # the per-trial data RNG and tiles to any burst length.
 TRAINING_PATTERN = (0, 0, 0, 2, 0)
-
-
-@dataclass(frozen=True)
-class ChannelEstimate:
-    taps_hat: np.ndarray
-    residual_training_error: float
 
 
 def make_training_signal(n_tr: int, filt: SrrcFilter) -> np.ndarray:
@@ -42,12 +36,11 @@ def make_training_signal(n_tr: int, filt: SrrcFilter) -> np.ndarray:
 @dataclass(frozen=True)
 class TrainingModel:
     """The noise-free part of the LS training problem for one burst and
-    channel: the burst's (n_rows x order) convolution matrix, that
-    matrix's pseudo-inverse and the burst's response through the channel
-    (``burst ⊛ taps``, before the transmit amplitude).  Its arrays are
-    read-only."""
+    channel: the pseudo-inverse of the burst's (n_rows x order)
+    convolution matrix, and the burst's response through the channel
+    (``burst ⊛ taps``, before the transmit amplitude, n_rows long).  Its
+    arrays are read-only."""
 
-    conv: np.ndarray
     pinv: np.ndarray
     response: np.ndarray
 
@@ -83,14 +76,15 @@ def training_model(burst: np.ndarray, estimator_order: int,
         raise EstimationError("training signal is degenerate; estimation failed")
     pinv = (vh[:rank].conj().T / sv[:rank]) @ u[:, :rank].conj().T
     response = np.convolve(burst, channel.taps)
-    for a in (conv, pinv, response):
+    for a in (pinv, response):
         a.setflags(write=False)
-    return TrainingModel(conv=conv, pinv=pinv, response=response)
+    return TrainingModel(pinv=pinv, response=response)
 
 
 def run_training(model: TrainingModel, p_ta_dbm: float, noise_variance: float,
-                 rng: np.random.Generator) -> ChannelEstimate:
-    """Estimate the self-interference channel from a silent-far-node burst.
+                 rng: np.random.Generator) -> np.ndarray:
+    """The estimated taps of the self-interference channel, from a
+    silent-far-node burst.
 
     The burst's response through the channel (the model's) is received
     at the transmit power with additive noise; the least-squares estimate
@@ -98,10 +92,6 @@ def run_training(model: TrainingModel, p_ta_dbm: float, noise_variance: float,
     pseudo-inverse.
     """
     amp = math.sqrt(dbm_to_linear(p_ta_dbm))
-    r = amp * model.response + awgn(len(model.conv), noise_variance, rng)
+    r = amp * model.response + awgn(len(model.response), noise_variance, rng)
     # the model matrix is amp * conv, so its pseudo-inverse is pinv / amp
-    taps_hat = (model.pinv @ r) / amp
-    fit = amp * (model.conv @ taps_hat)
-    denom = energy(r)
-    residual = energy(r - fit) / denom if denom > 0 else 0.0
-    return ChannelEstimate(taps_hat=taps_hat, residual_training_error=residual)
+    return (model.pinv @ r) / amp

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: ``run`` (single trial), ``sweep`` (run a sweep spec file),
-``synthesize-profile`` (emit a calibrated PS/AC profile CSV), and
+``synthesize-profile`` (emit a synthesized PS/AC profile CSV), and
 ``derive-channel`` (profile CSV to baseband tap CSV).
 Exit codes: 0 success, 1 usage/config error, 2 runtime error.
 """
@@ -49,7 +49,7 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--verbose", action="store_true")
 
     synth = sub.add_parser("synthesize-profile",
-                           help="emit a calibrated isolation/phase profile CSV")
+                           help="emit a synthesized isolation/phase profile CSV")
     synth.add_argument("--scheme", required=True, choices=tuple(channel.SCHEME_SHAPES))
     synth.add_argument("--out", required=True)
 
@@ -67,7 +67,7 @@ def _cmd_run(args) -> int:
         spec = replace(spec, root_seed=args.seed)
     cfg = spec.base
     if args.scheme:
-        cfg = replace(cfg, scheme=args.scheme, f_c_hz=None)
+        cfg = replace(cfg, scheme=args.scheme)
     report = link.run_trial(cfg, np.random.default_rng(spec.root_seed))
     print(f"scheme          : {cfg.scheme}")
     print(f"sinr_db         : {report.sinr_db:.4f}")

@@ -144,10 +144,11 @@ class LinkConfig:
                               f"= {self.n_b}, got {self.n_bits}")
         if self.frame_samples > MAX_FRAME_SAMPLES:
             raise ConfigError(
-                f"signal_bandwidth_hz = {self.signal_bandwidth_hz:g} and n_bits = "
-                f"{self.n_bits} give a {self.frame_samples}-sample frame, above "
+                f"signal_bandwidth_hz = {self.signal_bandwidth_hz:g}, n_bits = "
+                f"{self.n_bits}, span_symbols = {self.span_symbols} and n_taps = "
+                f"{self.n_taps} give a {self.frame_samples}-sample frame, above "
                 f"MAX_FRAME_SAMPLES = {MAX_FRAME_SAMPLES}; raise signal_bandwidth_hz "
-                f"or lower n_bits"
+                f"or lower n_bits, span_symbols or n_taps"
             )
         if not self.uses_baseband_cancellation:
             return
@@ -186,7 +187,7 @@ class LinkConfig:
     @property
     def n_b(self) -> int:
         """Bits per symbol, log2(mod_order)."""
-        return int(self.mod_order).bit_length() - 1
+        return self.mod_order.bit_length() - 1
 
     @property
     def n_symbols(self) -> int:
@@ -216,7 +217,8 @@ class LinkConfig:
 
 
 #: Declared field type -> (what it holds, the classes it takes).  A numpy
-#: integer is an integer; a bool is neither an integer nor a real number.
+#: integer is an integer (stored as an ``int``); a bool is neither an
+#: integer nor a real number.
 _FIELD_TYPES = {"str": ("a string", str), "int": ("an integer", (int, np.integer)),
                 "float": ("a real number", numbers.Real),
                 "float | None": ("a real number or none", (numbers.Real, type(None))),
@@ -226,7 +228,8 @@ _FIELD_TYPES = {"str": ("a string", str), "int": ("an integer", (int, np.integer
 def check_field_types(record) -> None:
     """Raise a ``ConfigError`` naming the first field of the dataclass
     ``record`` whose value is not of its declared type; a field declared
-    ``tuple[T, ...]`` holds a tuple of ``T``."""
+    ``tuple[T, ...]`` holds a tuple of ``T``.  A numpy integer field is
+    stored as an ``int``, so the bounds computed from it cannot wrap."""
     for f in fields(record):
         value = getattr(record, f.name)
         item_type = f.type.removeprefix("tuple[").removesuffix(", ...]")
@@ -236,6 +239,8 @@ def check_field_types(record) -> None:
                 isinstance(v, classes) and not isinstance(v, bool) for v in items)):
             kind = kind if item_type == f.type else f"a tuple, each item {kind}"
             raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+        if isinstance(value, np.integer):
+            object.__setattr__(record, f.name, int(value))
 
 
 @dataclass(frozen=True)
@@ -404,7 +409,7 @@ def run_trial(config: LinkConfig, rng: np.random.Generator,
         # filter amp·(srrc ⊛ ĥ), so the SI less its replica is s_a through
         # the difference of the two filters
         taps_hat = cancellation.run_training(design.training, config.p_ta_dbm,
-                                             noise_var, rng).taps_hat
+                                             noise_var, rng)
         amp = math.sqrt(channel.dbm_to_linear(config.p_ta_dbm))
         replica = amp * np.convolve(filt.taps, taps_hat)
         err = h_aa.taps.copy()

@@ -1,7 +1,7 @@
 """Tests for training, LS channel estimation, and cancellation."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -54,9 +54,9 @@ def test_training_burst_is_shaped_by_the_given_filter():
 def test_noiseless_estimate_is_exact():
     h = short_channel()
     est = train(h, 0.0, 5, 0.0, 8, np.random.default_rng(0))
-    err = np.sum(np.abs(est.taps_hat - h.taps) ** 2)
+    assert isinstance(est, np.ndarray) and est.shape == (8,)
+    err = np.sum(np.abs(est - h.taps) ** 2)
     assert err / np.sum(np.abs(h.taps) ** 2) < 1e-9
-    assert est.residual_training_error < 1e-12
 
 
 def test_error_halves_when_power_doubles():
@@ -65,7 +65,7 @@ def test_error_halves_when_power_doubles():
         tot = 0.0
         for t in range(trials):
             est = train(h, p_dbm, 5, 1e-6, 8, np.random.default_rng(100 + t))
-            tot += float(np.sum(np.abs(est.taps_hat - h.taps) ** 2))
+            tot += float(np.sum(np.abs(est - h.taps) ** 2))
         return tot / trials
     drop_db = -10.0 * math.log10(mean_err(3.0103) / mean_err(0.0))
     assert drop_db == pytest.approx(3.0, abs=0.5)
@@ -77,7 +77,7 @@ def test_error_halves_when_training_doubles():
         tot = 0.0
         for t in range(trials):
             est = train(h, 0.0, n_tr, 1e-6, 8, np.random.default_rng(500 + t))
-            tot += float(np.sum(np.abs(est.taps_hat - h.taps) ** 2))
+            tot += float(np.sum(np.abs(est - h.taps) ** 2))
         return tot / trials
     drop_db = -10.0 * math.log10(mean_err(10) / mean_err(5))
     assert drop_db == pytest.approx(3.0, abs=0.5)
@@ -97,7 +97,7 @@ def test_model_rows_follow_the_channel():
     burst = cancellation.make_training_signal(5, FILT)
     for n in (8, 9):
         m = model(5, 8, short_channel(n=n))
-        assert m.conv.shape == (len(burst) + n - 1, 8)
+        assert m.pinv.shape == (8, len(burst) + n - 1)
         assert m.response.shape == (len(burst) + n - 1,)
 
 
@@ -121,14 +121,14 @@ def test_residual_matches_direct_reconstruction():
     h = short_channel()
     sym = data_symbols()
     est = train(h, 0.0, 5, 1e-5, 8, np.random.default_rng(2))
-    replica = np.convolve(FILT.taps, est.taps_hat)
+    replica = np.convolve(FILT.taps, est)
     spectrum = phase_spectrum(np.convolve(FILT.taps, h.taps), 2, len(sym), len(replica))
     y = upsample_convolve_fft(sym, spectrum, minus=replica)
     x = sigproc.pulse_shape(sym, FILT)
-    direct = reference.eq8_residual(x, h.taps, est.taps_hat, 0.0)
+    direct = reference.eq8_residual(x, h.taps, est, 0.0)
     assert y.shape == direct.shape
     assert sigproc.energy(direct) > 0.0
-    for ref in (direct, reference.si_less_replica(x, h.taps, est.taps_hat, 0.0)):
+    for ref in (direct, reference.si_less_replica(x, h.taps, est, 0.0)):
         assert sigproc.energy(y - ref) / sigproc.energy(ref) < 1e-12
 
 
@@ -154,10 +154,10 @@ def test_training_model_arrays_are_read_only():
     h = short_channel()
     burst = cancellation.make_training_signal(5, FILT)
     m = cancellation.training_model(burst, 8, h)
-    assert m.conv.shape == (len(burst) + 7, 8)
+    assert m.pinv.shape == (8, len(burst) + 7)
     # the held response is the burst through the channel, bit for bit
     assert np.array_equal(m.response, np.convolve(burst, h.taps))
-    for a in (m.conv, m.pinv, m.response):
+    for a in (m.pinv, m.response):
         with pytest.raises(ValueError):
             a[0] = 0.0
 
@@ -171,9 +171,20 @@ def test_design_holds_a_training_model_for_baseband_schemes_only(scheme):
         return
     m = design.training
     burst = cancellation.make_training_signal(cfg.n_training, design.filt)
-    assert m.conv.shape == (len(burst) + len(design.h_aa.taps) - 1, cfg.estimator_order)
-    assert np.array_equal(m.conv[: len(burst), 0], burst)
+    n_rows = len(burst) + len(design.h_aa.taps) - 1
+    assert m.pinv.shape == (cfg.estimator_order, n_rows)
+    # a left inverse of the burst's convolution matrix
+    conv = cancellation._convolution_matrix(burst, cfg.estimator_order, n_rows)
+    assert np.max(np.abs(m.pinv @ conv - np.eye(cfg.estimator_order))) < 1e-9
     assert np.array_equal(m.response, np.convolve(burst, design.h_aa.taps))
+
+
+@pytest.mark.parametrize("scheme", ["PS+B", "AC+B"])
+def test_design_training_model_holds_only_pinv_and_response(scheme):
+    m = link.trial_design(link.LinkConfig(scheme=scheme, n_bits=400)).training
+    assert [f.name for f in fields(m)] == ["pinv", "response"]
+    for a in (m.pinv, m.response):
+        assert not a.flags.writeable
 
 
 def test_trial_design_arrays_are_read_only():
@@ -198,7 +209,7 @@ def test_pinv_solve_matches_lstsq():
     mat = amp * np.column_stack([np.concatenate([np.zeros(k), x, np.zeros(n_rows - len(x) - k)])
                                  for k in range(order)])
     ref = np.linalg.lstsq(mat, r, rcond=None)[0]
-    assert np.max(np.abs(est.taps_hat - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(est - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("sps", [2, 20, 40])
@@ -220,7 +231,7 @@ def test_configs_differing_in_solve_shape_get_their_own_training_models():
     variants = [base, replace(base, n_taps=128), replace(base, estimator_order=20),
                 replace(base, signal_bandwidth_hz=5e6)]
     models = [link.trial_design(cfg).training for cfg in variants]
-    assert len({(m.conv.shape, m.response.shape) for m in models}) == len(variants)
+    assert len({(m.pinv.shape, m.response.shape) for m in models}) == len(variants)
     warm = [link.run_trial(cfg, np.random.default_rng(1)) for cfg in variants]
     for cfg, report in zip(variants, warm):
         _clear_si_channel_cache()

@@ -249,6 +249,29 @@ def test_run_rejects_band_outside_profile(tmp_path, capsys, lines, key):
     assert "config error" in err and key in err
 
 
+def test_run_scheme_flag_keeps_a_configured_carrier(tmp_path, capsys):
+    flagged = tmp_path / "flag.cfg"
+    flagged.write_text("f_c_hz = 2.456e9\nn_bits = 400\n")
+    inline = tmp_path / "inline.cfg"
+    inline.write_text("f_c_hz = 2.456e9\nn_bits = 400\nscheme = AC\n")
+    assert main(["run", "--config", str(flagged), "--scheme", "AC", "--verbose"]) == 0
+    out = capsys.readouterr().out
+    assert "f_c_hz=2456000000.0" in out
+    assert main(["run", "--config", str(inline), "--verbose"]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_run_scheme_flag_rejects_a_carrier_outside_its_profile(tmp_path, capsys):
+    # 2.44 GHz is inside PS's profile but not AC's
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("f_c_hz = 2.44e9\nn_bits = 400\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--scheme", "AC"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "f_c_hz" in err
+
+
 def test_sweep_rejects_band_outside_profile(tmp_path, capsys):
     # a sweep tunes each scheme to its peak, so only the band width can miss
     cfg = tmp_path / "s.cfg"

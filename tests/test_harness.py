@@ -26,6 +26,12 @@ def small_spec(**over):
     return SweepSpec(**kw)
 
 
+def test_spec_stores_numpy_integers_as_int():
+    spec = small_spec(trials_per_point=np.int64(2), root_seed=np.uint32(7))
+    assert spec == small_spec()
+    assert type(spec.trials_per_point) is int and type(spec.root_seed) is int
+
+
 def test_empty_config_gives_table_defaults():
     spec = parse_config({})
     cfg = spec.base

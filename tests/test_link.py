@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -94,7 +95,7 @@ def test_config_bound_is_the_size_of_the_design_replica_dft(monkeypatch, bandwid
     cfg = LinkConfig(scheme="AC+B", n_bits=4000, signal_bandwidth_hz=bandwidth_hz)
     design = link.trial_design(cfg)
     entries = design.si_spectrum.replica_dft.size
-    assert max(cfg.frame_samples, design.training.conv.size) < entries
+    assert max(cfg.frame_samples, design.training.pinv.size) < entries
     monkeypatch.setattr(link, "MAX_FRAME_SAMPLES", entries)
     replace(cfg, n_bits=4000)
     monkeypatch.setattr(link, "MAX_FRAME_SAMPLES", entries - 1)
@@ -119,7 +120,7 @@ def test_config_bound_is_the_size_of_the_design_training_matrix(monkeypatch, ban
     cfg = LinkConfig(scheme="PS+B", n_bits=400, n_training=200,
                      signal_bandwidth_hz=bandwidth_hz)
     design = link.trial_design(cfg)
-    entries = design.training.conv.size
+    entries = design.training.pinv.size
     assert max(cfg.frame_samples, design.si_spectrum.replica_dft.size) < entries
     monkeypatch.setattr(link, "MAX_FRAME_SAMPLES", entries)
     replace(cfg, n_bits=400)
@@ -181,7 +182,23 @@ def test_config_accepts_numpy_integers():
     plain = LinkConfig(scheme="PS+B", n_bits=400)
     cfg = replace(plain, **{k: np.int64(getattr(plain, k)) for k in INT_KEYS})
     assert cfg == plain
+    assert all(type(getattr(cfg, k)) is int for k in INT_KEYS)
     assert run_trial(cfg, np.random.default_rng(0)) == run_trial(plain, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("key, kw", [
+    ("n_training", dict(scheme="PS+B", n_training=np.int64(2**62))),
+    ("span_symbols", dict(span_symbols=np.int64(2**62))),
+    ("span_symbols", dict(span_symbols=2**62)),
+    ("n_taps", dict(n_taps=2**62)),
+    ("n_taps", dict(n_taps=np.int64(2**62))),
+])
+def test_huge_integer_keys_are_config_errors_naming_the_key(key, kw):
+    # the bounds are computed in Python ints, so a numpy key cannot wrap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=f"{key} = {2**62}"):
+            LinkConfig(**kw)
 
 
 def test_config_rejects_order_beyond_training():
@@ -352,7 +369,7 @@ def test_trial_si_equals_sample_rate_channel(monkeypatch, scheme, bandwidth_hz):
     si = math.sqrt(channel.dbm_to_linear(cfg.p_ta_dbm)) * np.convolve(x_a, h_aa.taps)
     ref = si
     if estimate is not None:
-        ref = reference.si_less_replica(x_a, h_aa.taps, estimate.taps_hat,
+        ref = reference.si_less_replica(x_a, h_aa.taps, estimate,
                                         cfg.p_ta_dbm)
     assert seen[0].shape == ref.shape
     assert np.max(np.abs(seen[0] - ref)) <= 1e-12 * np.max(np.abs(si))
