@@ -2,11 +2,11 @@
 
 Pulse shaping and matched filtering are multirate, so they have their
 own polyphase kernels, which compute only the samples the link uses:
-``upsample_convolve`` skips the products with the zeros of a
-zero-stuffed symbol stream, and ``convolve_decimate`` computes only the
-kept outputs.  Both take real taps (the SRRC filter) and run the real
-and imaginary parts of the signal through one real matrix product,
-which is much faster than a complex one on a strided view.
+``upsample`` skips the products with the zeros of a zero-stuffed symbol
+stream, and ``decimate`` computes only the kept outputs.  Each runs the
+real and imaginary parts of the signal through one real matrix, which
+``polyphase_matrices`` builds once per SRRC filter: one real product is
+much faster than a complex one on a strided view.
 
 The self-interference of a trial is the zero-stuffed symbol stream
 through the SRRC filter and then the long complex channel, so the link
@@ -20,26 +20,13 @@ difference of the two filters' polyphase spectra.  The short filter has
 only a few taps per phase, so its spectrum is one product with a DFT
 matrix of that many columns, which ``phase_spectrum`` builds once with
 the long filter's spectrum, rather than one FFT per phase.  The kernel
-works in one ``(n_fft, sps)`` buffer, where row q holds output block q
-(samples q*sps ... q*sps + sps - 1), the layout of the stored spectra:
-it forms the product spectrum there (and, for +B, the replica's
-spectrum and the difference before it), inverts it in place and
-returns the buffer's leading samples, so the interleaved output needs
-no copy and a trial allocates one spectrum-sized array.
+forms, inverts and returns its output in one ``(n_fft, sps)`` buffer,
+so a trial allocates one spectrum-sized array.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def _real_taps(h) -> np.ndarray:
-    h = np.asarray(h)
-    if h.ndim != 1 or h.size == 0:
-        raise ValueError("taps must be a non-empty 1-d sequence")
-    if np.iscomplexobj(h):
-        raise ValueError("the multirate kernels take real taps")
-    return h.astype(np.float64, copy=False)
 
 
 def _strided(a: np.ndarray, shape: tuple, strides: tuple) -> np.ndarray:
@@ -75,65 +62,63 @@ def _n_phases(n_taps: int, sps: int) -> int:
     return (n_taps + 2 * sps - 2) // sps
 
 
-def upsample_convolve(symbols, h, sps: int) -> np.ndarray:
-    """``np.convolve`` of the zero-stuffed symbol stream with real taps ``h``.
+def polyphase_matrices(h, sps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices with which ``upsample`` and ``decimate`` apply real
+    taps ``h`` at ``sps``: the taps' phases in reverse order, and the
+    transposed phases of the reversed taps, both interleaved."""
+    shaping = _interleaved(_phases(h, sps, _n_phases(len(h), sps))[::-1])
+    return shaping, _interleaved(_phases(h[::-1], sps, -(-len(h) // sps)).T)
 
-    The stream has ``len(symbols) * sps`` samples with the symbols at
-    multiples of ``sps``; the result has its full convolution length,
-    ``len(symbols) * sps + len(h) - 1``.  Output block q (samples
-    q*sps ... q*sps + sps - 1) is the window of symbols ending at q times
-    the (phases x sps) tap matrix, so no product with a stuffed zero is
-    formed.
-    """
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    h = _real_taps(h)
-    if symbols.ndim != 1 or symbols.size == 0:
-        raise ValueError("upsample_convolve requires a non-empty 1-d symbol sequence")
-    if sps < 1:
-        raise ValueError("sps must be >= 1")
-    n = len(symbols)
-    p = _n_phases(len(h), sps)
-    phases = _phases(h, sps, p)
+
+def _signal(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("the kernels take non-empty 1-d signals and taps")
+    return x
+
+
+def upsample(symbols, shaping: np.ndarray, n_taps: int) -> np.ndarray:
+    """``np.convolve`` of the zero-stuffed symbol stream (the symbols at
+    multiples of ``sps``) with the ``n_taps`` taps of ``shaping``, at its
+    full length.  Output block q (samples q*sps ... q*sps + sps - 1) is
+    the window of symbols ending at q times the shaping matrix, so no
+    product with a stuffed zero is formed."""
+    symbols = _signal(symbols)
+    n, p, sps = len(symbols), shaping.shape[0] // 2, shaping.shape[1] // 2
     padded = np.zeros(n + 2 * (p - 1), dtype=np.complex128)
     padded[p - 1 : p - 1 + n] = symbols
     # row q: symbols q-p+1 .. q as interleaved (real, imag) pairs
     windows = _strided(padded.view(np.float64), (n + p - 1, 2 * p),
                        (padded.itemsize, padded.itemsize // 2))
-    blocks = windows @ _interleaved(phases[::-1])
-    return blocks.view(np.complex128).ravel()[: n * sps + len(h) - 1]
+    return (windows @ shaping).view(np.complex128).ravel()[: n * sps + n_taps - 1]
 
 
-def convolve_decimate(x, h, offset: int, step: int,
-                      count: int | None = None) -> np.ndarray:
-    """``np.convolve(x, h)[offset::step][:count]`` for real taps ``h``.
+def decimate(x, matched: np.ndarray, start: int, count: int | None = None) -> np.ndarray:
+    """``np.convolve(x, h)[start + len(h) - 1::step][:count]`` for the
+    taps h and ``step`` of ``matched``, whose length must be at most the
+    outputs whose window starts before x ends (all of them by default).
 
-    Only the kept outputs are computed.  Reading x in rows of ``step``
-    samples, output k is the sum over phases j of the row k + j times the
-    j-th phase of the reversed taps; one matrix product forms every
-    (row, phase) term and a strided diagonal sum adds them up.  x is
-    zero-padded only where an output window reaches past either end.
+    Reading x in rows of ``step`` samples, output k is the sum over phases
+    j of the row k + j times the j-th phase of the reversed taps, so one
+    matrix product forms every (row, phase) term and a strided diagonal
+    sum adds them up.  x is zero-padded only where an output window
+    reaches past either end.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    h = _real_taps(h)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("convolve_decimate requires a non-empty 1-d input")
-    if offset < 0 or step < 1 or (count is not None and count < 0):
-        raise ValueError("offset and count must be >= 0 and step >= 1")
-    n_x, n_h = len(x), len(h)
-    available = len(range(offset, n_x + n_h - 1, step))
-    count = available if count is None else min(count, available)
-    p = -(-n_h // step)
-    phases = _phases(h[::-1], step, p)
-    # output m is sum_i h_rev[i] * x[m - n_h + 1 + i]
-    front = max(0, n_h - 1 - offset)
-    start = offset - (n_h - 1) + front
+    x = _signal(x)
+    step, p = matched.shape[0] // 2, matched.shape[1] // 2
+    available = len(range(start, len(x), step))
+    count = available if count is None else count
+    if not 0 <= count <= available:
+        raise ValueError(f"the signal has {available} outputs, not {count}")
+    front = max(0, -start)
+    start += front
     stop = start + (count + p - 1) * step
-    back = max(0, stop - (front + n_x))
+    back = max(0, stop - (front + len(x)))
     if front or back:
         x = np.concatenate((np.zeros(front, dtype=np.complex128), x,
                             np.zeros(back, dtype=np.complex128)))
     rows = np.ascontiguousarray(x[start:stop]).view(np.float64)
-    terms = (rows.reshape(-1, 2 * step) @ _interleaved(phases.T)).view(np.complex128)
+    terms = (rows.reshape(-1, 2 * step) @ matched).view(np.complex128)
     s_row, s_col = terms.strides
     return _strided(terms, (count, p), (s_row, s_row + s_col)).sum(axis=1)
 
@@ -180,9 +165,7 @@ def phase_spectrum(h, sps: int, n_symbols: int, n_minus: int = 0) -> PhaseSpectr
     long enough to filter up to ``n_symbols`` symbols without wrap-around,
     and able to subtract filters of up to ``n_minus`` taps (at most
     ``len(h)``) from it."""
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 1 or h.size == 0:
-        raise ValueError("taps must be a non-empty 1-d sequence")
+    h = _signal(h)
     if sps < 1 or n_symbols < 1:
         raise ValueError("sps and n_symbols must be >= 1")
     if not 0 <= n_minus <= len(h):
@@ -198,22 +181,21 @@ def phase_spectrum(h, sps: int, n_symbols: int, n_minus: int = 0) -> PhaseSpectr
 
 
 def upsample_convolve_fft(symbols, spectrum: PhaseSpectrum, minus=None) -> np.ndarray:
-    """``upsample_convolve`` by FFT at the symbol rate, for complex taps.
+    """The zero-stuffed symbol stream through complex taps, by FFT at the
+    symbol rate.
 
     Equals ``np.convolve`` of the zero-stuffed stream with the taps that
     ``spectrum`` was built from, at its full length; with ``minus``
     (complex taps, at most m * sps of them and at most that filter's
-    length), with those taps less ``minus``.  Output sample q*sps + j is symbol sequence ⊛ phase j at
-    q, so one FFT of the symbols, one product with every phase's spectrum
-    and one inverse FFT per phase give all of them; the spectrum of
-    ``minus``'s phases is one product with ``spectrum.replica_dft``.  The
-    result is a view of the leading samples of the ``(n_fft, sps)``
-    buffer those transforms run in, whose rows are the output blocks in
-    order.
+    length), with those taps less ``minus``.  Output sample q*sps + j is
+    symbol sequence ⊛ phase j at q, so one FFT of the symbols, one product
+    with every phase's spectrum and one inverse FFT per phase give all of
+    them; the spectrum of ``minus``'s phases is one product with
+    ``spectrum.replica_dft``.  The result is a view of the leading samples
+    of the ``(n_fft, sps)`` buffer those transforms run in, whose rows
+    (the layout of the stored spectra) are the output blocks in order.
     """
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    if symbols.ndim != 1 or symbols.size == 0:
-        raise ValueError("upsample_convolve_fft requires a non-empty 1-d symbol sequence")
+    symbols = _signal(symbols)
     n_fft, sps = spectrum.spectra.shape
     p = _n_phases(spectrum.n_taps, sps)
     n_out = len(symbols) * sps + spectrum.n_taps - 1

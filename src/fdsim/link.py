@@ -342,9 +342,11 @@ class TrialDesign:
 def _sinr_window(config: LinkConfig, filt: sigproc.SrrcFilter,
                  h_aa: channel.BasebandChannel) -> tuple[int, int]:
     """The received samples ``[head, tail)`` over which the SINR is measured:
-    past the filter and channel transients at both ends, or the whole frame
-    when that leaves less than a symbol or starts after the desired
-    waveform has ended (a frame of a few symbols)."""
+    from ``2 * group_delay`` plus the SI channel's 99.99 %-energy support
+    to the frame's end less ``2 * group_delay``, ``n_taps - 1 - 2 *
+    group_delay`` samples past the desired waveform's end (before it when
+    negative).  The whole frame when that leaves less than a symbol or
+    starts after the desired waveform has ended (a few-symbol frame)."""
     n_desired = config.n_symbols * config.samples_per_symbol + len(filt.taps) - 1
     head = 2 * filt.group_delay + channel.support_length(h_aa.taps, 0.9999)
     tail = config.frame_samples - 2 * filt.group_delay
@@ -358,7 +360,6 @@ def trial_design(config: LinkConfig) -> TrialDesign:
     passes it to each trial of the point; nothing keeps it after that."""
     sps = config.samples_per_symbol
     filt = sigproc.srrc_taps(config.rolloff, config.span_symbols, sps)
-    filt.taps.setflags(write=False)
     h_aa = self_interference_channel(config)
     # the SI of one transmitted pulse; a frame's SI is the sum of its
     # symbol-spaced shifts scaled by the symbols

@@ -9,11 +9,11 @@ built once at import (``PSK_TABLES``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import convolve_decimate, upsample_convolve
+from . import _kernels
 
 SUPPORTED_ORDERS = (2, 4, 8, 16)
 
@@ -78,12 +78,27 @@ def energy(x) -> float:
 
 @dataclass(frozen=True)
 class SrrcFilter:
-    """Square-root-raised-cosine filter taps with their design parameters."""
+    """Square-root-raised-cosine filter taps (real, held as a read-only
+    copy) with their design parameters, and the read-only polyphase
+    matrices that ``pulse_shape`` and ``matched_filter_downsample`` apply,
+    built once with the filter."""
 
     taps: np.ndarray
     rolloff: float
     span_symbols: int
     samples_per_symbol: int
+    shaping: np.ndarray = field(init=False, repr=False, compare=False)
+    matched: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        taps = np.asarray(self.taps)
+        if taps.ndim != 1 or not taps.size or np.iscomplexobj(taps) or self.samples_per_symbol < 1:
+            raise ValueError("a filter takes a non-empty 1-d real tap sequence and sps >= 1")
+        taps = taps.astype(np.float64)
+        matrices = _kernels.polyphase_matrices(taps, self.samples_per_symbol)
+        for name, a in zip(("taps", "shaping", "matched"), (taps, *matrices)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def group_delay(self) -> int:
@@ -94,7 +109,11 @@ class SrrcFilter:
 def modulate_psk(bits, m_order: int) -> np.ndarray:
     """Map a {0,1} sequence onto Gray-coded unit-modulus PSK symbols."""
     table = psk_table(m_order)
-    bits = np.asarray(bits, dtype=np.int64)
+    bits = np.asarray(bits)
+    # before the cast, which would truncate 0.5 to 0
+    if bits.dtype.kind not in "biu" and not np.isin(bits, (0, 1)).all():
+        raise ValueError("bits must contain only 0 and 1")
+    bits = bits.astype(np.int64, copy=False)
     # one reduction checks both ends: a negative bit is a huge unsigned one
     if bits.size and bits.view(np.uint64).max() > 1:
         raise ValueError("bits must contain only 0 and 1")
@@ -168,7 +187,7 @@ def pulse_shape(symbols, filt: SrrcFilter) -> np.ndarray:
     With unit-energy taps the mean per-symbol waveform energy equals the
     mean symbol energy, so no extra scaling is applied.
     """
-    return upsample_convolve(symbols, filt.taps, filt.samples_per_symbol)
+    return _kernels.upsample(symbols, filt.shaping, len(filt.taps))
 
 
 def matched_filter_downsample(samples, filt: SrrcFilter,
@@ -181,19 +200,14 @@ def matched_filter_downsample(samples, filt: SrrcFilter,
     """
     if len(samples) < len(filt.taps):
         raise ValueError("waveform shorter than the matched filter span")
-    sym = convolve_decimate(samples, filt.taps, 2 * filt.group_delay,
-                            filt.samples_per_symbol, n_symbols)
-    if n_symbols is not None and len(sym) < n_symbols:
-        raise ValueError("waveform too short for the requested symbol count")
-    return sym
+    start = 2 * filt.group_delay - len(filt.taps) + 1
+    return _kernels.decimate(samples, filt.matched, start, n_symbols)
 
 
 def awgn(n: int, variance: float, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. CN(0, variance) samples; real/imag each carry variance/2."""
-    if variance < 0:
-        raise ValueError("noise variance must be non-negative")
-    if n < 0:
-        raise ValueError("length must be non-negative")
+    if not 0.0 <= variance < np.inf or n < 0:
+        raise ValueError("awgn takes a finite variance >= 0 and a length >= 0")
     if variance == 0.0:
         return np.zeros(n, dtype=np.complex128)
     scale = np.sqrt(variance / 2.0)

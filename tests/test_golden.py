@@ -3,36 +3,36 @@
 Kernel changes reorder floating-point sums, so rows are compared within
 the benchmark's golden tolerance, not byte for byte.  The golden files
 belong to the benchmark (``perfbench/bless.py`` writes them, from the
-workloads in ``perfbench/workloads.py``, which the specs below mirror);
+workloads in ``perfbench/workloads.py``, whose specs this test builds);
 this test only reads them.
 """
 
+import importlib.util
 import math
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from fdsim import harness, link
+from fdsim import harness
 
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+GOLDEN = PERFBENCH / "golden"
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
-#: workload name -> (base config overrides, axis, values, trials per point)
-WORKLOADS = {
-    "sweep-ebn0": ({}, "ebn0_db", (0.0, 5.0, 10.0, 15.0, 20.0, 30.0, 90.0), 50),
-    "narrowband": ({"signal_bandwidth_hz": 0.5e6}, "ebn0_db", (20.0, 90.0), 13),
-    "sweep-bandwidth": ({}, "bandwidth_hz", (10e6, 5e6, 4e6, 2e6, 1e6), 10),
-}
+# perfbench is a directory of scripts, not a package, so its workloads
+# module is loaded from its path (and registered, as its dataclass needs)
+_spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                               PERFBENCH / "workloads.py")
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
-@pytest.mark.parametrize("name", WORKLOADS)
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
 def test_sweep_matches_golden_rows(name):
-    base, axis, values, trials = WORKLOADS[name]
-    spec = harness.SweepSpec(base=link.LinkConfig(**base), axis=axis, values=values,
-                             schemes=link.SCHEMES, trials_per_point=trials,
-                             root_seed=1)
+    spec = workloads.build_spec(name, workloads.DEFAULT_SEED)
     golden = harness.read_results(GOLDEN / f"{name}.csv").rows
     rows = harness.run_sweep(spec).rows
     assert len(rows) == len(golden)

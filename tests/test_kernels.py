@@ -9,20 +9,22 @@ import numpy as np
 import pytest
 
 import fdsim
-from fdsim import sigproc
-from fdsim._kernels import (convolve_decimate, fft_size, phase_spectrum,
-                            upsample_convolve, upsample_convolve_fft)
+from fdsim import _kernels, sigproc
+from fdsim._kernels import fft_size, phase_spectrum, upsample_convolve_fft
 
 #: Only the summation order differs from the reference, so the outputs
 #: agree to a few ulps of the signal's peak.
 REL_TOL = 1e-15
 
 
-def _taps(kind, sps):
+def _filter(kind, sps):
     if kind == "srrc":
-        return sigproc.srrc_taps(0.25, 8, sps).taps
-    # a tap count that is not span * sps + 1
-    return np.random.default_rng(sps).standard_normal(3 * sps + 2)
+        return sigproc.srrc_taps(0.25, 8, sps)
+    # a filter built directly, with a tap count that is not span * sps + 1
+    # (an even one at even sps)
+    taps = np.random.default_rng(sps).standard_normal(3 * sps + 2)
+    return sigproc.SrrcFilter(taps=taps, rolloff=0.25, span_symbols=8,
+                              samples_per_symbol=sps)
 
 
 def _stuffed(symbols, sps):
@@ -40,19 +42,31 @@ def _assert_close(got, ref, scale):
 @pytest.mark.parametrize("n", [1, 2, 1000])
 @pytest.mark.parametrize("kind", ["srrc", "odd"])
 def test_kernels_match_reference(sps, n, kind):
-    h = _taps(kind, sps)
+    filt = _filter(kind, sps)
+    h = filt.taps
     rng = np.random.default_rng(n)
     symbols = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
     ref = np.convolve(_stuffed(symbols, sps), h)
-    _assert_close(upsample_convolve(symbols, h, sps), ref, np.max(np.abs(ref)))
+    _assert_close(sigproc.pulse_shape(symbols, filt), ref, np.max(np.abs(ref)))
 
     x = ref + 1e-3 * (rng.standard_normal(len(ref)) + 1j * rng.standard_normal(len(ref)))
     full = np.convolve(x, h)
     scale = np.max(np.abs(full))
+    # the matched filter's first instant is 2 * group_delay for any tap count
+    for count in (None, 1, n):
+        _assert_close(sigproc.matched_filter_downsample(x, filt, count),
+                      full[2 * filt.group_delay::sps][:count], scale)
+    with pytest.raises(ValueError):
+        sigproc.matched_filter_downsample(x, filt, len(full))
+    # the kernel itself keeps any output phase
     for offset in (0, 1, len(h) - 1, len(h) + 3, len(full) - 2):
-        for count in (None, 1, n, len(full)):
-            _assert_close(convolve_decimate(x, h, offset, sps, count),
+        start = offset - len(h) + 1
+        for count in (None, 0, 1, len(full[offset::sps])):
+            _assert_close(_kernels.decimate(x, filt.matched, start, count),
                           full[offset::sps][:count], scale)
+        for count in (-1, len(full[offset::sps]) + 1):
+            with pytest.raises(ValueError):
+                _kernels.decimate(x, filt.matched, start, count)
 
 
 #: The FFT kernel's rounding error grows with log2 of the transform length
@@ -136,11 +150,20 @@ def test_sigproc_filters_match_reference(sps):
                       full[2 * filt.group_delay::sps][:n_symbols], np.max(np.abs(full)))
 
 
-def test_kernels_reject_complex_taps():
-    with pytest.raises(ValueError):
-        upsample_convolve([1.0], [1.0 + 1j], 2)
-    with pytest.raises(ValueError):
-        convolve_decimate([1.0, 2.0], [1.0 + 1j], 0, 2)
+def test_filter_rejects_complex_or_empty_taps():
+    for taps in ([1.0 + 1j], [], [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            sigproc.SrrcFilter(taps=np.array(taps), rolloff=0.25, span_symbols=8,
+                               samples_per_symbol=2)
+
+
+def test_filter_holds_read_only_copies():
+    taps = np.hanning(17)
+    filt = sigproc.SrrcFilter(taps=taps, rolloff=0.25, span_symbols=8,
+                              samples_per_symbol=2)
+    assert taps.flags.writeable and np.array_equal(filt.taps, taps)
+    for a in (filt.taps, filt.shaping, filt.matched):
+        assert not a.flags.writeable
 
 
 def test_import_and_a_trial_of_every_scheme_load_no_scipy():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import reference
-from fdsim import cancellation, channel, harness, link, sigproc
+from fdsim import _kernels, cancellation, channel, harness, link, sigproc
 from fdsim.errors import ConfigError
 from fdsim.link import LinkConfig, LinkReport, run_trial
 
@@ -415,6 +415,22 @@ def test_given_design_equals_built_design(scheme):
     assert design.config == cfg
     assert (run_trial(cfg, np.random.default_rng(6))
             == run_trial(cfg, np.random.default_rng(6), design))
+
+
+@pytest.mark.parametrize("scheme", link.SCHEMES)
+def test_trial_with_a_design_builds_no_polyphase_matrix(monkeypatch, scheme):
+    # the SRRC filter's shaping and matched-filter matrices are built with
+    # the design, and its trials only read them
+    cfg = LinkConfig(scheme=scheme, ebn0_db=30.0, n_bits=400)
+    design = link.trial_design(cfg)
+
+    def refuse(m):
+        raise AssertionError("a trial built a polyphase matrix")
+
+    monkeypatch.setattr(_kernels, "_interleaved", refuse)
+    run_trial(cfg, np.random.default_rng(6), design)
+    for a in (design.filt.shaping, design.filt.matched):
+        assert not a.flags.writeable
 
 
 def _design_arrays(obj):

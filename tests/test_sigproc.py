@@ -40,6 +40,19 @@ def test_modulate_rejects_non_binary():
         sigproc.modulate_psk([0, 2], 4)
 
 
+@pytest.mark.parametrize("bits", [[0.5, 1.7], [0.0, 0.5], [1.0, np.nan], [-0.0, -1.0]])
+def test_modulate_rejects_non_binary_float_bits(bits):
+    # a cast to integers would truncate 0.5 and 1.7 to valid bits
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        sigproc.modulate_psk(bits, 4)
+
+
+def test_modulate_takes_float_and_bool_bits():
+    ref = sigproc.modulate_psk([0, 1, 1, 0], 4)
+    for bits in ([0.0, 1.0, 1.0, 0.0], np.array([False, True, True, False])):
+        assert np.array_equal(sigproc.modulate_psk(bits, 4), ref)
+
+
 @pytest.mark.parametrize("m", [2, 4, 8, 16])
 def test_demodulate_round_trip(m):
     rng = np.random.default_rng(11)
@@ -352,3 +365,10 @@ def test_awgn_keeps_the_noise_stream(n, variance):
 def test_awgn_rejects_negative_variance():
     with pytest.raises(ValueError):
         sigproc.awgn(4, -1.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("variance", [np.nan, np.inf])
+def test_awgn_rejects_a_non_finite_variance(variance):
+    # neither may surface as NaN or infinite samples
+    with pytest.raises(ValueError):
+        sigproc.awgn(3, variance, np.random.default_rng(0))
