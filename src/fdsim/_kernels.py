@@ -44,18 +44,6 @@ def _phases(h: np.ndarray, step: int, n_phases: int) -> np.ndarray:
     return padded.reshape(n_phases, step)
 
 
-def _interleaved(m: np.ndarray) -> np.ndarray:
-    """The real matrix that applies real ``m`` to interleaved (real, imag)
-    pairs: element [2i + c, 2j + c] is m[i, j], for c = 0, 1.
-
-    (``np.kron(m, np.eye(2))``, without its per-call overhead.)
-    """
-    out = np.zeros((m.shape[0], 2, m.shape[1], 2))
-    out[:, 0, :, 0] = m
-    out[:, 1, :, 1] = m
-    return out.reshape(2 * m.shape[0], 2 * m.shape[1])
-
-
 def _n_phases(n_taps: int, sps: int) -> int:
     """Phases of an ``n_taps`` filter at ``sps`` for upsampling: enough that
     the last output block reaches the last output sample."""
@@ -65,9 +53,11 @@ def _n_phases(n_taps: int, sps: int) -> int:
 def polyphase_matrices(h, sps: int) -> tuple[np.ndarray, np.ndarray]:
     """The matrices with which ``upsample`` and ``decimate`` apply real
     taps ``h`` at ``sps``: the taps' phases in reverse order, and the
-    transposed phases of the reversed taps, both interleaved."""
-    shaping = _interleaved(_phases(h, sps, _n_phases(len(h), sps))[::-1])
-    return shaping, _interleaved(_phases(h[::-1], sps, -(-len(h) // sps)).T)
+    transposed phases of the reversed taps, each in its Kronecker product
+    with the 2 x 2 identity, which applies it to interleaved (real, imag)
+    pairs."""
+    shaping = np.kron(_phases(h, sps, _n_phases(len(h), sps))[::-1], np.eye(2))
+    return shaping, np.kron(_phases(h[::-1], sps, -(-len(h) // sps)).T, np.eye(2))
 
 
 def _signal(x) -> np.ndarray:

@@ -69,12 +69,10 @@ def training_model(burst: np.ndarray, estimator_order: int,
             f"training waveform has {len(burst)} samples; cannot identify "
             f"{estimator_order} taps (increase n_tr or lower the order)"
         )
-    conv = _convolution_matrix(burst, estimator_order, len(burst) + len(channel.taps) - 1)
-    u, sv, vh = np.linalg.svd(conv, full_matrices=False)
-    rank = int(np.sum(sv > np.finfo(np.float64).eps * max(conv.shape) * sv[0]))
-    if rank < 1:
+    if not np.any(burst):
         raise EstimationError("training signal is degenerate; estimation failed")
-    pinv = (vh[:rank].conj().T / sv[:rank]) @ u[:, :rank].conj().T
+    conv = _convolution_matrix(burst, estimator_order, len(burst) + len(channel.taps) - 1)
+    pinv = np.linalg.pinv(conv, rtol=np.finfo(np.float64).eps * max(conv.shape))
     response = np.convolve(burst, channel.taps)
     for a in (pinv, response):
         a.setflags(write=False)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import replace
 
@@ -92,6 +93,9 @@ def _cmd_sweep(args) -> int:
         spec = replace(spec, trials_per_point=args.trials)
     if args.scheme is not None:
         spec = replace(spec, schemes=(args.scheme,))
+    # the CSV is written after the last trial: check its path before the first
+    if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise OSError(f"cannot write {args.out}: it is a directory or its directory is missing")
     result = harness.run_sweep(spec)
     harness.write_results(result, args.out)
     if args.verbose:

@@ -37,8 +37,12 @@ class SweepSpec:
         check_field_types(self)
         if self.axis not in AXES:
             raise ConfigError(f"axis must be one of {AXES}, got {self.axis!r}")
-        if not self.values:
-            raise ConfigError("sweep needs at least one axis value")
+        # +inf is the noise-free link; no other axis takes an infinity
+        if not self.values or len(set(self.values)) < len(self.values) or any(
+                v != v or abs(v) == math.inf and (self.axis != "ebn0_db" or v < 0)
+                for v in self.values):
+            raise ConfigError(f"values must be one or more distinct finite points (+inf "
+                              f"too on the ebn0_db axis), got {self.values}")
         if self.axis == "mod_order":
             bad = [v for v in self.values if v not in SUPPORTED_ORDERS]
             if bad:
@@ -46,8 +50,9 @@ class SweepSpec:
                     f"values {bad} are not modulation orders; the mod_order "
                     f"axis takes {SUPPORTED_ORDERS}"
                 )
-        if not self.schemes:
-            raise ConfigError("sweep needs at least one scheme")
+        if not self.schemes or len(set(self.schemes)) < len(self.schemes):
+            raise ConfigError(f"schemes must be one or more distinct schemes, got "
+                              f"{self.schemes}")
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}")

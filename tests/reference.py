@@ -1,14 +1,17 @@
-"""Sample-rate reference for the +B canceller.
+"""Sample-rate references for the +B canceller and the whole trial.
 
 A trial subtracts its replica inside the SI spectrum at the symbol rate.
-The functions here form the same signals directly at the sample rate,
-from the transmitted waveform ``x``, the SI channel taps ``h`` and the
-estimate ``h_hat``, with amp = sqrt(P_Ta).
+``si_less_replica`` and ``eq8_residual`` form the same signals directly
+at the sample rate, from the transmitted waveform ``x``, the SI channel
+taps ``h`` and the estimate ``h_hat``, with amp = sqrt(P_Ta);
+``run_trial`` runs a whole trial that way.
 """
 
 import math
 
 import numpy as np
+
+from fdsim import cancellation, link, sigproc
 
 
 def _amp(p_ta_dbm: float) -> float:
@@ -33,3 +36,87 @@ def eq8_residual(x, h, h_hat, p_ta_dbm: float) -> np.ndarray:
     err[: len(h)] = h
     err[: len(h_hat)] -= h_hat
     return _amp(p_ta_dbm) * np.convolve(x, err)
+
+
+def _shape(symbols, taps: np.ndarray, sps: int) -> np.ndarray:
+    """The symbols zero-stuffed to ``sps`` samples each, through ``taps``."""
+    stuffed = np.zeros(len(symbols) * sps, dtype=np.complex128)
+    stuffed[::sps] = symbols
+    return np.convolve(stuffed, taps)
+
+
+def _noise(n: int, variance: float, rng) -> np.ndarray:
+    """CN(0, variance) samples: n real parts, then n imaginary parts, and
+    no draw at all for zero variance."""
+    if variance == 0.0:
+        return np.zeros(n, dtype=np.complex128)
+    scale = math.sqrt(variance / 2.0)
+    re = scale * rng.standard_normal(n)
+    return re + 1j * (scale * rng.standard_normal(n))
+
+
+def _power(x) -> float:
+    return float(np.sum(np.abs(x) ** 2))
+
+
+def _db(ratio: float) -> float:
+    return 10.0 * math.log10(max(ratio, 1e-300))
+
+
+def run_trial(config, rng):
+    """``link.run_trial`` at the sample rate, drawing from ``rng`` in the
+    same order: the training noise (+B), both nodes' bits, the far node's
+    phase and the receiver noise.
+
+    Every waveform is a zero-stuffed symbol stream through ``np.convolve``
+    and the +B estimate is ``np.linalg.lstsq``'s solution of the training
+    burst's convolution model.  Only the SRRC taps, the SI taps, the SINR
+    window and the PSK mapping are fdsim's.
+    """
+    sps, n_b = config.samples_per_symbol, config.n_b
+    filt = sigproc.srrc_taps(config.rolloff, config.span_symbols, sps)
+    h_aa = link.self_interference_channel(config)
+    srrc, h = filt.taps, h_aa.taps
+    head, tail = link._sinr_window(config, filt, h_aa)
+    amp = _amp(config.p_ta_dbm)
+    p_rb = 10.0 ** (config.p_rb_dbm / 10.0)
+    # the desired signal's symbol energy is p_rb, so N0 = p_rb / n_b / (Eb/N0)
+    noise_var = p_rb / n_b / 10.0 ** (config.ebn0_db / 10.0)
+
+    h_hat = est_err_db = None
+    if config.uses_baseband_cancellation:
+        pattern = np.resize(cancellation.TRAINING_PATTERN, config.n_training)
+        burst = _shape(sigproc.constellation(4)[pattern], srrc, sps)
+        r = amp * np.convolve(burst, h)
+        r = r + _noise(len(r), noise_var, rng)
+        order = config.estimator_order
+        model = np.zeros((len(r), order), dtype=np.complex128)
+        for j in range(order):
+            model[j : j + len(burst), j] = amp * burst
+        h_hat = np.linalg.lstsq(model, r, rcond=None)[0]
+        est_err_db = _db(_power(h - np.pad(h_hat, (0, len(h) - order))) / _power(h))
+
+    bits_a = rng.integers(0, 2, size=config.n_bits)
+    bits_b = rng.integers(0, 2, size=config.n_bits)
+    x_a = _shape(sigproc.modulate_psk(bits_a, config.mod_order), srrc, sps)
+    s_b = sigproc.modulate_psk(bits_b, config.mod_order)
+    gain = math.sqrt(p_rb) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+
+    frame = _noise(config.frame_samples, noise_var, rng)
+    if h_hat is None:
+        frame += amp * np.convolve(x_a, h)
+    else:
+        frame += si_less_replica(x_a, h, h_hat, config.p_ta_dbm)
+    p_residual = _power(frame[head:tail]) / (tail - head)
+    desired = gain * _shape(s_b, srrc, sps)
+    p_desired = _power(desired[head:tail]) / (tail - head)
+    sinr_db = math.inf if p_residual == 0.0 else 10.0 * math.log10(p_desired / p_residual)
+    frame[: len(desired)] += desired
+
+    # the matched filter's output at the symbol instants, from 2 * group delay
+    start = len(srrc) - 1
+    symbols = np.convolve(frame, srrc)[start : start + config.n_symbols * sps : sps]
+    bits_hat = sigproc.demodulate_psk(symbols * np.exp(-1j * np.angle(gain)),
+                                      config.mod_order)
+    return link.LinkReport(sinr_db=sinr_db, ber=float(np.mean(bits_hat != bits_b)),
+                           residual_power_dbm=_db(p_residual), estimate_error_db=est_err_db)

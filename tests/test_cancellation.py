@@ -93,6 +93,12 @@ def test_invalid_order_rejected():
         model(5, 0, short_channel())
 
 
+def test_all_zero_burst_rejected():
+    # rank 0: every column of the convolution matrix is zero
+    with pytest.raises(EstimationError, match="degenerate"):
+        cancellation.training_model(np.zeros(20, dtype=np.complex128), 8, short_channel())
+
+
 def test_model_rows_follow_the_channel():
     burst = cancellation.make_training_signal(5, FILT)
     for n in (8, 9):

@@ -134,6 +134,39 @@ def test_sweep_overrides(tmp_path, capsys):
     assert rows[0].trials == 1
 
 
+def _count_trials(monkeypatch) -> list:
+    """Count the trials a sweep runs (``harness.run_trial`` calls)."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return link.run_trial(*args)
+
+    monkeypatch.setattr(harness, "run_trial", counted)
+    return calls
+
+
+def test_sweep_rejects_a_nan_value_before_any_trial(tmp_path, capsys, monkeypatch):
+    calls = _count_trials(monkeypatch)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_bits = 400\nvalues = 10, nan\ntrials_per_point = 1\n")
+    out = tmp_path / "r.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "config error: values" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("where", ["missing/r.csv", "."])
+def test_sweep_rejects_an_unwritable_out_before_any_trial(tmp_path, capsys, monkeypatch,
+                                                          where):
+    calls = _count_trials(monkeypatch)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_bits = 400\nvalues = 10\ntrials_per_point = 1\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / where)]) == 2
+    assert "fdsim: error:" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_sweep_rerun_is_byte_identical(tmp_path, capsys):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("n_bits = 400\nvalues = 10,20\nschemes = PS+B\n"

@@ -19,15 +19,22 @@ from fdsim import harness
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GOLDEN = PERFBENCH / "golden"
-REL_TOL = 1e-9
-ABS_TOL = 1e-12
 
-# perfbench is a directory of scripts, not a package, so its workloads
-# module is loaded from its path (and registered, as its dataclass needs)
-_spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                               PERFBENCH / "workloads.py")
-workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+
+def _load(name: str):
+    """perfbench's module ``name``.  perfbench is a directory of scripts,
+    not a package, so the module is loaded from its path (and registered,
+    as the workloads' dataclass needs)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("workloads")
+# the tolerance the benchmark compares its rows with
+checks = _load("checks")
 
 
 @pytest.mark.parametrize("name", workloads.WORKLOADS)
@@ -40,7 +47,8 @@ def test_sweep_matches_golden_rows(name):
         for f in fields(harness.SweepRow):
             a, b = getattr(got, f.name), getattr(want, f.name)
             if isinstance(b, float):
-                assert math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL), (f.name, got, want)
+                assert math.isclose(a, b, rel_tol=checks.GOLDEN_REL_TOL,
+                                    abs_tol=checks.GOLDEN_ABS_TOL), (f.name, got, want)
             else:
                 assert a == b, (f.name, got, want)
 

@@ -92,6 +92,9 @@ BAD_SWEEP_KEYS = [
     ("root_seed", "x"), ("root_seed", 1.5), ("root_seed", -1), ("root_seed", False),
     ("values", ("a",)), ("values", (True,)), ("values", (1.0, 2j)),
     ("schemes", ("PS", 1)),
+    # a point a sweep cannot run, or runs twice
+    ("values", (10.0, math.nan)), ("values", (-math.inf,)), ("values", (10.0, 10.0)),
+    ("values", (10, 10.0)), ("schemes", ("PS", "AC", "PS")),
 ]
 
 
@@ -146,6 +149,19 @@ def test_sweep_spec_validation():
         small_spec(schemes=("QQ",))
     with pytest.raises(ConfigError):
         small_spec(trials_per_point=0)
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("p_rb_dbm", (-60.0, math.inf)), ("bandwidth_hz", (-math.inf,)), ("mod_order", (4, 4.0)),
+])
+def test_sweep_spec_rejects_a_point_off_its_axis(axis, values):
+    # each used to be accepted, then failed at its point or wrote a repeated row
+    with pytest.raises(ConfigError, match="^values must"):
+        small_spec(axis=axis, values=values)
+
+
+def test_sweep_spec_takes_the_noise_free_point():
+    assert small_spec(values=(10.0, math.inf)).values == (10.0, math.inf)
 
 
 def test_single_point_sweep_has_one_row():

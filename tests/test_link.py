@@ -424,10 +424,10 @@ def test_trial_with_a_design_builds_no_polyphase_matrix(monkeypatch, scheme):
     cfg = LinkConfig(scheme=scheme, ebn0_db=30.0, n_bits=400)
     design = link.trial_design(cfg)
 
-    def refuse(m):
+    def refuse(h, sps):
         raise AssertionError("a trial built a polyphase matrix")
 
-    monkeypatch.setattr(_kernels, "_interleaved", refuse)
+    monkeypatch.setattr(_kernels, "polyphase_matrices", refuse)
     run_trial(cfg, np.random.default_rng(6), design)
     for a in (design.filt.shaping, design.filt.matched):
         assert not a.flags.writeable
@@ -565,3 +565,21 @@ def test_baseband_cancellation_beats_rf_only():
     g_psb = run_trial(LinkConfig(scheme="PS+B", ebn0_db=30.0),
                       np.random.default_rng(1)).sinr_db
     assert g_psb > g_ps + 20.0
+
+
+@pytest.mark.parametrize("ebn0_db", [8.0, 90.0])
+@pytest.mark.parametrize("bandwidth_hz", [10e6, 2e6, 0.5e6], ids=["sps2", "sps10", "sps40"])
+@pytest.mark.parametrize("scheme", link.SCHEMES)
+def test_trial_matches_the_sample_rate_reference(scheme, bandwidth_hz, ebn0_db):
+    # the whole trial against reference.run_trial: the same draws through
+    # np.convolve and lstsq in place of the polyphase and FFT kernels and pinv
+    cfg = LinkConfig(scheme=scheme, signal_bandwidth_hz=bandwidth_hz, ebn0_db=ebn0_db)
+    design = link.trial_design(cfg)
+    for seed in (1, 2):
+        got = run_trial(cfg, np.random.default_rng(seed), design)
+        want = reference.run_trial(cfg, np.random.default_rng(seed))
+        assert got.ber == want.ber
+        for key in ("sinr_db", "residual_power_dbm", "estimate_error_db"):
+            a, b = getattr(got, key), getattr(want, key)
+            assert (a is None) == (b is None), key
+            assert a is None or a == pytest.approx(b, rel=1e-9, abs=0.0), key

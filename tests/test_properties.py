@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fdsim import channel, harness, sigproc
 from fdsim.cli import main
-from fdsim.errors import ProfileError
+from fdsim.errors import ConfigError, ProfileError
 from fdsim.link import EBN0_RANGE_DB, POWER_RANGE_DBM, SCHEMES, LinkConfig, run_trial
 
 PROPERTIES = settings(max_examples=60, deadline=None, database=None)
@@ -53,30 +53,52 @@ def link_configs(draw):
 
 
 @st.composite
-def sweep_specs(draw):
+def sweep_fields(draw, runnable=True):
+    """The fields of a ``SweepSpec``.  With ``runnable=False``, from a wider
+    domain: values and schemes may repeat, and any axis but mod_order may
+    take ±inf."""
     axis = draw(st.sampled_from(harness.AXES))
     if axis == "mod_order":
         value = st.sampled_from(sigproc.SUPPORTED_ORDERS).map(float)
-    else:
+    elif not runnable:
         value = st.one_of(finite, st.just(math.inf), st.just(-math.inf))
-    return harness.SweepSpec(
+    elif axis == "ebn0_db":
+        value = st.one_of(finite, st.just(math.inf))
+    else:
+        value = finite
+    return dict(
         base=draw(link_configs()), axis=axis,
-        values=tuple(draw(st.lists(value, min_size=1, max_size=5))),
+        values=tuple(draw(st.lists(value, min_size=1, max_size=5, unique=runnable))),
         schemes=tuple(draw(st.lists(st.sampled_from(SCHEMES), min_size=1,
-                                    max_size=4))),
+                                    max_size=4, unique=runnable))),
         trials_per_point=draw(st.integers(1, 10**6)),
         root_seed=draw(st.integers(0, 2**64 - 1)),
     )
 
 
-@PROPERTIES
-@given(sweep_specs())
-def test_emitted_config_parses_back_to_the_spec(spec):
+def _round_trip(spec):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "spec.cfg")
         with open(path, "w") as fh:
             fh.write(harness.emit_config(spec))
-        assert harness.parse_config(path) == spec
+        return harness.parse_config(path)
+
+
+@PROPERTIES
+@given(sweep_fields().map(lambda kw: harness.SweepSpec(**kw)))
+def test_emitted_config_parses_back_to_the_spec(spec):
+    assert _round_trip(spec) == spec
+
+
+@PROPERTIES
+@given(sweep_fields(runnable=False))
+def test_a_wider_spec_round_trips_or_names_its_key(kw):
+    try:
+        spec = harness.SweepSpec(**kw)
+    except ConfigError as exc:
+        assert str(exc).startswith(("values ", "schemes "))
+        return
+    assert _round_trip(spec) == spec
 
 
 @PROPERTIES
