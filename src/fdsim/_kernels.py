@@ -83,31 +83,27 @@ def upsample(symbols, shaping: np.ndarray, n_taps: int) -> np.ndarray:
     return (windows @ shaping).view(np.complex128).ravel()[: n * sps + n_taps - 1]
 
 
-def decimate(x, matched: np.ndarray, start: int, count: int | None = None) -> np.ndarray:
-    """``np.convolve(x, h)[start + len(h) - 1::step][:count]`` for the
-    taps h and ``step`` of ``matched``, whose length must be at most the
-    outputs whose window starts before x ends (all of them by default).
+def decimate(x, matched: np.ndarray, count: int | None = None) -> np.ndarray:
+    """``np.convolve(x, h)[len(h) - 1::step][:count]`` for the taps h and
+    ``step`` of ``matched``, where ``count`` is at most ceil(len(x) / step),
+    the outputs whose window starts inside x (all of them by default).
 
     Reading x in rows of ``step`` samples, output k is the sum over phases
     j of the row k + j times the j-th phase of the reversed taps, so one
     matrix product forms every (row, phase) term and a strided diagonal
     sum adds them up.  x is zero-padded only where an output window
-    reaches past either end.
+    reaches past its end.
     """
     x = _signal(x)
     step, p = matched.shape[0] // 2, matched.shape[1] // 2
-    available = len(range(start, len(x), step))
+    available = -(-len(x) // step)
     count = available if count is None else count
     if not 0 <= count <= available:
         raise ValueError(f"the signal has {available} outputs, not {count}")
-    front = max(0, -start)
-    start += front
-    stop = start + (count + p - 1) * step
-    back = max(0, stop - (front + len(x)))
-    if front or back:
-        x = np.concatenate((np.zeros(front, dtype=np.complex128), x,
-                            np.zeros(back, dtype=np.complex128)))
-    rows = np.ascontiguousarray(x[start:stop]).view(np.float64)
+    stop = (count + p - 1) * step
+    if stop > len(x):
+        x = np.concatenate((x, np.zeros(stop - len(x), dtype=np.complex128)))
+    rows = np.ascontiguousarray(x[:stop]).view(np.float64)
     terms = (rows.reshape(-1, 2 * step) @ matched).view(np.complex128)
     s_row, s_col = terms.strides
     return _strided(terms, (count, p), (s_row, s_row + s_col)).sum(axis=1)
@@ -127,7 +123,7 @@ def fft_size(n: int) -> int:
         n += 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseSpectrum:
     """The DFTs of a filter's polyphase components, for
     ``upsample_convolve_fft``.

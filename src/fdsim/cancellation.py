@@ -33,7 +33,7 @@ def make_training_signal(n_tr: int, filt: SrrcFilter) -> np.ndarray:
     return pulse_shape(symbols, filt)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingModel:
     """The noise-free part of the LS training problem for one burst and
     channel: the pseudo-inverse of the burst's (n_rows x order)

@@ -78,7 +78,7 @@ PROFILE_HEADER = ("freq_hz", "isolation_db", "phase_deg")
 ISOLATION_RANGE_DB = (-1000.0, 1000.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelProfile:
     """Passband isolation (dB, positive = attenuation) and phase (deg)."""
 
@@ -107,7 +107,7 @@ class ChannelProfile:
         object.__setattr__(self, "phase_deg", ph)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasebandChannel:
     """Complex impulse-response taps at the simulation sample rate."""
 

@@ -130,25 +130,33 @@ def point_row(scheme: str, axis: str, value, reports) -> SweepRow:
     )
 
 
+def _at_point(exc, spec: SweepSpec, scheme: str, value, trial: int) -> FdsimError:
+    """``exc`` re-raised as an fdsim error that names its sweep point."""
+    return (ConfigError if isinstance(exc, ConfigError) else FdsimError)(
+        f"{exc} [scheme={scheme}, {spec.axis}={value}, trial={trial}]")
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run all (scheme, value, trial) points, one trial design per point,
-    and aggregate per point."""
-    rows = []
-    for scheme in spec.schemes:
-        for value in spec.values:
-            reports = []
-            trial = 0
-            try:
-                cfg = config_for_point(spec.base, scheme, spec.axis, value)
-                design = trial_design(cfg)
-                for trial in range(spec.trials_per_point):
-                    rng = np.random.default_rng(trial_seed(spec.root_seed, scheme, value, trial))
-                    reports.append(run_trial(cfg, rng, design))
-            except Exception as exc:
-                raise (ConfigError if isinstance(exc, ConfigError) else FdsimError)(
-                    f"{exc} [scheme={scheme}, {spec.axis}={value}, trial={trial}]"
-                ) from exc
-            rows.append(point_row(scheme, spec.axis, value, reports))
+    and aggregate per point.  Every point's config is built before the
+    first trial runs, so an invalid point fails the sweep up front."""
+    points = [(scheme, value) for scheme in spec.schemes for value in spec.values]
+    configs, rows = [], []
+    for scheme, value in points:
+        try:
+            configs.append(config_for_point(spec.base, scheme, spec.axis, value))
+        except Exception as exc:
+            raise _at_point(exc, spec, scheme, value, 0) from exc
+    for (scheme, value), cfg in zip(points, configs):
+        reports, trial = [], 0
+        try:
+            design = trial_design(cfg)
+            for trial in range(spec.trials_per_point):
+                rng = np.random.default_rng(trial_seed(spec.root_seed, scheme, value, trial))
+                reports.append(run_trial(cfg, rng, design))
+        except Exception as exc:
+            raise _at_point(exc, spec, scheme, value, trial) from exc
+        rows.append(point_row(scheme, spec.axis, value, reports))
     return SweepResult(rows=tuple(rows))
 
 

@@ -319,7 +319,7 @@ def self_interference_channel(config: LinkConfig) -> channel.BasebandChannel:
                           f"{config.channel_bandwidth_hz:g}: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialDesign:
     """The parts of a trial that do not change from trial to trial, all for
     ``config``: the SRRC filter, the SI channel and its tap energy, the
@@ -342,15 +342,16 @@ class TrialDesign:
 def _sinr_window(config: LinkConfig, filt: sigproc.SrrcFilter,
                  h_aa: channel.BasebandChannel) -> tuple[int, int]:
     """The received samples ``[head, tail)`` over which the SINR is measured:
-    from ``2 * group_delay`` plus the SI channel's 99.99 %-energy support
-    to the frame's end less ``2 * group_delay``, ``n_taps - 1 - 2 *
-    group_delay`` samples past the desired waveform's end (before it when
-    negative).  The whole frame when that leaves less than a symbol or
-    starts after the desired waveform has ended (a few-symbol frame)."""
-    n_desired = config.n_symbols * config.samples_per_symbol + len(filt.taps) - 1
-    head = 2 * filt.group_delay + channel.support_length(h_aa.taps, 0.9999)
-    tail = config.frame_samples - 2 * filt.group_delay
-    if tail - head < config.samples_per_symbol or head >= n_desired:
+    from the SRRC cascade's delay ``len(filt.taps) - 1`` plus the SI
+    channel's 99.99 %-energy support to the frame's end less that delay,
+    ``n_taps - len(filt.taps)`` samples past the desired waveform's end
+    (before it when negative).  The whole frame when that leaves less than
+    a symbol or starts after the desired waveform ends (a few-symbol frame)."""
+    delay = len(filt.taps) - 1
+    head = delay + channel.support_length(h_aa.taps, 0.9999)
+    tail = config.frame_samples - delay
+    if (tail - head < config.samples_per_symbol
+            or head >= config.n_symbols * config.samples_per_symbol + delay):
         return 0, config.frame_samples
     return head, tail
 

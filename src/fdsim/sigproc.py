@@ -1,7 +1,7 @@
 """Bit/symbol/waveform conversions on plain sample arrays.
 
 Gray-coded M-PSK mapping, square-root-raised-cosine pulse shaping with
-matched filtering (which compensates the delay of both filters),
+matched filtering (sampled at the peak of the cascade of both filters),
 circularly-symmetric complex Gaussian noise, and the |x|² sum behind the
 link's mean powers.  The PSK mapping and detection read per-order tables
 built once at import (``PSK_TABLES``).
@@ -18,7 +18,7 @@ from . import _kernels
 SUPPORTED_ORDERS = (2, 4, 8, 16)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PskTable:
     """Gray-coded M-PSK as read-only lookup tables.
 
@@ -76,7 +76,7 @@ def energy(x) -> float:
     return float(np.einsum("i,i->", v, v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SrrcFilter:
     """Square-root-raised-cosine filter taps (real, held as a read-only
     copy) with their design parameters, and the read-only polyphase
@@ -87,8 +87,8 @@ class SrrcFilter:
     rolloff: float
     span_symbols: int
     samples_per_symbol: int
-    shaping: np.ndarray = field(init=False, repr=False, compare=False)
-    matched: np.ndarray = field(init=False, repr=False, compare=False)
+    shaping: np.ndarray = field(init=False, repr=False)
+    matched: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         taps = np.asarray(self.taps)
@@ -99,11 +99,6 @@ class SrrcFilter:
         for name, a in zip(("taps", "shaping", "matched"), (taps, *matrices)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-
-    @property
-    def group_delay(self) -> int:
-        """One-sided delay of the symmetric filter, in samples."""
-        return (len(self.taps) - 1) // 2
 
 
 def modulate_psk(bits, m_order: int) -> np.ndarray:
@@ -156,7 +151,7 @@ def srrc_taps(rolloff: float, span_symbols: int, samples_per_symbol: int) -> Srr
         raise ValueError("samples_per_symbol must be >= 2")
     sps = samples_per_symbol
     n = span_symbols * sps
-    t = np.arange(-n // 2, n // 2 + 1) / sps  # in symbol periods
+    t = (np.arange(n + 1) - n / 2) / sps  # in symbol periods
     # the general formula is 0/0 at t = 0 and |t| = 1/(4*beta); those
     # taps take their limits, the rest are evaluated in one expression.
     # The edge limit is evaluated only when a tap lies on the edge: at a
@@ -195,13 +190,12 @@ def matched_filter_downsample(samples, filt: SrrcFilter,
     """Matched-filter samples shaped by ``filt`` and sample the output at
     the symbol instants.
 
-    The first instant is ``2 * filt.group_delay``: the shaping filter's
-    delay plus this filter's own.
+    The first instant is ``len(filt.taps) - 1``, the peak of the shaping
+    filter and this one in cascade, for any tap count.
     """
     if len(samples) < len(filt.taps):
         raise ValueError("waveform shorter than the matched filter span")
-    start = 2 * filt.group_delay - len(filt.taps) + 1
-    return _kernels.decimate(samples, filt.matched, start, n_symbols)
+    return _kernels.decimate(samples, filt.matched, n_symbols)
 
 
 def awgn(n: int, variance: float, rng: np.random.Generator) -> np.ndarray:

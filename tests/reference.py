@@ -113,7 +113,8 @@ def run_trial(config, rng):
     sinr_db = math.inf if p_residual == 0.0 else 10.0 * math.log10(p_desired / p_residual)
     frame[: len(desired)] += desired
 
-    # the matched filter's output at the symbol instants, from 2 * group delay
+    # the matched filter's output at the symbol instants, from the peak of
+    # the SRRC cascade
     start = len(srrc) - 1
     symbols = np.convolve(frame, srrc)[start : start + config.n_symbols * sps : sps]
     bits_hat = sigproc.demodulate_psk(symbols * np.exp(-1j * np.angle(gain)),

@@ -156,6 +156,19 @@ def test_sweep_rejects_a_nan_value_before_any_trial(tmp_path, capsys, monkeypatc
     assert calls == [] and not out.exists()
 
 
+def test_sweep_rejects_an_out_of_range_value_before_any_trial(tmp_path, capsys,
+                                                              monkeypatch):
+    calls = _count_trials(monkeypatch)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_bits = 400\naxis = p_rb_dbm\nvalues = -60, 2000\n"
+                   "trials_per_point = 3\n")
+    out = tmp_path / "r.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: p_rb_dbm" in err and "[scheme=PS, p_rb_dbm=2000.0, trial=0]" in err
+    assert calls == [] and not out.exists()
+
+
 @pytest.mark.parametrize("where", ["missing/r.csv", "."])
 def test_sweep_rejects_an_unwritable_out_before_any_trial(tmp_path, capsys, monkeypatch,
                                                           where):

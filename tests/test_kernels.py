@@ -52,21 +52,18 @@ def test_kernels_match_reference(sps, n, kind):
     x = ref + 1e-3 * (rng.standard_normal(len(ref)) + 1j * rng.standard_normal(len(ref)))
     full = np.convolve(x, h)
     scale = np.max(np.abs(full))
-    # the matched filter's first instant is 2 * group_delay for any tap count
+    # the matched filter's first instant is len(h) - 1 for any tap count
+    kept = full[len(h) - 1::sps]
     for count in (None, 1, n):
         _assert_close(sigproc.matched_filter_downsample(x, filt, count),
-                      full[2 * filt.group_delay::sps][:count], scale)
+                      kept[:count], scale)
     with pytest.raises(ValueError):
         sigproc.matched_filter_downsample(x, filt, len(full))
-    # the kernel itself keeps any output phase
-    for offset in (0, 1, len(h) - 1, len(h) + 3, len(full) - 2):
-        start = offset - len(h) + 1
-        for count in (None, 0, 1, len(full[offset::sps])):
-            _assert_close(_kernels.decimate(x, filt.matched, start, count),
-                          full[offset::sps][:count], scale)
-        for count in (-1, len(full[offset::sps]) + 1):
-            with pytest.raises(ValueError):
-                _kernels.decimate(x, filt.matched, start, count)
+    for count in (None, 0, 1, len(kept)):
+        _assert_close(_kernels.decimate(x, filt.matched, count), kept[:count], scale)
+    for count in (-1, len(kept) + 1):
+        with pytest.raises(ValueError):
+            _kernels.decimate(x, filt.matched, count)
 
 
 #: The FFT kernel's rounding error grows with log2 of the transform length
@@ -143,11 +140,11 @@ def test_sigproc_filters_match_reference(sps):
     ref = np.convolve(_stuffed(symbols, sps), filt.taps)
     _assert_close(shaped, ref, np.max(np.abs(ref)))
 
-    # the matched filter samples past both filters' group delays
+    # the matched filter samples from the peak of both filters in cascade
     full = np.convolve(shaped, filt.taps)
     for n_symbols in (None, len(symbols)):
         _assert_close(sigproc.matched_filter_downsample(shaped, filt, n_symbols),
-                      full[2 * filt.group_delay::sps][:n_symbols], np.max(np.abs(full)))
+                      full[len(filt.taps) - 1::sps][:n_symbols], np.max(np.abs(full)))
 
 
 def test_filter_rejects_complex_or_empty_taps():

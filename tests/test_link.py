@@ -395,10 +395,32 @@ def test_design_window_skips_the_transients():
     design = link.trial_design(cfg)
     n_full = cfg.n_bits // 2 * 2 + design.si_spectrum.n_taps - 1
     assert cfg.frame_samples == n_full
-    gd = design.filt.group_delay
-    assert design.head == 2 * gd + channel.support_length(design.h_aa.taps, 0.9999)
-    assert design.tail == n_full - 2 * gd
+    delay = len(design.filt.taps) - 1  # the SRRC cascade's, span_symbols * sps
+    assert delay == cfg.span_symbols * cfg.samples_per_symbol
+    assert design.head == delay + channel.support_length(design.h_aa.taps, 0.9999)
+    assert design.tail == n_full - delay
     assert design.si_tap_energy == float(np.sum(np.abs(design.h_aa.taps) ** 2))
+
+
+@pytest.mark.parametrize("span, bandwidth_hz", [(5, 20e6 / 3), (5, 4e6), (7, 20e6 / 3)],
+                         ids=["span5-sps3", "span5-sps5", "span7-sps3"])
+def test_noise_free_trial_without_si_detects_every_bit(span, bandwidth_hz):
+    # the detector samples the matched filter at the SRRC cascade's peak,
+    # also when span_symbols * sps is odd and the filter has an even tap count
+    cfg = LinkConfig(span_symbols=span, signal_bandwidth_hz=bandwidth_hz,
+                     p_ta_dbm=-400.0, ebn0_db=math.inf)
+    assert run_trial(cfg, np.random.default_rng(1)).ber == 0.0
+
+
+def test_records_holding_arrays_compare_by_identity():
+    # field-wise == would compare arrays and raise "truth value ... ambiguous"
+    design = link.trial_design(LinkConfig(scheme="PS+B"))
+    records = [design, design.filt, design.h_aa, design.si_spectrum, design.training,
+               channel.synthesize_profile("PS"), sigproc.psk_table(4)]
+    for record in records:
+        twin = replace(record)
+        assert record == record and record != twin
+        assert len({record, twin}) == 2
 
 
 def test_trial_deterministic_for_seed():
@@ -568,12 +590,18 @@ def test_baseband_cancellation_beats_rf_only():
 
 
 @pytest.mark.parametrize("ebn0_db", [8.0, 90.0])
-@pytest.mark.parametrize("bandwidth_hz", [10e6, 2e6, 0.5e6], ids=["sps2", "sps10", "sps40"])
+@pytest.mark.parametrize("bandwidth_hz, span", [
+    pytest.param(10e6, 8, id="sps2"), pytest.param(2e6, 8, id="sps10"),
+    pytest.param(0.5e6, 8, id="sps40"),
+    # an odd span_symbols * sps, whose SRRC has an even tap count
+    pytest.param(4e6, 5, id="sps5-span5"), pytest.param(20e6 / 3, 5, id="sps3-span5"),
+])
 @pytest.mark.parametrize("scheme", link.SCHEMES)
-def test_trial_matches_the_sample_rate_reference(scheme, bandwidth_hz, ebn0_db):
+def test_trial_matches_the_sample_rate_reference(scheme, bandwidth_hz, span, ebn0_db):
     # the whole trial against reference.run_trial: the same draws through
     # np.convolve and lstsq in place of the polyphase and FFT kernels and pinv
-    cfg = LinkConfig(scheme=scheme, signal_bandwidth_hz=bandwidth_hz, ebn0_db=ebn0_db)
+    cfg = LinkConfig(scheme=scheme, signal_bandwidth_hz=bandwidth_hz, span_symbols=span,
+                     ebn0_db=ebn0_db)
     design = link.trial_design(cfg)
     for seed in (1, 2):
         got = run_trial(cfg, np.random.default_rng(seed), design)

@@ -208,6 +208,14 @@ def test_srrc_symmetry_and_energy():
     assert np.sum(filt.taps**2) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("span, sps", [(4, 5), (5, 3), (5, 5), (7, 3), (9, 5)])
+def test_srrc_grid_is_symmetric_for_any_span_times_sps(span, sps):
+    # an odd span * sps puts t = 0 between the two middle taps
+    taps = sigproc.srrc_taps(0.25, span, sps).taps
+    assert len(taps) == span * sps + 1
+    assert np.array_equal(taps, taps[::-1])
+
+
 def _nyquist_isi(filt):
     rc = np.convolve(filt.taps, filt.taps)
     center = np.argmax(rc)
@@ -233,7 +241,7 @@ def _srrc_general(t, beta):
 def test_srrc_singular_taps_match_their_limits(beta, sps):
     # the grid hits t = 0 and |t| = 1/(4*beta), where the formula is 0/0
     filt = sigproc.srrc_taps(beta, 8, sps)
-    t = (np.arange(len(filt.taps)) - filt.group_delay) / sps
+    t = (np.arange(len(filt.taps)) - (len(filt.taps) - 1) / 2) / sps
     singular = (t == 0.0) | (np.abs(np.abs(t) - 1 / (4 * beta)) <= 1e-12)
     assert singular.sum() == 3
     scale = (np.linalg.norm(filt.taps[~singular])
@@ -267,7 +275,7 @@ def test_pulse_shape_single_symbol_is_taps():
     filt = sigproc.srrc_taps(0.25, 8, 2)
     wave = sigproc.pulse_shape([1.0 + 0j], filt)
     assert np.allclose(wave[: len(filt.taps)], filt.taps, atol=1e-14)
-    assert np.argmax(np.abs(wave)) == filt.group_delay
+    assert np.argmax(np.abs(wave)) == (len(filt.taps) - 1) // 2
 
 
 def test_pulse_shape_rejects_empty_sequence():
