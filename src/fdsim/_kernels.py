@@ -1,12 +1,4 @@
-"""The multirate FIR kernels of a link trial.
-
-Pulse shaping and matched filtering are multirate, so they have their
-own polyphase kernels, which compute only the samples the link uses:
-``upsample`` skips the products with the zeros of a zero-stuffed symbol
-stream, and ``decimate`` computes only the kept outputs.  Each runs the
-real and imaginary parts of the signal through one real matrix, which
-``polyphase_matrices`` builds once per SRRC filter: one real product is
-much faster than a complex one on a strided view.
+"""The symbol-rate FFT filter of a link trial's self-interference.
 
 The self-interference of a trial is the zero-stuffed symbol stream
 through the SRRC filter and then the long complex channel, so the link
@@ -22,19 +14,15 @@ matrix of that many columns, which ``phase_spectrum`` builds once with
 the long filter's spectrum, rather than one FFT per phase.  The kernel
 forms, inverts and returns its output in one ``(n_fft, sps)`` buffer,
 so a trial allocates one spectrum-sized array.
+
+``_phases``, ``_n_phases`` and ``_signal`` are shared with ``sigproc``,
+whose polyphase SRRC shaping and matched filter lay out their taps in
+the same phases.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def _strided(a: np.ndarray, shape: tuple, strides: tuple) -> np.ndarray:
-    """A read-only view of contiguous ``a`` with the given shape and
-    strides (``as_strided``, without its per-call overhead)."""
-    view = np.ndarray(shape, a.dtype, buffer=a, strides=strides)
-    view.flags.writeable = False
-    return view
 
 
 def _phases(h: np.ndarray, step: int, n_phases: int) -> np.ndarray:
@@ -50,63 +38,11 @@ def _n_phases(n_taps: int, sps: int) -> int:
     return (n_taps + 2 * sps - 2) // sps
 
 
-def polyphase_matrices(h, sps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The matrices with which ``upsample`` and ``decimate`` apply real
-    taps ``h`` at ``sps``: the taps' phases in reverse order, and the
-    transposed phases of the reversed taps, each in its Kronecker product
-    with the 2 x 2 identity, which applies it to interleaved (real, imag)
-    pairs."""
-    shaping = np.kron(_phases(h, sps, _n_phases(len(h), sps))[::-1], np.eye(2))
-    return shaping, np.kron(_phases(h[::-1], sps, -(-len(h) // sps)).T, np.eye(2))
-
-
 def _signal(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("the kernels take non-empty 1-d signals and taps")
     return x
-
-
-def upsample(symbols, shaping: np.ndarray, n_taps: int) -> np.ndarray:
-    """``np.convolve`` of the zero-stuffed symbol stream (the symbols at
-    multiples of ``sps``) with the ``n_taps`` taps of ``shaping``, at its
-    full length.  Output block q (samples q*sps ... q*sps + sps - 1) is
-    the window of symbols ending at q times the shaping matrix, so no
-    product with a stuffed zero is formed."""
-    symbols = _signal(symbols)
-    n, p, sps = len(symbols), shaping.shape[0] // 2, shaping.shape[1] // 2
-    padded = np.zeros(n + 2 * (p - 1), dtype=np.complex128)
-    padded[p - 1 : p - 1 + n] = symbols
-    # row q: symbols q-p+1 .. q as interleaved (real, imag) pairs
-    windows = _strided(padded.view(np.float64), (n + p - 1, 2 * p),
-                       (padded.itemsize, padded.itemsize // 2))
-    return (windows @ shaping).view(np.complex128).ravel()[: n * sps + n_taps - 1]
-
-
-def decimate(x, matched: np.ndarray, count: int | None = None) -> np.ndarray:
-    """``np.convolve(x, h)[len(h) - 1::step][:count]`` for the taps h and
-    ``step`` of ``matched``, where ``count`` is at most ceil(len(x) / step),
-    the outputs whose window starts inside x (all of them by default).
-
-    Reading x in rows of ``step`` samples, output k is the sum over phases
-    j of the row k + j times the j-th phase of the reversed taps, so one
-    matrix product forms every (row, phase) term and a strided diagonal
-    sum adds them up.  x is zero-padded only where an output window
-    reaches past its end.
-    """
-    x = _signal(x)
-    step, p = matched.shape[0] // 2, matched.shape[1] // 2
-    available = -(-len(x) // step)
-    count = available if count is None else count
-    if not 0 <= count <= available:
-        raise ValueError(f"the signal has {available} outputs, not {count}")
-    stop = (count + p - 1) * step
-    if stop > len(x):
-        x = np.concatenate((x, np.zeros(stop - len(x), dtype=np.complex128)))
-    rows = np.ascontiguousarray(x[:stop]).view(np.float64)
-    terms = (rows.reshape(-1, 2 * step) @ matched).view(np.complex128)
-    s_row, s_col = terms.strides
-    return _strided(terms, (count, p), (s_row, s_row + s_col)).sum(axis=1)
 
 
 def fft_size(n: int) -> int:

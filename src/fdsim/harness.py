@@ -90,8 +90,9 @@ class SweepResult:
 
 def trial_seed(root_seed: int, scheme: str, value, trial: int) -> int:
     """Collision-free per-trial seed from the sweep coordinates; the axis
-    value is hashed as a float, so ``10`` and ``10.0`` seed alike."""
-    tag = f"{root_seed}|{scheme}|{float(value)!r}|{trial}".encode()
+    value is hashed as a float plus 0.0, so ``10`` and ``10.0`` seed alike,
+    and so do ``-0.0`` and ``0.0``."""
+    tag = f"{root_seed}|{scheme}|{float(value) + 0.0!r}|{trial}".encode()
     return int.from_bytes(hashlib.sha256(tag).digest()[:8], "little")
 
 
@@ -99,7 +100,11 @@ def config_for_point(base: LinkConfig, scheme: str, axis: str, value) -> LinkCon
     """Specialize the base config for one sweep point.
 
     A sweep runs each scheme at its own peak-isolation carrier, so a base
-    config that sets ``f_c_hz`` is rejected rather than overridden.
+    config that sets ``f_c_hz`` is rejected rather than overridden.  On the
+    ``mod_order`` axis the point runs ``max(n_bits - n_bits % n_b, n_b)``
+    bits, the base's ``n_bits`` rounded down to a multiple of the order's
+    ``n_b`` bits per symbol but at least one symbol: a 2000-bit base runs
+    1998 bits at 8-PSK, and a 2-bit base 4 bits at 16-PSK.
     """
     if base.f_c_hz is not None:
         raise ConfigError(f"f_c_hz = {base.f_c_hz:g} cannot be set in a sweep: "
@@ -122,7 +127,7 @@ def point_row(scheme: str, axis: str, value, reports) -> SweepRow:
     sinrs, bers, rates = (np.array([getattr(r, key) for r in reports])
                           for key in ("sinr_db", "ber", "rate_bps_hz"))
     return SweepRow(
-        scheme=scheme, axis=axis, axis_value=float(value),
+        scheme=scheme, axis=axis, axis_value=float(value) + 0.0,
         sinr_db=float(np.mean(sinrs)), ber=float(np.mean(bers)),
         rate_bps_hz=float(np.mean(rates)), trials=n,
         sinr_se_db=float(np.std(sinrs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0,

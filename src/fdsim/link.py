@@ -346,12 +346,14 @@ def _sinr_window(config: LinkConfig, filt: sigproc.SrrcFilter,
     channel's 99.99 %-energy support to the frame's end less that delay,
     ``n_taps - len(filt.taps)`` samples past the desired waveform's end
     (before it when negative).  The whole frame when that leaves less than
-    a symbol or starts after the desired waveform ends (a few-symbol frame)."""
+    a symbol or starts after the desired waveform ends, at its
+    ``(n_symbols - 1) * sps + len(filt.taps)`` samples (a few-symbol
+    frame, whose window would hold no desired signal)."""
     delay = len(filt.taps) - 1
     head = delay + channel.support_length(h_aa.taps, 0.9999)
     tail = config.frame_samples - delay
-    if (tail - head < config.samples_per_symbol
-            or head >= config.n_symbols * config.samples_per_symbol + delay):
+    desired_end = (config.n_symbols - 1) * config.samples_per_symbol + len(filt.taps)
+    if tail - head < config.samples_per_symbol or head >= desired_end:
         return 0, config.frame_samples
     return head, tail
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from ._kernels import _n_phases, _phases, _signal
 
 SUPPORTED_ORDERS = (2, 4, 8, 16)
 
@@ -79,24 +79,28 @@ def energy(x) -> float:
 @dataclass(frozen=True, eq=False)
 class SrrcFilter:
     """Square-root-raised-cosine filter taps (real, held as a read-only
-    copy) with their design parameters, and the read-only polyphase
-    matrices that ``pulse_shape`` and ``matched_filter_downsample`` apply,
-    built once with the filter."""
+    copy) at ``samples_per_symbol``, and the read-only polyphase matrices
+    that ``pulse_shape`` and ``matched_filter_downsample`` apply, built
+    once with the filter: the taps' phases in reverse order, and the
+    transposed phases of the reversed taps, each in its Kronecker product
+    with the 2 x 2 identity, which applies it to interleaved (real, imag)
+    pairs.  One real product is much faster than a complex one on a
+    strided view."""
 
     taps: np.ndarray
-    rolloff: float
-    span_symbols: int
     samples_per_symbol: int
     shaping: np.ndarray = field(init=False, repr=False)
     matched: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         taps = np.asarray(self.taps)
-        if taps.ndim != 1 or not taps.size or np.iscomplexobj(taps) or self.samples_per_symbol < 1:
+        sps = self.samples_per_symbol
+        if taps.ndim != 1 or not taps.size or np.iscomplexobj(taps) or sps < 1:
             raise ValueError("a filter takes a non-empty 1-d real tap sequence and sps >= 1")
         taps = taps.astype(np.float64)
-        matrices = _kernels.polyphase_matrices(taps, self.samples_per_symbol)
-        for name, a in zip(("taps", "shaping", "matched"), (taps, *matrices)):
+        shaping = np.kron(_phases(taps, sps, _n_phases(len(taps), sps))[::-1], np.eye(2))
+        matched = np.kron(_phases(taps[::-1], sps, -(-len(taps) // sps)).T, np.eye(2))
+        for name, a in (("taps", taps), ("shaping", shaping), ("matched", matched)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -170,32 +174,71 @@ def srrc_taps(rolloff: float, span_symbols: int, samples_per_symbol: int) -> Srr
     )
     h[general] = num / (np.pi * tg * (1.0 - (4.0 * beta * tg) ** 2))
     h /= np.sqrt(np.sum(h**2))
-    return SrrcFilter(taps=h, rolloff=beta, span_symbols=span_symbols,
-                      samples_per_symbol=sps)
+    return SrrcFilter(taps=h, samples_per_symbol=sps)
+
+
+def _strided(a: np.ndarray, shape: tuple, strides: tuple) -> np.ndarray:
+    """A read-only view of contiguous ``a`` with the given shape and
+    strides (``as_strided``, without its per-call overhead)."""
+    view = np.ndarray(shape, a.dtype, buffer=a, strides=strides)
+    view.flags.writeable = False
+    return view
 
 
 def pulse_shape(symbols, filt: SrrcFilter) -> np.ndarray:
     """Zero-stuff to the filter's sample rate and convolve with its taps.
 
-    The output is the full convolution of the zero-stuffed stream,
-    computed polyphase; an empty symbol sequence is a ``ValueError``.
-    With unit-energy taps the mean per-symbol waveform energy equals the
-    mean symbol energy, so no extra scaling is applied.
+    The output is ``np.convolve`` of the zero-stuffed symbol stream (the
+    symbols at multiples of ``sps``) with the taps, at its full length;
+    an empty symbol sequence is a ``ValueError``.  Output block q
+    (samples q*sps ... q*sps + sps - 1) is the window of symbols ending
+    at q times the shaping matrix, so no product with a stuffed zero is
+    formed.  With unit-energy taps the mean per-symbol waveform energy
+    equals the mean symbol energy, so no extra scaling is applied.
     """
-    return _kernels.upsample(symbols, filt.shaping, len(filt.taps))
+    symbols = _signal(symbols)
+    shaping = filt.shaping
+    n, p, sps = len(symbols), shaping.shape[0] // 2, shaping.shape[1] // 2
+    padded = np.zeros(n + 2 * (p - 1), dtype=np.complex128)
+    padded[p - 1 : p - 1 + n] = symbols
+    # row q: symbols q-p+1 .. q as interleaved (real, imag) pairs
+    windows = _strided(padded.view(np.float64), (n + p - 1, 2 * p),
+                       (padded.itemsize, padded.itemsize // 2))
+    return (windows @ shaping).view(np.complex128).ravel()[: n * sps + len(filt.taps) - 1]
 
 
 def matched_filter_downsample(samples, filt: SrrcFilter,
                               n_symbols: int | None = None) -> np.ndarray:
     """Matched-filter samples shaped by ``filt`` and sample the output at
-    the symbol instants.
+    the symbol instants: ``np.convolve(samples, h)[len(h) - 1::sps]``
+    for the taps h, its first ``n_symbols`` outputs, where ``n_symbols``
+    is at most ceil(len(samples) / sps), the outputs whose window starts
+    inside the samples (all of them by default).
 
     The first instant is ``len(filt.taps) - 1``, the peak of the shaping
-    filter and this one in cascade, for any tap count.
+    filter and this one in cascade, for any tap count.  Reading the
+    samples in rows of ``sps``, output k is the sum over phases j of the
+    row k + j times the j-th phase of the reversed taps, so one matrix
+    product forms every (row, phase) term and a strided diagonal sum adds
+    them up.  The samples are zero-padded only where an output window
+    reaches past their end.
     """
     if len(samples) < len(filt.taps):
         raise ValueError("waveform shorter than the matched filter span")
-    return _kernels.decimate(samples, filt.matched, n_symbols)
+    x = _signal(samples)
+    matched = filt.matched
+    step, p = matched.shape[0] // 2, matched.shape[1] // 2
+    available = -(-len(x) // step)
+    count = available if n_symbols is None else n_symbols
+    if not 0 <= count <= available:
+        raise ValueError(f"the signal has {available} outputs, not {count}")
+    stop = (count + p - 1) * step
+    if stop > len(x):
+        x = np.concatenate((x, np.zeros(stop - len(x), dtype=np.complex128)))
+    rows = np.ascontiguousarray(x[:stop]).view(np.float64)
+    terms = (rows.reshape(-1, 2 * step) @ matched).view(np.complex128)
+    s_row, s_col = terms.strides
+    return _strided(terms, (count, p), (s_row, s_row + s_col)).sum(axis=1)
 
 
 def awgn(n: int, variance: float, rng: np.random.Generator) -> np.ndarray:

@@ -4,7 +4,8 @@ A trial subtracts its replica inside the SI spectrum at the symbol rate.
 ``si_less_replica`` and ``eq8_residual`` form the same signals directly
 at the sample rate, from the transmitted waveform ``x``, the SI channel
 taps ``h`` and the estimate ``h_hat``, with amp = sqrt(P_Ta);
-``run_trial`` runs a whole trial that way.
+``run_trial`` runs a whole trial that way, and ``compare_trials`` tells
+whether two sets of trials agree within Monte-Carlo error.
 """
 
 import math
@@ -121,3 +122,46 @@ def run_trial(config, rng):
                                       config.mod_order)
     return link.LinkReport(sinr_db=sinr_db, ber=float(np.mean(bits_hat != bits_b)),
                            residual_power_dbm=_db(p_residual), estimate_error_db=est_err_db)
+
+
+#: How many combined standard errors two sets of trials may differ by.
+#: At k = 4 one metric of two equal chains is flagged with probability
+#: ~6e-5 (normal approximation).
+K_SE = 4.0
+
+
+def compare_trials(got, want, n_bits: int, k: float = K_SE) -> dict:
+    """The metrics on which two sets of per-trial reports differ by more
+    than ``k`` combined standard errors, as ``{metric: message}``; empty
+    when the two sets agree within Monte-Carlo error.
+
+    ``sinr_db``: the two mean SINRs, against the root-sum-square of their
+    standard errors (sample standard deviation / sqrt(trials)).
+
+    ``ber``: the two bit error rates over ``n_bits`` bits per trial,
+    against the root-sum-square of their standard errors.  Each set's is
+    the binomial standard error at the rate of both sets pooled, floored
+    at one error over all their bits, so that a point with no errors
+    still has a nonzero tolerance; or the standard error of its per-trial
+    BERs where that is larger, since a trial's bit errors are not
+    independent (a +B trial's share one channel estimate: 2.4-3.4 times
+    the binomial error at Eb/N0 4 dB and sps 2-40).  Each set needs at
+    least two trials.
+    """
+    if min(len(got), len(want)) < 2:
+        raise ValueError("each set needs at least two trials")
+    flagged = {}
+    sinrs = [np.array([r.sinr_db for r in reports]) for reports in (got, want)]
+    se = math.sqrt(sum(np.var(s, ddof=1) / len(s) for s in sinrs))
+    diff = float(np.mean(sinrs[0]) - np.mean(sinrs[1]))
+    if abs(diff) > k * se:
+        flagged["sinr_db"] = f"mean SINR differs by {diff:.4g} dB; {k} SE = {k * se:.4g} dB"
+    bers = [np.array([r.ber for r in reports]) for reports in (got, want)]
+    n_total = n_bits * (len(got) + len(want))
+    pooled = max(float(np.sum(np.concatenate(bers))) * n_bits / n_total, 1.0 / n_total)
+    se = math.sqrt(sum(max(pooled * (1.0 - pooled) / (n_bits * len(b)),
+                           np.var(b, ddof=1) / len(b)) for b in bers))
+    diff = float(np.mean(bers[0]) - np.mean(bers[1]))
+    if abs(diff) > k * se:
+        flagged["ber"] = f"BER differs by {diff:.4g}; {k} SE = {k * se:.4g}"
+    return flagged

@@ -49,13 +49,19 @@ def test_run_with_config_file(tmp_path, capsys):
     assert "estimate_err_db" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("scheme", ["PS", "AC+B"])
-def test_run_one_symbol_frame(tmp_path, capsys, scheme):
-    # a frame of one QPSK symbol is valid (n_bits >= n_b) and must run
+@pytest.mark.parametrize("scheme, sps", [
+    pytest.param(scheme, sps, id=scheme if sps == 2 else f"{scheme}-sps{sps}")
+    for sps in (2, 20, 40) for scheme in ("PS", "AC+B")])
+def test_run_one_symbol_frame(tmp_path, capsys, scheme, sps):
+    # a frame of one QPSK symbol is valid (n_bits >= n_b) and must run; at
+    # high sps its SINR window would start past the desired waveform, so
+    # the whole frame is measured and the SINR is finite
     cfg = tmp_path / "one.cfg"
-    cfg.write_text("n_bits = 2\n")
-    assert main(["run", "--config", str(cfg), "--scheme", scheme]) == 0
+    cfg.write_text(f"n_bits = 2\nsignal_bandwidth_hz = {20e6 / sps}\n")
+    out = tmp_path / "row.csv"
+    assert main(["run", "--config", str(cfg), "--scheme", scheme, "--out", str(out)]) == 0
     assert "sinr_db" in capsys.readouterr().out
+    assert np.isfinite(harness.read_results(out).rows[0].sinr_db)
 
 
 def test_bad_config_returns_one(tmp_path, capsys):

@@ -188,9 +188,11 @@ def test_trial_seeds_distinct():
 @pytest.mark.parametrize("axis, variants", [
     ("ebn0_db", ((10,), (10.0,), (np.float64(10.0),))),
     ("mod_order", ((4,), (4.0,))),
+    ("ebn0_db", ((0.0,), (-0.0,))),
 ])
 def test_trial_seeds_hash_the_axis_value_as_a_float(axis, variants):
-    rows = {run_sweep(small_spec(axis=axis, values=v, trials_per_point=3)).rows
+    # by repr, which tells -0.0 from 0.0 in the written axis value
+    rows = {repr(run_sweep(small_spec(axis=axis, values=v, trials_per_point=3)).rows)
             for v in variants}
     assert len(rows) == 1
 
@@ -224,10 +226,11 @@ def test_config_for_point_p_rb_dbm_axis():
 
 
 def test_config_for_point_mod_order_axis():
+    # n_bits is rounded down to a multiple of n_b, but is at least n_b
     cfg = harness.config_for_point(LinkConfig(n_bits=2000), "PS", "mod_order", 8)
-    assert cfg.mod_order == 8
-    assert cfg.n_b == 3
-    assert cfg.n_bits % 3 == 0
+    assert (cfg.mod_order, cfg.n_b, cfg.n_bits) == (8, 3, 1998)
+    cfg = harness.config_for_point(LinkConfig(n_bits=2), "PS", "mod_order", 16)
+    assert (cfg.mod_order, cfg.n_b, cfg.n_bits) == (16, 4, 4)
 
 
 def test_config_for_point_rejects_a_set_carrier():

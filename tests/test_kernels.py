@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fdsim
-from fdsim import _kernels, sigproc
+from fdsim import sigproc
 from fdsim._kernels import fft_size, phase_spectrum, upsample_convolve_fft
 
 #: Only the summation order differs from the reference, so the outputs
@@ -23,8 +23,7 @@ def _filter(kind, sps):
     # a filter built directly, with a tap count that is not span * sps + 1
     # (an even one at even sps)
     taps = np.random.default_rng(sps).standard_normal(3 * sps + 2)
-    return sigproc.SrrcFilter(taps=taps, rolloff=0.25, span_symbols=8,
-                              samples_per_symbol=sps)
+    return sigproc.SrrcFilter(taps=taps, samples_per_symbol=sps)
 
 
 def _stuffed(symbols, sps):
@@ -54,16 +53,12 @@ def test_kernels_match_reference(sps, n, kind):
     scale = np.max(np.abs(full))
     # the matched filter's first instant is len(h) - 1 for any tap count
     kept = full[len(h) - 1::sps]
-    for count in (None, 1, n):
+    for count in (None, 0, 1, n, len(kept)):
         _assert_close(sigproc.matched_filter_downsample(x, filt, count),
                       kept[:count], scale)
-    with pytest.raises(ValueError):
-        sigproc.matched_filter_downsample(x, filt, len(full))
-    for count in (None, 0, 1, len(kept)):
-        _assert_close(_kernels.decimate(x, filt.matched, count), kept[:count], scale)
-    for count in (-1, len(kept) + 1):
+    for count in (-1, len(kept) + 1, len(full)):
         with pytest.raises(ValueError):
-            _kernels.decimate(x, filt.matched, count)
+            sigproc.matched_filter_downsample(x, filt, count)
 
 
 #: The FFT kernel's rounding error grows with log2 of the transform length
@@ -150,14 +145,12 @@ def test_sigproc_filters_match_reference(sps):
 def test_filter_rejects_complex_or_empty_taps():
     for taps in ([1.0 + 1j], [], [[1.0, 2.0]]):
         with pytest.raises(ValueError):
-            sigproc.SrrcFilter(taps=np.array(taps), rolloff=0.25, span_symbols=8,
-                               samples_per_symbol=2)
+            sigproc.SrrcFilter(taps=np.array(taps), samples_per_symbol=2)
 
 
 def test_filter_holds_read_only_copies():
     taps = np.hanning(17)
-    filt = sigproc.SrrcFilter(taps=taps, rolloff=0.25, span_symbols=8,
-                              samples_per_symbol=2)
+    filt = sigproc.SrrcFilter(taps=taps, samples_per_symbol=2)
     assert taps.flags.writeable and np.array_equal(filt.taps, taps)
     for a in (filt.taps, filt.shaping, filt.matched):
         assert not a.flags.writeable

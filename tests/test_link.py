@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import reference
-from fdsim import _kernels, cancellation, channel, harness, link, sigproc
+from fdsim import cancellation, channel, harness, link, sigproc
 from fdsim.errors import ConfigError
 from fdsim.link import LinkConfig, LinkReport, run_trial
 
@@ -446,10 +446,10 @@ def test_trial_with_a_design_builds_no_polyphase_matrix(monkeypatch, scheme):
     cfg = LinkConfig(scheme=scheme, ebn0_db=30.0, n_bits=400)
     design = link.trial_design(cfg)
 
-    def refuse(h, sps):
+    def refuse(filt):
         raise AssertionError("a trial built a polyphase matrix")
 
-    monkeypatch.setattr(_kernels, "polyphase_matrices", refuse)
+    monkeypatch.setattr(sigproc.SrrcFilter, "__post_init__", refuse)
     run_trial(cfg, np.random.default_rng(6), design)
     for a in (design.filt.shaping, design.filt.matched):
         assert not a.flags.writeable
@@ -611,3 +611,42 @@ def test_trial_matches_the_sample_rate_reference(scheme, bandwidth_hz, span, ebn
             a, b = getattr(got, key), getattr(want, key)
             assert (a is None) == (b is None), key
             assert a is None or a == pytest.approx(b, rel=1e-9, abs=0.0), key
+
+
+#: Trials per set and bits per trial of the statistical comparisons, at an
+#: Eb/N0 where every scheme makes errors at every bandwidth below.
+STAT_TRIALS, STAT_BITS, STAT_EBN0_DB = 20, 1000, 4.0
+
+
+def _trial_sets(cfg, cfg_reference):
+    """``link.run_trial`` on seeds 0..STAT_TRIALS - 1, and
+    ``reference.run_trial`` on the next STAT_TRIALS seeds."""
+    design = link.trial_design(cfg)
+    got = [run_trial(cfg, np.random.default_rng(s), design) for s in range(STAT_TRIALS)]
+    want = [reference.run_trial(cfg_reference, np.random.default_rng(STAT_TRIALS + s))
+            for s in range(STAT_TRIALS)]
+    return got, want
+
+
+@pytest.mark.parametrize("bandwidth_hz", [
+    pytest.param(10e6, id="sps2"), pytest.param(2e6, id="sps10"),
+    pytest.param(0.5e6, id="sps40"),
+])
+@pytest.mark.parametrize("scheme", link.SCHEMES)
+def test_trials_agree_with_the_reference_within_monte_carlo_error(scheme, bandwidth_hz):
+    # mean SINR and BER within reference.K_SE combined standard errors, on
+    # disjoint seeds
+    cfg = LinkConfig(scheme=scheme, signal_bandwidth_hz=bandwidth_hz,
+                     ebn0_db=STAT_EBN0_DB, n_bits=STAT_BITS)
+    got, want = _trial_sets(cfg, cfg)
+    assert 0.0 < np.mean([r.ber for r in got])
+    assert reference.compare_trials(got, want, STAT_BITS) == {}
+
+
+def test_trial_comparison_flags_a_one_db_ebn0_shift():
+    # a noise-limited link (no SI) against the reference 1 dB higher: both
+    # the mean SINR and the BER must be flagged
+    cfg = LinkConfig(scheme="PS", p_ta_dbm=-400.0, ebn0_db=STAT_EBN0_DB, n_bits=STAT_BITS)
+    got, want = _trial_sets(cfg, dataclasses.replace(cfg, ebn0_db=STAT_EBN0_DB + 1.0))
+    assert set(reference.compare_trials(got, want, STAT_BITS)) == {"sinr_db", "ber"}
+    assert reference.compare_trials(*_trial_sets(cfg, cfg), STAT_BITS) == {}
