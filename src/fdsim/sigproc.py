@@ -4,7 +4,8 @@ Gray-coded M-PSK mapping, square-root-raised-cosine pulse shaping with
 matched filtering (sampled at the peak of the cascade of both filters),
 circularly-symmetric complex Gaussian noise, and the |x|² sum behind the
 link's mean powers.  The PSK mapping and detection read per-order tables
-built once at import (``PSK_TABLES``).
+built once at import (``PSK_TABLES``); detection goes by angular sector,
+so it does not depend on the symbol's scale.
 """
 
 from __future__ import annotations
@@ -123,24 +124,21 @@ def modulate_psk(bits, m_order: int) -> np.ndarray:
 
 
 def demodulate_psk(symbols, m_order: int) -> np.ndarray:
-    """Minimum-distance PSK detection with inverse Gray mapping.
+    """PSK detection by angle, with inverse Gray mapping.
 
-    Ties at a decision boundary resolve to the lower constellation index.
+    Symbol z goes to the point k whose sector [2*pi*k/M, 2*pi*(k+1)/M)
+    holds ``np.angle(z)``, k = floor(angle(z)*M / (2*pi)) mod M: the
+    minimum-distance decision for equal-energy PSK, read from the phase
+    alone, so c*z detects as z for every c > 0.  A symbol on a boundary
+    goes to the counter-clockwise point and +0 to point 0; a NaN or
+    infinite symbol is a ``ValueError``.
     """
     table = psk_table(m_order)
     symbols = np.asarray(symbols, dtype=np.complex128)
-    if symbols.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    # squared distances (points x symbols) as (dre)² + (dim)², so that the
-    # reductions run along the symbols; abs()**2 would go through hypot
-    d = np.subtract(symbols.real, table.points.real[:, None])
-    np.square(d, out=d)
-    d_im = np.subtract(symbols.imag, table.points.imag[:, None])
-    np.square(d_im, out=d_im)
-    d += d_im
-    dmin = d.min(axis=0)
-    # tolerance makes the lower-index tie-break robust to float rounding
-    k = np.argmax(d <= dmin * (1.0 + 1e-9) + 1e-30, axis=0)
+    if not np.isfinite(symbols).all():
+        raise ValueError("symbols must be finite")
+    # times M (exact) before the division, so pi/2 and pi land on their boundary
+    k = np.floor(np.angle(symbols) * m_order / (2.0 * np.pi)).astype(np.int64) % m_order
     return table.bits.take(k, axis=0).reshape(-1)
 
 

@@ -4,8 +4,10 @@ A trial subtracts its replica inside the SI spectrum at the symbol rate.
 ``si_less_replica`` and ``eq8_residual`` form the same signals directly
 at the sample rate, from the transmitted waveform ``x``, the SI channel
 taps ``h`` and the estimate ``h_hat``, with amp = sqrt(P_Ta);
-``run_trial`` runs a whole trial that way, and ``compare_trials`` tells
-whether two sets of trials agree within Monte-Carlo error.
+``run_trial`` runs a whole trial that way, detecting with
+``demodulate_psk``, a correlation slicer that shares no code with fdsim's
+detector; ``compare_trials`` tells whether two sets of trials agree within
+Monte-Carlo error.
 """
 
 import math
@@ -64,15 +66,46 @@ def _db(ratio: float) -> float:
     return 10.0 * math.log10(max(ratio, 1e-300))
 
 
+def psk_points(m_order: int) -> np.ndarray:
+    """The M-PSK points e^{j(2*pi*k/M + pi/M)}, k = 0..M-1."""
+    k = np.arange(m_order)
+    return np.exp(1j * (2.0 * np.pi * k / m_order + np.pi / m_order))
+
+
+def psk_bits(k, m_order: int) -> np.ndarray:
+    """The bits of points k: each point's Gray label k ^ (k >> 1), most
+    significant bit first."""
+    labels = np.asarray(k, dtype=np.int64).reshape(-1)
+    labels = labels ^ (labels >> 1)
+    shifts = np.arange(m_order.bit_length() - 2, -1, -1)
+    return ((labels[:, None] >> shifts) & 1).reshape(-1)
+
+
+def demodulate_psk(symbols, m_order: int) -> np.ndarray:
+    """The correlation slicer: each symbol z goes to the point p with the
+    largest Re(z·conj(p)), the lower index on an exact tie, and then to
+    that point's bits.
+
+    It has no tolerance: Re(z·conj(p)) scales with |z|, so the decision
+    does not depend on the scale, and z is never squared, so nothing
+    over- or underflows before z itself would.
+    """
+    z = np.asarray(symbols, dtype=np.complex128).reshape(-1)
+    p = psk_points(m_order)
+    corr = np.multiply.outer(z.real, p.real) + np.multiply.outer(z.imag, p.imag)
+    return psk_bits(np.argmax(corr, axis=1), m_order)
+
+
 def run_trial(config, rng):
     """``link.run_trial`` at the sample rate, drawing from ``rng`` in the
     same order: the training noise (+B), both nodes' bits, the far node's
     phase and the receiver noise.
 
-    Every waveform is a zero-stuffed symbol stream through ``np.convolve``
-    and the +B estimate is ``np.linalg.lstsq``'s solution of the training
-    burst's convolution model.  Only the SRRC taps, the SI taps, the SINR
-    window and the PSK mapping are fdsim's.
+    Every waveform is a zero-stuffed symbol stream through ``np.convolve``,
+    the +B estimate is ``np.linalg.lstsq``'s solution of the training
+    burst's convolution model, and ``demodulate_psk`` above detects the
+    symbols.  Only the SRRC taps, the SI taps, the SINR window and the PSK
+    mapping are fdsim's.
     """
     sps, n_b = config.samples_per_symbol, config.n_b
     filt = sigproc.srrc_taps(config.rolloff, config.span_symbols, sps)
@@ -118,8 +151,7 @@ def run_trial(config, rng):
     # the SRRC cascade
     start = len(srrc) - 1
     symbols = np.convolve(frame, srrc)[start : start + config.n_symbols * sps : sps]
-    bits_hat = sigproc.demodulate_psk(symbols * np.exp(-1j * np.angle(gain)),
-                                      config.mod_order)
+    bits_hat = demodulate_psk(symbols * np.exp(-1j * np.angle(gain)), config.mod_order)
     return link.LinkReport(sinr_db=sinr_db, ber=float(np.mean(bits_hat != bits_b)),
                            residual_power_dbm=_db(p_residual), estimate_error_db=est_err_db)
 

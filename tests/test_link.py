@@ -402,13 +402,19 @@ def test_design_window_skips_the_transients():
     assert design.si_tap_energy == float(np.sum(np.abs(design.h_aa.taps) ** 2))
 
 
-@pytest.mark.parametrize("span, bandwidth_hz", [(5, 20e6 / 3), (5, 4e6), (7, 20e6 / 3)],
-                         ids=["span5-sps3", "span5-sps5", "span7-sps3"])
-def test_noise_free_trial_without_si_detects_every_bit(span, bandwidth_hz):
+@pytest.mark.parametrize("fields", [
+    *(pytest.param(dict(span_symbols=span, signal_bandwidth_hz=bw, p_ta_dbm=-400.0), id=i)
+      for span, bw, i in [(5, 20e6 / 3, "span5-sps3"), (5, 4e6, "span5-sps5"),
+                          (7, 20e6 / 3, "span7-sps3")]),
+    *(pytest.param(dict(p_rb_dbm=p_rb, mod_order=m, p_ta_dbm=-1000.0, n_bits=1200),
+                   id=f"prb{p_rb:g}-m{m}")
+      for p_rb in (-1000.0, -200.0, -60.0, 200.0, 1000.0) for m in (2, 4, 8, 16)),
+])
+def test_noise_free_trial_without_si_detects_every_bit(fields):
     # the detector samples the matched filter at the SRRC cascade's peak,
-    # also when span_symbols * sps is odd and the filter has an even tap count
-    cfg = LinkConfig(span_symbols=span, signal_bandwidth_hz=bandwidth_hz,
-                     p_ta_dbm=-400.0, ebn0_db=math.inf)
+    # also when span_symbols * sps is odd and the filter has an even tap
+    # count; and it reads only the phase, at any received power
+    cfg = LinkConfig(ebn0_db=math.inf, **fields)
     assert run_trial(cfg, np.random.default_rng(1)).ber == 0.0
 
 

@@ -1,5 +1,6 @@
 """Property tests: config emit/parse, PSK mapping and profile CSV round
-trips, and the CLI's derive-channel against the library."""
+trips, the CLI's derive-channel against the library, and detection on an
+open eye."""
 
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsim import channel, harness, sigproc
+from fdsim import channel, harness, link, sigproc
 from fdsim.cli import main
 from fdsim.errors import ConfigError, ProfileError
 from fdsim.link import EBN0_RANGE_DB, POWER_RANGE_DBM, SCHEMES, LinkConfig, run_trial
@@ -198,3 +199,32 @@ def test_every_accepted_power_gives_a_finite_sinr(p_ta_dbm, p_rb_dbm, ebn0_db, s
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         report = run_trial(cfg, np.random.default_rng(0))
     assert math.isfinite(report.sinr_db) and math.isfinite(report.rate_bps_hz)
+
+
+def _eye_is_open(taps: np.ndarray, sps: int, m_order: int) -> bool:
+    """Whether the SRRC cascade's noise-free eye is open: its worst-case
+    ISI at the symbol instants, sum over k != 0 of |r_k| for r = taps ⊛
+    taps sampled every sps from its peak at len(taps) - 1, is below r_0
+    times sin(pi/M), a point's distance to its decision boundaries."""
+    r = np.convolve(taps, taps)
+    peak = len(taps) - 1
+    isi = np.abs(r[peak % sps :: sps]).sum() - r[peak]
+    return bool(isi < r[peak] * math.sin(math.pi / m_order))
+
+
+@PROPERTIES
+@given(mod_order=st.sampled_from(sigproc.SUPPORTED_ORDERS), span_symbols=st.integers(4, 11),
+       rolloff=st.floats(0.0, 1.0, exclude_min=True), sps=st.integers(2, 40),
+       p_rb_dbm=powers_dbm)
+def test_a_noise_free_trial_on_an_open_eye_detects_every_bit(mod_order, span_symbols,
+                                                              rolloff, sps, p_rb_dbm):
+    # the SI 400 dB below the desired signal, or at the lowest accepted power
+    cfg = LinkConfig(mod_order=mod_order, n_bits=(mod_order.bit_length() - 1) * 200,
+                     span_symbols=span_symbols, rolloff=rolloff,
+                     signal_bandwidth_hz=LinkConfig.sample_rate_hz / sps,
+                     p_rb_dbm=p_rb_dbm, p_ta_dbm=max(p_rb_dbm - 400.0, POWER_RANGE_DBM[0]),
+                     ebn0_db=math.inf)
+    design = link.trial_design(cfg)
+    report = run_trial(cfg, np.random.default_rng(0), design)
+    if _eye_is_open(design.filt.taps, sps, mod_order):
+        assert report.ber == 0.0

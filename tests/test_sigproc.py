@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import reference
 
 from fdsim import sigproc
 
@@ -67,16 +68,29 @@ def test_demodulate_small_perturbation():
     assert np.array_equal(out, ref)
 
 
-def test_demodulate_tie_break_lower_index():
-    # e^{j*pi/2} is equidistant from constellation points 0 and 1
-    tie = sigproc.demodulate_psk([np.exp(1j * np.pi / 2)], 4)
-    lower = sigproc.demodulate_psk([sigproc.constellation(4)[0]], 4)
-    assert np.array_equal(tie, lower)
+def test_demodulate_axis_points_go_counter_clockwise():
+    # +0 and the exact axis points at angle q*pi/2: sector floor(q*M/4),
+    # the point counter-clockwise of a boundary that lies on the axis
+    # (e^{j*pi/2} is equidistant from QPSK points 0 and 1 and goes to 1)
+    axis = np.array([1.0, 1j, -1.0, -1j])
+    for m in sigproc.SUPPORTED_ORDERS:
+        want = reference.psk_bits(np.arange(4) * m // 4, m)
+        for radius in (1e-300, 1.0, 1e300):
+            assert np.array_equal(sigproc.demodulate_psk(radius * axis, m), want)
+        assert np.array_equal(sigproc.demodulate_psk([0.0], m), reference.psk_bits([0], m))
 
 
 def test_demodulate_empty_input():
     out = sigproc.demodulate_psk([], 4)
-    assert out.size == 0
+    assert out.size == 0 and out.dtype == np.int64
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.inf),
+                                 complex(np.nan, 0.0), complex(0.0, -np.inf)])
+def test_demodulate_rejects_a_non_finite_symbol(bad):
+    for m in sigproc.SUPPORTED_ORDERS:
+        with pytest.raises(ValueError, match="finite"):
+            sigproc.demodulate_psk([1.0, bad, 1j], m)
 
 
 @pytest.mark.parametrize("m", [4, 8, 16])
@@ -92,11 +106,6 @@ def test_gray_labels_adjacent_differ_one_bit(m):
         assert bin(diff).count("1") == 1
 
 
-def _reference_constellation(m_order):
-    k = np.arange(m_order)
-    return np.exp(1j * (2.0 * np.pi * k / m_order + np.pi / m_order))
-
-
 def _gray(n):
     return n ^ (n >> 1)
 
@@ -106,7 +115,7 @@ def _reference_modulate(bits, m_order):
     bits = np.asarray(bits, dtype=np.int64)
     if bits.size and (bits.min() < 0 or bits.max() > 1):
         raise ValueError("bits must contain only 0 and 1")
-    points = _reference_constellation(m_order)
+    points = reference.psk_points(m_order)
     n_b = int(np.log2(m_order))
     if bits.size % n_b:
         raise ValueError(f"bit count {bits.size} not divisible by log2(M) = {n_b}")
@@ -115,22 +124,6 @@ def _reference_modulate(bits, m_order):
     inverse_gray = np.empty(m_order, dtype=np.int64)
     inverse_gray[_gray(np.arange(m_order))] = np.arange(m_order)
     return points[inverse_gray[labels]]
-
-
-def _reference_demodulate(symbols, m_order):
-    """Minimum-distance detection computed directly: |s - p|² via abs,
-    a (symbols x points) layout and the bits shifted out of the labels."""
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    points = _reference_constellation(m_order)
-    n_b = int(np.log2(m_order))
-    if symbols.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    d = np.abs(symbols[:, None] - points[None, :]) ** 2
-    dmin = d.min(axis=1)
-    k = np.argmax(d <= dmin[:, None] * (1.0 + 1e-9) + 1e-30, axis=1)
-    labels = _gray(k)
-    shifts = np.arange(n_b - 1, -1, -1)
-    return ((labels[:, None] >> shifts[None, :]) & 1).reshape(-1).astype(np.int64)
 
 
 def _same_bits(a, b):
@@ -143,26 +136,56 @@ def test_every_label_maps_to_the_reference_symbol(m):
     labels = np.arange(m)
     bits = ((labels[:, None] >> np.arange(n_b - 1, -1, -1)) & 1).reshape(-1)
     assert _same_bits(sigproc.modulate_psk(bits, m), _reference_modulate(bits, m))
-    assert _same_bits(sigproc.constellation(m), _reference_constellation(m))
+    assert _same_bits(sigproc.constellation(m), reference.psk_points(m))
+
+
+#: Radii of the boundary probes, from far below to far above unit power.
+PROBE_RADII = np.array([1e-150, 0.3, 1.0, 3.0, 1e150])
 
 
 def _boundary_probes(m):
-    """Symbols on every decision boundary (angle 2*pi*k/M) at three radii,
-    and the same symbols turned by ±1e-12 and ±1e-9 of their modulus."""
-    radii = np.array([0.3, 1.0, 3.0])[:, None]
-    on = radii * np.exp(2j * np.pi * np.arange(m) / m)
-    nudged = [on * (1.0 + 1j * eps) for eps in (1e-12, -1e-12, 1e-9, -1e-9)]
-    return np.concatenate([on.ravel()] + [x.ravel() for x in nudged]
-                          + [np.array([0.0, 1e-300, -1e-300j])])
+    """Symbols computed on every decision boundary k (angle 2*pi*k/M) at
+    each of ``PROBE_RADII``, as a (radius, k) array."""
+    return PROBE_RADII[:, None] * np.exp(2j * np.pi * np.arange(m) / m)
 
 
 @pytest.mark.parametrize("m", sigproc.SUPPORTED_ORDERS)
 def test_demodulation_matches_the_reference(m):
+    # random points equal the tolerance-free correlation slicer exactly,
+    # and so does the constellation; a scale c > 0 changes no decision
     rng = np.random.default_rng(m)
     random = (rng.standard_normal(100_000) + 1j * rng.standard_normal(100_000))
-    for symbols in (random, _boundary_probes(m), _reference_constellation(m)):
+    for symbols in (random, reference.psk_points(m)):
         assert _same_bits(sigproc.demodulate_psk(symbols, m),
-                          _reference_demodulate(symbols, m))
+                          reference.demodulate_psk(symbols, m))
+    want = sigproc.demodulate_psk(random, m)
+    for c in np.logspace(-150, 150, 13):
+        assert np.array_equal(sigproc.demodulate_psk(c * random, m), want)
+
+
+@pytest.mark.parametrize("m", sigproc.SUPPORTED_ORDERS)
+def test_a_nudged_boundary_probe_lands_on_its_side(m):
+    # turned counter-clockwise off boundary k, a probe is point k's;
+    # turned clockwise, point k - 1's; at every radius, by either slicer
+    k = np.broadcast_to(np.arange(m), (len(PROBE_RADII), m))
+    for eps in (1e-12, 1e-9):
+        for turn, side in ((eps, k), (-eps, (k - 1) % m)):
+            probes = _boundary_probes(m) * (1.0 + 1j * turn)
+            want = reference.psk_bits(side, m)
+            assert np.array_equal(sigproc.demodulate_psk(probes, m), want)
+            assert np.array_equal(reference.demodulate_psk(probes, m), want)
+
+
+@pytest.mark.parametrize("m", sigproc.SUPPORTED_ORDERS)
+def test_a_boundary_probe_lands_on_an_adjacent_point(m):
+    # a probe computed on boundary k is rounded to one side of it or the
+    # other, so it is point k's or point k - 1's
+    probes = _boundary_probes(m)
+    got = sigproc.demodulate_psk(probes, m).reshape(probes.size, -1)
+    k = np.broadcast_to(np.arange(m), probes.shape).reshape(-1)
+    ccw = reference.psk_bits(k, m).reshape(probes.size, -1)
+    cw = reference.psk_bits((k - 1) % m, m).reshape(probes.size, -1)
+    assert ((got == ccw).all(axis=1) | (got == cw).all(axis=1)).all()
 
 
 @pytest.mark.parametrize("m", sigproc.SUPPORTED_ORDERS)
