@@ -152,8 +152,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"fdsim: config error: {exc}", file=sys.stderr)
         return 1
-    except (FdsimError, OSError, ValueError) as exc:
-        print(f"fdsim: error: {exc}", file=sys.stderr)
+    except (FdsimError, MemoryError, OSError, ValueError) as exc:
+        print(f"fdsim: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

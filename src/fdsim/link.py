@@ -54,13 +54,13 @@ POWER_RANGE_DBM = (-1000.0, 1000.0)
 #: the noise powers a trial sums stay normal floats.
 EBN0_RANGE_DB = (-1000.0, 1000.0)
 
-#: Longest received frame (``LinkConfig.frame_samples``) a config may ask
-#: for, and most entries of a +B design's replica DFT matrix and of its LS
-#: training matrix.  A frame of 2**24 complex128 samples is 268 MB, and a
-#: trial peaks at 2.35 frames at sps 40 and at 9.0 at sps 2 (its
-#: per-symbol arrays); the replica DFT matrix is 10.6 frames at sps 2.
-#: Any of them above this bound is a config error, not an allocation that
-#: exhausts memory mid-design or mid-trial.
+#: Longest received frame (``LinkConfig.frame_samples``), and most entries
+#: of a +B design's replica DFT and LS training matrices and of an SRRC
+#: kernel's block product.  2**24 samples are 268 MB; a trial's RSS peak
+#: rises 2.17 frames at sps 40 and 5.85 at sps 2 (tracemalloc, blind to
+#: matmul's copy of the SRRC windows: 2.17, 5.25); the replica DFT matrix
+#: is 10.6 frames at sps 2.  Any of them above this bound is a config
+#: error, not an allocation that exhausts memory mid-design or mid-trial.
 MAX_FRAME_SAMPLES = 2**24
 
 
@@ -126,6 +126,10 @@ class LinkConfig:
             raise ConfigError(f"rolloff must be in (0, 1], got {self.rolloff}")
         if self.span_symbols < 4:
             raise ConfigError(f"span_symbols must be >= 4, got {self.span_symbols}")
+        kernel = (sigproc.BLOCK_ROWS + self.span_symbols) * (self.span_symbols + 1)
+        if kernel > MAX_FRAME_SAMPLES:  # BLOCK_ROWS + span rows, span + 1 phases
+            raise ConfigError(f"span_symbols = {self.span_symbols} gives {kernel}-entry SRRC "
+                              f"kernel products, above MAX_FRAME_SAMPLES = {MAX_FRAME_SAMPLES}")
         sps = self.sample_rate_hz / self.signal_bandwidth_hz
         if not math.isfinite(sps):
             raise ConfigError(f"signal_bandwidth_hz = {self.signal_bandwidth_hz} is too "

@@ -18,6 +18,9 @@ from ._kernels import _n_phases, _phases, _signal
 
 SUPPORTED_ORDERS = (2, 4, 8, 16)
 
+#: Most rows one SRRC kernel product forms, so its size follows the span, not the frame.
+BLOCK_ROWS = 1024
+
 
 @dataclass(frozen=True, eq=False)
 class PskTable:
@@ -190,53 +193,46 @@ def pulse_shape(symbols, filt: SrrcFilter) -> np.ndarray:
     symbols at multiples of ``sps``) with the taps, at its full length;
     an empty symbol sequence is a ``ValueError``.  Output block q
     (samples q*sps ... q*sps + sps - 1) is the window of symbols ending
-    at q times the shaping matrix, so no product with a stuffed zero is
-    formed.  With unit-energy taps the mean per-symbol waveform energy
-    equals the mean symbol energy, so no extra scaling is applied.
+    at q times the shaping matrix (``BLOCK_ROWS`` blocks per product), so
+    no product with a stuffed zero is formed.  With unit-energy taps the
+    mean per-symbol energy is the mean symbol energy: no scaling is applied.
     """
     symbols = _signal(symbols)
-    shaping = filt.shaping
-    n, p, sps = len(symbols), shaping.shape[0] // 2, shaping.shape[1] // 2
+    n, p, sps = len(symbols), filt.shaping.shape[0] // 2, filt.shaping.shape[1] // 2
     padded = np.zeros(n + 2 * (p - 1), dtype=np.complex128)
     padded[p - 1 : p - 1 + n] = symbols
     # row q: symbols q-p+1 .. q as interleaved (real, imag) pairs
     windows = _strided(padded.view(np.float64), (n + p - 1, 2 * p),
                        (padded.itemsize, padded.itemsize // 2))
-    return (windows @ shaping).view(np.complex128).ravel()[: n * sps + len(filt.taps) - 1]
+    out = np.empty((n + p - 1, 2 * sps))
+    for k in range(0, n + p - 1, BLOCK_ROWS):
+        np.matmul(windows[k : k + BLOCK_ROWS], filt.shaping, out=out[k : k + BLOCK_ROWS])
+    return out.view(np.complex128).ravel()[: n * sps + len(filt.taps) - 1]
 
 
-def matched_filter_downsample(samples, filt: SrrcFilter,
-                              n_symbols: int | None = None) -> np.ndarray:
-    """Matched-filter samples shaped by ``filt`` and sample the output at
-    the symbol instants: ``np.convolve(samples, h)[len(h) - 1::sps]``
-    for the taps h, its first ``n_symbols`` outputs, where ``n_symbols``
-    is at most ceil(len(samples) / sps), the outputs whose window starts
-    inside the samples (all of them by default).
+def matched_filter_downsample(samples, filt: SrrcFilter, n_symbols: int) -> np.ndarray:
+    """The first ``n_symbols`` outputs of ``np.convolve(samples, h)[len(h) - 1::sps]``
+    for the taps h of ``filt``: the matched filter sampled at the symbol
+    instants, from the peak of the shaping filter and this one in cascade.
 
-    The first instant is ``len(filt.taps) - 1``, the peak of the shaping
-    filter and this one in cascade, for any tap count.  Reading the
-    samples in rows of ``sps``, output k is the sum over phases j of the
-    row k + j times the j-th phase of the reversed taps, so one matrix
-    product forms every (row, phase) term and a strided diagonal sum adds
-    them up.  The samples are zero-padded only where an output window
-    reaches past their end.
+    Output k is the sum over the p phases j of the reversed taps of sample
+    row k + j (rows of ``sps``) times phase j: one matrix product per
+    ``BLOCK_ROWS`` outputs and a strided diagonal sum.  A negative count, or
+    fewer than the ``(n_symbols + p - 1)*sps`` samples read, is a ``ValueError``.
     """
-    if len(samples) < len(filt.taps):
-        raise ValueError("waveform shorter than the matched filter span")
     x = _signal(samples)
-    matched = filt.matched
-    step, p = matched.shape[0] // 2, matched.shape[1] // 2
-    available = -(-len(x) // step)
-    count = available if n_symbols is None else n_symbols
-    if not 0 <= count <= available:
-        raise ValueError(f"the signal has {available} outputs, not {count}")
-    stop = (count + p - 1) * step
-    if stop > len(x):
-        x = np.concatenate((x, np.zeros(stop - len(x), dtype=np.complex128)))
-    rows = np.ascontiguousarray(x[:stop]).view(np.float64)
-    terms = (rows.reshape(-1, 2 * step) @ matched).view(np.complex128)
-    s_row, s_col = terms.strides
-    return _strided(terms, (count, p), (s_row, s_row + s_col)).sum(axis=1)
+    step, p = filt.matched.shape[0] // 2, filt.matched.shape[1] // 2
+    stop = (n_symbols + p - 1) * step
+    if n_symbols < 0 or stop > len(x):
+        raise ValueError(f"n_symbols = {n_symbols}: needs >= 0 and {stop} samples, got {len(x)}")
+    rows = np.ascontiguousarray(x[:stop]).view(np.float64).reshape(-1, 2 * step)
+    out = np.empty(n_symbols, dtype=np.complex128)
+    for k in range(0, n_symbols, BLOCK_ROWS):
+        block = out[k : k + BLOCK_ROWS]
+        terms = (rows[k : k + len(block) + p - 1] @ filt.matched).view(np.complex128)
+        s_row, s_col = terms.strides
+        _strided(terms, (len(block), p), (s_row, s_row + s_col)).sum(axis=1, out=block)
+    return out
 
 
 def awgn(n: int, variance: float, rng: np.random.Generator) -> np.ndarray:

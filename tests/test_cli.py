@@ -278,6 +278,26 @@ def test_run_rejects_a_training_matrix_above_the_bound(tmp_path, capsys):
     assert "config error" in err and "n_training" in err and "estimator_order" in err
 
 
+def test_run_rejects_a_span_whose_kernel_products_are_above_the_bound(tmp_path, capsys):
+    # a valid 202 255-sample frame, but block products of 101 024 x 100 001
+    # entries, rejected before any of them is formed
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("span_symbols = 100000\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fdsim: config error: span_symbols = 100000")
+    assert "Traceback" not in err
+
+
+def test_run_out_of_memory_is_a_runtime_failure(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(link, "run_trial", exhausted)
+    assert main(["run"]) == 2
+    assert capsys.readouterr().err == "fdsim: error: MemoryError\n"
+
+
 @pytest.mark.parametrize("lines", ["n_taps = 8\nn_bits = 400\n",
                                    "n_taps = 16\nestimator_order = 20\n"])
 def test_run_rejects_order_beyond_channel(tmp_path, capsys, lines):

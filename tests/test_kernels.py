@@ -38,7 +38,7 @@ def _assert_close(got, ref, scale):
 
 
 @pytest.mark.parametrize("sps", [2, 3, 4, 5, 10, 20, 40])
-@pytest.mark.parametrize("n", [1, 2, 1000])
+@pytest.mark.parametrize("n", [1, 2, 1000, 1025])  # 1025: one past a block
 @pytest.mark.parametrize("kind", ["srrc", "odd"])
 def test_kernels_match_reference(sps, n, kind):
     filt = _filter(kind, sps)
@@ -51,12 +51,15 @@ def test_kernels_match_reference(sps, n, kind):
     x = ref + 1e-3 * (rng.standard_normal(len(ref)) + 1j * rng.standard_normal(len(ref)))
     full = np.convolve(x, h)
     scale = np.max(np.abs(full))
-    # the matched filter's first instant is len(h) - 1 for any tap count
+    # the matched filter's first instant is len(h) - 1 for any tap count;
+    # output k reads samples k*sps ... (k + p)*sps - 1, p the taps' phases
     kept = full[len(h) - 1::sps]
-    for count in (None, 0, 1, n, len(kept)):
+    largest = len(x) // sps - -(-len(h) // sps) + 1
+    for count in (0, 1, n, largest):
         _assert_close(sigproc.matched_filter_downsample(x, filt, count),
                       kept[:count], scale)
-    for count in (-1, len(kept) + 1, len(full)):
+    # the later outputs' windows reach past the samples' end
+    for count in (-1, largest + 1, len(kept), len(full)):
         with pytest.raises(ValueError):
             sigproc.matched_filter_downsample(x, filt, count)
 
@@ -137,9 +140,8 @@ def test_sigproc_filters_match_reference(sps):
 
     # the matched filter samples from the peak of both filters in cascade
     full = np.convolve(shaped, filt.taps)
-    for n_symbols in (None, len(symbols)):
-        _assert_close(sigproc.matched_filter_downsample(shaped, filt, n_symbols),
-                      full[len(filt.taps) - 1::sps][:n_symbols], np.max(np.abs(full)))
+    _assert_close(sigproc.matched_filter_downsample(shaped, filt, len(symbols)),
+                  full[len(filt.taps) - 1::sps][: len(symbols)], np.max(np.abs(full)))
 
 
 def test_filter_rejects_complex_or_empty_taps():

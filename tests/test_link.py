@@ -2,9 +2,13 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +203,16 @@ def test_huge_integer_keys_are_config_errors_naming_the_key(key, kw):
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match=f"{key} = {2**62}"):
             LinkConfig(**kw)
+
+
+def test_span_bound_is_inclusive():
+    # the SRRC kernels' block products, (BLOCK_ROWS + span) x (span + 1)
+    # entries: 4639 x 3616 is the largest within MAX_FRAME_SAMPLES
+    assert sigproc.BLOCK_ROWS == 1024
+    assert 4639 * 3616 <= link.MAX_FRAME_SAMPLES < 4640 * 3617
+    LinkConfig(span_symbols=3615)
+    with pytest.raises(ConfigError, match="^span_symbols = 3616 gives 16782880-entry"):
+        LinkConfig(span_symbols=3616)
 
 
 def test_config_rejects_order_beyond_training():
@@ -486,18 +500,19 @@ def test_trials_leave_their_shared_design_untouched(scheme):
         assert np.array_equal(a, b)
 
 
-#: Peak traced allocation of one warm narrowband trial, in received frames
-#: (40 575 complex128 samples, 649 kB): the trial holds at most the frame,
-#: one more frame-length waveform or the SI's FFT buffer, and a half-size
-#: scratch array.  Measured 2.35 (PS) and 2.36 (PS+B); 6.6 and 7.6 when
-#: each step of the frame allocated its own arrays.
+#: Peak traced (tracemalloc) allocation of one warm narrowband trial, in
+#: received frames (40 575 complex128 samples, 649 kB): the trial holds at
+#: most the frame, one more frame-length waveform or the SI's FFT buffer,
+#: and a half-size scratch array.  Measured 2.35 (PS) and 2.36 (PS+B);
+#: 6.6 and 7.6 when each step of the frame allocated its own arrays.
+#: tracemalloc does not see numpy's matmul copy of a strided operand.
 ALLOCATION_BOUND_FRAMES = 3.0
 
 #: The same at sps 2 (40 271 samples, 644 kB), where the per-symbol
 #: arrays are as long as the frame is in samples: two bit vectors, the
-#: symbols and the PSK detector's distances.  Measured 8.95 (PS) and 8.96
-#: (PS+B).
-SPS2_ALLOCATION_BOUND_FRAMES = 9.25
+#: symbols and the detector's sectors.  Measured 5.23 (PS and PS+B); 8.95
+#: when the matched filter formed one product over the whole frame.
+SPS2_ALLOCATION_BOUND_FRAMES = 5.5
 
 
 def _warm_trial_peak_frames(cfg: LinkConfig) -> float:
@@ -529,6 +544,30 @@ def test_sps2_trial_allocation_is_its_per_symbol_arrays(scheme):
     cfg = LinkConfig(scheme=scheme, ebn0_db=20.0, n_bits=40000)
     assert cfg.frame_samples == 40271
     assert _warm_trial_peak_frames(cfg) <= SPS2_ALLOCATION_BOUND_FRAMES
+
+
+#: Rise of the resident-set high-water mark over one sps-2 trial of 400 000
+#: bits, in received frames (400 271 samples, 6.4 MB), in a fresh process
+#: with one BLAS thread.  Unlike tracemalloc, it sees the operand copy
+#: numpy's matmul makes of ``pulse_shape``'s overlapping windows.  Measured
+#: 5.85; 7.88 when each SRRC kernel formed one product over the whole frame.
+SPS2_RSS_BOUND_FRAMES = 6.5
+
+
+def test_sps2_trial_rss_rise_is_bounded():
+    code = ("import resource, numpy as np\n"
+            "from fdsim import link\n"
+            "cfg = link.LinkConfig(n_bits=400000, ebn0_db=20.0)\n"
+            "design = link.trial_design(cfg)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "link.run_trial(cfg, np.random.default_rng(1), design)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print((after - before) * 1024 / (cfg.frame_samples * 16))\n")  # KiB on Linux
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(link.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert float(out.stdout) < SPS2_RSS_BOUND_FRAMES
 
 
 @pytest.mark.parametrize("bandwidth_hz", [10e6, 0.5e6])

@@ -339,22 +339,25 @@ def test_matched_filter_round_trip():
 def test_matched_filter_single_symbol():
     filt = sigproc.srrc_taps(0.25, 8, 2)
     wave = sigproc.pulse_shape([1j], filt)
-    out = sigproc.matched_filter_downsample(wave, filt)
-    assert abs(out[0] - 1j) < 1e-3
+    out = sigproc.matched_filter_downsample(wave, filt, n_symbols=1)
+    assert out.shape == (1,) and abs(out[0] - 1j) < 1e-3
 
 
 def test_matched_filter_zero_waveform():
     filt = sigproc.srrc_taps(0.25, 8, 2)
     wave = np.zeros(64, dtype=complex)
-    out = sigproc.matched_filter_downsample(wave, filt)
-    assert not np.any(out)
+    # (24 + 8) * 2 = 64 samples: the most outputs they hold
+    out = sigproc.matched_filter_downsample(wave, filt, n_symbols=24)
+    assert out.shape == (24,) and not np.any(out)
 
 
 def test_matched_filter_rejects_short_waveform():
     filt = sigproc.srrc_taps(0.25, 8, 2)
     wave = np.zeros(4, dtype=complex)
-    with pytest.raises(ValueError):
-        sigproc.matched_filter_downsample(wave, filt)
+    # even zero outputs read (0 + 8) * 2 = 16 samples
+    for n_symbols in (0, 1):
+        with pytest.raises(ValueError):
+            sigproc.matched_filter_downsample(wave, filt, n_symbols=n_symbols)
 
 
 def test_awgn_zero_variance():
