@@ -172,8 +172,9 @@ def save_profile(profile: ChannelProfile, path) -> None:
 
 
 def load_profile(path) -> ChannelProfile:
-    """Read a profile CSV (freq_hz,isolation_db,phase_deg), validating rows."""
-    freqs, isos, phases = [], [], []
+    """Read a profile CSV (freq_hz,isolation_db,phase_deg), skipping blank
+    rows; ``ChannelProfile`` checks the values read."""
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -190,20 +191,10 @@ def load_profile(path) -> ChannelProfile:
             if len(row) != 3:
                 raise ProfileError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
             try:
-                vals = [float(c) for c in row]
+                rows.append([float(c) for c in row])
             except ValueError:
                 raise ProfileError(f"{path}:{lineno}: non-numeric value in {row!r}") from None
-            if not all(math.isfinite(v) for v in vals):
-                raise ProfileError(f"{path}:{lineno}: NaN/Inf not allowed")
-            freqs.append(vals[0])
-            isos.append(vals[1])
-            phases.append(vals[2])
-    freqs = np.array(freqs)
-    if np.any(freqs[1:] == freqs[:-1]):
-        raise ProfileError(f"{path}: duplicate frequencies in grid")
-    if np.any(freqs[1:] < freqs[:-1]):
-        raise ProfileError(f"{path}: frequency grid must be increasing")
-    return ChannelProfile(freqs, np.array(isos), np.array(phases))
+    return ChannelProfile(*np.array(rows).reshape(-1, 3).T)
 
 
 def derive_baseband_channel(profile: ChannelProfile, f_c: float, band_hz: float,
@@ -235,27 +226,23 @@ def derive_baseband_channel(profile: ChannelProfile, f_c: float, band_hz: float,
     ph = np.interp(f_pass, profile.freqs_hz, phase_unwrapped)
     response[in_band] = 0.5 * 10.0 ** (-iso / 20.0) * np.exp(1j * ph)
     taps = np.fft.ifft(response)
-    shift = 0
     # two-sided impulse responses wrap their anti-causal part to the end of
     # the window; a small circular pre-delay makes them causal and compact
-    power = np.abs(taps) ** 2
-    total = power.sum()
-    if total > 0.0 and power[3 * n_taps // 4 :].sum() > 1e-9 * total:
-        shift = 3 * n_taps // 64
-        taps = np.roll(taps, shift)
-    dominant = int(np.argmax(np.abs(taps)))
+    mag = np.abs(taps)
+    power = mag**2
+    shift = 3 * n_taps // 64 if power[3 * n_taps // 4 :].sum() > 1e-9 * power.sum() else 0
+    # the dominant tap after that pre-delay, the first in shifted order on a tie
+    dominant = int(np.min((np.flatnonzero(mag == mag.max()) + shift) % n_taps))
     if dominant >= n_taps // 4:
-        extra = (n_taps // 8 - dominant) % n_taps
-        shift += extra
-        taps = np.roll(taps, extra)
-    return BasebandChannel(taps=taps, shift_samples=shift)
+        shift += (n_taps // 8 - dominant) % n_taps
+    return BasebandChannel(taps=np.roll(taps, shift), shift_samples=shift)
 
 
-def support_length(taps: np.ndarray, energy_fraction: float = 0.999) -> int:
-    """Length of the causal prefix holding the given fraction of tap energy."""
+def support_length(taps: np.ndarray) -> int:
+    """Length of the causal prefix holding 99.99 % of the tap energy."""
     power = np.abs(taps) ** 2
     total = power.sum()
     if total == 0.0:
         return 1
     cum = np.cumsum(power)
-    return int(np.searchsorted(cum, energy_fraction * total) + 1)
+    return int(np.searchsorted(cum, 0.9999 * total) + 1)

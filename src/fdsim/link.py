@@ -354,7 +354,7 @@ def _sinr_window(config: LinkConfig, filt: sigproc.SrrcFilter,
     ``(n_symbols - 1) * sps + len(filt.taps)`` samples (a few-symbol
     frame, whose window would hold no desired signal)."""
     delay = len(filt.taps) - 1
-    head = delay + channel.support_length(h_aa.taps, 0.9999)
+    head = delay + channel.support_length(h_aa.taps)
     tail = config.frame_samples - delay
     desired_end = (config.n_symbols - 1) * config.samples_per_symbol + len(filt.taps)
     if tail - head < config.samples_per_symbol or head >= desired_end:

@@ -27,6 +27,11 @@ def test_profile_rejects_non_increasing_grid():
         channel.ChannelProfile(np.array([2.0, 1.0]), np.zeros(2), np.zeros(2))
 
 
+def test_band_isolation_rejects_a_band_outside_the_profile():
+    with pytest.raises(ProfileError, match="does not cover"):
+        channel.band_isolation_db(flat_profile(half=4e6), 2.44e9)
+
+
 def test_synthesize_ps_peak():
     ps = channel.SCHEME_SHAPES["PS"]
     prof = channel.synthesize_profile("PS")
@@ -142,6 +147,27 @@ def test_load_rejects_nan(tmp_path):
         channel.load_profile(path)
 
 
+@pytest.mark.parametrize("text, match", [
+    ("", "empty profile file"),
+    ("freq_hz,isolation_db,phase_deg\n2.4e9,40.0,0.0\n2.5e9,41.0\n", ":3: expected 3 columns"),
+    ("freq_hz,isolation_db,phase_deg\n2.4e9,40.0,0.0\n", "at least 2"),
+], ids=["empty", "two-columns", "one-row"])
+def test_load_rejects_a_malformed_file(tmp_path, text, match):
+    path = tmp_path / "p.csv"
+    path.write_text(text)
+    with pytest.raises(ProfileError, match=match):
+        channel.load_profile(path)
+
+
+def test_load_skips_a_blank_row(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("freq_hz,isolation_db,phase_deg\n2.4e9,40.0,0.0\n\n2.41e9,41.0,-1.0\n")
+    prof = channel.load_profile(path)
+    assert np.array_equal(prof.freqs_hz, [2.4e9, 2.41e9])
+    assert np.array_equal(prof.isolation_db, [40.0, 41.0])
+    assert np.array_equal(prof.phase_deg, [0.0, -1.0])
+
+
 def test_load_reports_line_number(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("freq_hz,isolation_db,phase_deg\n2.4e9,40.0,0.0\n2.5e9,x,0.0\n")
@@ -222,6 +248,11 @@ def test_derive_rejects_bad_n_taps():
         channel.derive_baseband_channel(prof, 2.44e9, 20e6, 20e6, 200)
 
 
+def test_derive_rejects_a_band_wider_than_the_sample_rate():
+    with pytest.raises(ValueError, match="sample_rate_hz"):
+        channel.derive_baseband_channel(flat_profile(), 2.44e9, 20e6, 10e6, 256)
+
+
 def test_derive_rejects_insufficient_coverage():
     prof = flat_profile(half=4e6)
     with pytest.raises(ProfileError):
@@ -237,6 +268,10 @@ def test_eq4_half_factor():
 
 
 def test_support_length_prefix():
-    taps = np.array([3.0, 0.0, 1.0, 0.0], dtype=complex)
-    assert channel.support_length(taps, 0.89) == 1
-    assert channel.support_length(taps, 0.999) == 3
+    # the causal prefix holding 99.99 % of the tap energy; the comments give
+    # the third tap's share, against the 0.01 % the prefix may leave out
+    for taps, support in [([3.0, 0.0, 1.0, 0.0], 3),  # 10 %
+                          ([1.0, 0.0, 0.011, 0.0], 3),  # 0.0121 %
+                          ([1.0, 0.0, 0.009, 0.0], 1),  # 0.0081 %
+                          ([0.0, 0.0, 0.0, 0.0], 1)]:  # no energy: one tap
+        assert channel.support_length(np.array(taps, dtype=complex)) == support, taps

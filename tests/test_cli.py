@@ -7,6 +7,7 @@ import pytest
 
 from fdsim import channel, harness, link
 from fdsim.cli import _build_parser, main
+from fdsim.errors import ProfileError
 
 
 def test_no_command_is_usage_error(capsys):
@@ -113,6 +114,28 @@ def test_derive_channel_rejects_isolation_out_of_range(tmp_path, capsys):
     taps_path = tmp_path / "taps.csv"
     assert main(["derive-channel", str(prof_path), "--out", str(taps_path)]) == 2
     assert "isolation_db" in capsys.readouterr().err
+    assert not taps_path.exists()
+
+
+HEADER = "freq_hz,isolation_db,phase_deg\n"
+
+
+@pytest.mark.parametrize("text", [
+    "", "f,iso,ph\n2.4e9,40.0,0.0\n", HEADER + "2.4e9,40.0,0.0\n",
+    HEADER + "2.4e9,40.0,0.0\n2.5e9,41.0\n", HEADER + "2.4e9,40.0,0.0\n2.5e9,x,0.0\n",
+    HEADER + "2.4e9,nan,0.0\n2.5e9,1.0,0.0\n", HEADER + "2.4e9,40.0,0.0\n2.5e9,inf,0.0\n",
+    HEADER + "2.4e9,40.0,0.0\n2.4e9,41.0,0.0\n", HEADER + "2.42e9,40.0,0.0\n2.41e9,41.0,0.0\n",
+    HEADER + "2.4e9,40.0,0.0\n2.5e9,-4000,0.0\n",
+], ids=["empty", "header", "one-row", "two-columns", "non-numeric", "nan", "inf",
+        "duplicate", "descending", "isolation"])
+def test_derive_channel_exits_two_on_a_rejected_profile(tmp_path, capsys, text):
+    prof_path = tmp_path / "p.csv"
+    prof_path.write_text(text)
+    with pytest.raises(ProfileError):
+        channel.load_profile(prof_path)
+    taps_path = tmp_path / "taps.csv"
+    assert main(["derive-channel", str(prof_path), "--out", str(taps_path)]) == 2
+    assert "fdsim: error: " in capsys.readouterr().err
     assert not taps_path.exists()
 
 

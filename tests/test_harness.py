@@ -238,6 +238,11 @@ def test_config_for_point_rejects_a_set_carrier():
         harness.config_for_point(LinkConfig(f_c_hz=2.438e9), "PS", "ebn0_db", 10)
 
 
+def test_config_for_point_rejects_an_unknown_axis():
+    with pytest.raises(ConfigError, match="unknown axis 'rolloff'"):
+        harness.config_for_point(LinkConfig(), "PS", "rolloff", 0.5)
+
+
 def test_sweep_errors_annotated_with_coordinates(monkeypatch):
     # an order the training cannot identify is rejected when the config is
     # built, so the failure is injected deep inside the trial
@@ -339,6 +344,13 @@ def test_read_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n")
     with pytest.raises(ConfigError):
+        harness.read_results(path)
+
+
+def test_read_rejects_a_malformed_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(harness.RESULT_HEADER) + "\nPS,ebn0_db,10.0\n")
+    with pytest.raises(ConfigError, match="malformed row"):
         harness.read_results(path)
 
 

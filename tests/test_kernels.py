@@ -112,6 +112,12 @@ def test_fft_kernel_subtracts_minus_taps(sps, n_minus):
         phase_spectrum(h, sps, len(symbols), len(h) + 1)
 
 
+@pytest.mark.parametrize("sps, n_symbols", [(0, 10), (2, 0)])
+def test_phase_spectrum_rejects_no_phases_or_no_symbols(sps, n_symbols):
+    with pytest.raises(ValueError, match="sps and n_symbols must be >= 1"):
+        phase_spectrum(np.ones(8, dtype=complex), sps, n_symbols)
+
+
 def test_fft_kernel_rejects_more_symbols_than_its_spectrum():
     spectrum = phase_spectrum(np.ones(600, dtype=complex), 40, 1000)
     n_fft = fft_size(1000 + 15 - 1)

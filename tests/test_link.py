@@ -411,7 +411,7 @@ def test_design_window_skips_the_transients():
     assert cfg.frame_samples == n_full
     delay = len(design.filt.taps) - 1  # the SRRC cascade's, span_symbols * sps
     assert delay == cfg.span_symbols * cfg.samples_per_symbol
-    assert design.head == delay + channel.support_length(design.h_aa.taps, 0.9999)
+    assert design.head == delay + channel.support_length(design.h_aa.taps)
     assert design.tail == n_full - delay
     assert design.si_tap_energy == float(np.sum(np.abs(design.h_aa.taps) ** 2))
 

@@ -1,11 +1,15 @@
 """Property tests: config emit/parse, PSK mapping and profile CSV round
-trips, the CLI's derive-channel against the library, detection on an
-open eye, and a trial against the sample-rate reference.  Each runs the
-examples of the loaded hypothesis profile (``conftest.py``)."""
+trips, the exit code of ``fdsim run`` on a drawn config file, the CLI's
+derive-channel against the library, detection on an open eye, and a
+trial against the sample-rate reference.  Each runs the examples of the
+loaded hypothesis profile (``conftest.py``)."""
 
+import io
 import math
 import os
+import re
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 from hypothesis import given
@@ -58,10 +62,10 @@ def link_configs(draw, max_symbols=5000, max_log2_taps=12, runnable=False):
 
 
 @st.composite
-def sweep_fields(draw, runnable=True):
-    """The fields of a ``SweepSpec``.  With ``runnable=False``, from a wider
-    domain: values and schemes may repeat, and any axis but mod_order may
-    take ±inf."""
+def sweep_fields(draw, runnable=True, base=link_configs()):
+    """The fields of a ``SweepSpec`` on a base config drawn from ``base``.
+    With ``runnable=False``, from a wider domain: values and schemes may
+    repeat, and any axis but mod_order may take ±inf."""
     axis = draw(st.sampled_from(harness.AXES))
     if axis == "mod_order":
         value = st.sampled_from(sigproc.SUPPORTED_ORDERS).map(float)
@@ -72,7 +76,7 @@ def sweep_fields(draw, runnable=True):
     else:
         value = finite
     return dict(
-        base=draw(link_configs()), axis=axis,
+        base=draw(base), axis=axis,
         values=tuple(draw(st.lists(value, min_size=1, max_size=5, unique=runnable))),
         schemes=tuple(draw(st.lists(st.sampled_from(SCHEMES), min_size=1,
                                     max_size=4, unique=runnable))),
@@ -102,6 +106,37 @@ def test_a_wider_spec_round_trips_or_names_its_key(kw):
         assert str(exc).startswith(("values ", "schemes "))
         return
     assert _round_trip(spec) == spec
+
+
+#: Config values out of range for most keys, or of the wrong type.  Set in
+#: a valid config, none makes a frame or a training burst longer than 4000
+#: symbols, so a drawn trial stays cheap.
+BAD_VALUES = ("-4000", "-1", "0", "0.5", "4000", "1e400", "-inf", "nan",
+              "", "abc", "none", "true", "1,2", "PS+X", "0x10")
+
+
+@given(sweep_fields(base=st.one_of(link_configs(max_symbols=64, max_log2_taps=8),
+                                   link_configs(max_symbols=64, max_log2_taps=8,
+                                                runnable=True))), st.data())
+def test_run_on_a_drawn_config_file_exits_0_or_names_a_key(kw, data):
+    # exit 2 is the README's runtime failure: for a config file it would
+    # mean a crash inside the trial
+    lines = harness.emit_config(harness.SweepSpec(**kw)).splitlines()
+    keys = [line.split(" = ")[0] for line in lines]
+    i = data.draw(st.none() | st.integers(0, len(lines) - 1))  # the key set badly
+    if i is not None:
+        lines[i] = f"{keys[i]} = {data.draw(st.sampled_from(BAD_VALUES))}"
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["run", "--config", path])
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("fdsim: config error: ")
+        assert any(re.search(rf"\b{key}\b", err.getvalue()) for key in keys), err.getvalue()
 
 
 @given(st.sampled_from(sigproc.SUPPORTED_ORDERS), st.data())

@@ -294,6 +294,13 @@ def test_srrc_rejects_bad_rolloff():
         sigproc.srrc_taps(1.5, 8, 2)
 
 
+@pytest.mark.parametrize("span, sps, match", [(3, 2, "span_symbols"),
+                                               (8, 1, "samples_per_symbol")])
+def test_srrc_rejects_a_short_span_or_sps(span, sps, match):
+    with pytest.raises(ValueError, match=match):
+        sigproc.srrc_taps(0.25, span, sps)
+
+
 def test_pulse_shape_single_symbol_is_taps():
     filt = sigproc.srrc_taps(0.25, 8, 2)
     wave = sigproc.pulse_shape([1.0 + 0j], filt)
