@@ -268,15 +268,12 @@ class LinkReport:
         return math.log2(1.0 + 10.0 ** (self.sinr_db / 10.0))
 
 
-def ebn0_to_noise_variance(ebn0_db: float, reference_power: float, n_b: int,
-                           samples_per_symbol: int) -> float:
-    """Per-sample noise variance for a target Eb/N0.
-
-    ``reference_power`` is the mean per-sample power of the reference
-    (desired) waveform, so reference_power * samples_per_symbol is its
-    symbol energy and the quotient by n_b the energy per bit.
-    """
-    return reference_power * samples_per_symbol / (n_b * 10.0 ** (ebn0_db / 10.0))
+def ebn0_to_noise_variance(ebn0_db: float, symbol_energy: float, n_b: int) -> float:
+    """Per-sample noise variance N0 for a target Eb/N0, where
+    ``symbol_energy`` is the desired signal's energy per symbol and its
+    quotient by n_b the energy per bit (unit-energy SRRC taps pass N0 to
+    the matched filter's output unchanged)."""
+    return symbol_energy / n_b / 10.0 ** (ebn0_db / 10.0)
 
 
 def ber(tx_bits, rx_bits) -> float:
@@ -290,15 +287,11 @@ def ber(tx_bits, rx_bits) -> float:
     return float(np.count_nonzero(tx != rx) / tx.size)
 
 
-def _mean_power(x: np.ndarray, n: int | None = None) -> float:
-    """Mean of |x|² over ``n`` samples (default ``len(x)``), x zero-padded."""
-    return sigproc.energy(x) / (len(x) if n is None else n)
-
-
-def _power_ratio_db(p_desired: float, p_residual: float) -> float:
-    if p_residual == 0.0:
+def _power_ratio_db(e_desired: float, e_residual: float) -> float:
+    """The SINR in dB from the desired and residual energies of one window."""
+    if e_residual == 0.0:
         return math.inf
-    return 10.0 * math.log10(p_desired / p_residual)
+    return 10.0 * math.log10(e_desired / e_residual)
 
 
 @lru_cache(maxsize=16)
@@ -326,8 +319,8 @@ def self_interference_channel(config: LinkConfig) -> channel.BasebandChannel:
 @dataclass(frozen=True, eq=False)
 class TrialDesign:
     """The parts of a trial that do not change from trial to trial, all for
-    ``config``: the SRRC filter, the SI channel and its tap energy, the
-    polyphase spectrum of one transmitted pulse through that channel, the
+    ``config``: the SRRC filter, the SI channel, the SI of one transmitted
+    pulse ``si_pulse = amp·(srrc ⊛ h)`` and its polyphase spectrum, the
     SINR measurement window ``[head, tail)`` of the received frame, and
     (for +B, else ``None``) the LS training model for the SI channel.  Its
     arrays are read-only.  A +B trial subtracts its replica inside
@@ -340,7 +333,7 @@ class TrialDesign:
     training: cancellation.TrainingModel | None
     head: int
     tail: int
-    si_tap_energy: float
+    si_pulse: np.ndarray
 
 
 def _sinr_window(config: LinkConfig, filt: sigproc.SrrcFilter,
@@ -372,6 +365,7 @@ def trial_design(config: LinkConfig) -> TrialDesign:
     # symbol-spaced shifts scaled by the symbols
     amp = math.sqrt(channel.dbm_to_linear(config.p_ta_dbm))
     si_pulse = amp * np.convolve(filt.taps, h_aa.taps)
+    si_pulse.setflags(write=False)
     training = None
     n_replica = 0
     if config.uses_baseband_cancellation:
@@ -381,8 +375,7 @@ def trial_design(config: LinkConfig) -> TrialDesign:
         n_replica = len(filt.taps) + config.estimator_order - 1
     spectrum = phase_spectrum(si_pulse, sps, config.n_symbols, n_replica)
     head, tail = _sinr_window(config, filt, h_aa)
-    return TrialDesign(config, filt, h_aa, spectrum, training, head, tail,
-                       float(np.sum(np.abs(h_aa.taps) ** 2)))
+    return TrialDesign(config, filt, h_aa, spectrum, training, head, tail, si_pulse)
 
 
 def run_trial(config: LinkConfig, rng: np.random.Generator,
@@ -390,9 +383,17 @@ def run_trial(config: LinkConfig, rng: np.random.Generator,
     """Simulate one full-duplex frame and report the link metrics.
 
     The power model (0 dBm is unit power): ``p_ta_dbm`` sets the SI and
-    the training burst's amplitude; the far node's signal arrives at
-    ``p_rb_dbm`` with a uniform random phase; the noise is set by
-    ``ebn0_db`` relative to that signal's per-sample power ``p_rb / sps``.
+    the training burst's amplitude; the far node's symbols are scaled by
+    a gain of power ``p_rb`` and uniform random phase before they are
+    shaped, so its symbol energy is ``p_rb``; the noise is set by
+    ``ebn0_db`` relative to that symbol energy.  The SINR is the ratio of
+    the desired waveform's energy to the residual's (SI after
+    cancellation plus noise) over the design's window, and
+    ``residual_power_dbm`` that residual energy per window sample.  With
+    +B, ``estimate_error_db`` is the in-band estimation error
+    ``‖si_pulse − replica‖² / ‖si_pulse‖²``, the replica amp·(srrc ⊛ ĥ)
+    zero-padded: the expected ratio of the window's SI after
+    cancellation to the SI without it.
 
     ``rng`` draws, in this order, the training noise (+B only), both
     nodes' bits, the far node's phase and the receiver noise, so the same
@@ -403,13 +404,10 @@ def run_trial(config: LinkConfig, rng: np.random.Generator,
         design = trial_design(config)
     elif design.config != config:
         raise ValueError("trial design was built for another config")
-    sps = config.samples_per_symbol
-    filt, h_aa = design.filt, design.h_aa
+    filt = design.filt
 
     p_rb_lin = channel.dbm_to_linear(config.p_rb_dbm)
-    # reference is the desired signal's waveform-level (per-sample) power
-    noise_var = ebn0_to_noise_variance(config.ebn0_db, p_rb_lin / sps,
-                                       config.n_b, sps)
+    noise_var = ebn0_to_noise_variance(config.ebn0_db, p_rb_lin, config.n_b)
 
     replica = est_err_db = None
     if design.training is not None:
@@ -420,15 +418,16 @@ def run_trial(config: LinkConfig, rng: np.random.Generator,
                                              noise_var, rng)
         amp = math.sqrt(channel.dbm_to_linear(config.p_ta_dbm))
         replica = amp * np.convolve(filt.taps, taps_hat)
-        err = h_aa.taps.copy()
-        err[: len(taps_hat)] -= taps_hat
-        est_err_db = 10.0 * math.log10(max(sigproc.energy(err) / design.si_tap_energy, 1e-300))
+        si_pulse, n = design.si_pulse, len(replica)
+        err = sigproc.energy(si_pulse[:n] - replica) + sigproc.energy(si_pulse[n:])
+        est_err_db = 10.0 * math.log10(max(err / sigproc.energy(si_pulse), 1e-300))
 
     bits_a = rng.integers(0, 2, size=config.n_bits)
     bits_b = rng.integers(0, 2, size=config.n_bits)
     s_a = sigproc.modulate_psk(bits_a, config.mod_order)
     s_b = sigproc.modulate_psk(bits_b, config.mod_order)
     gain = math.sqrt(p_rb_lin) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    s_b *= gain
 
     # the received frame is built in the noise's buffer: the SI
     # (amp·(pulse_shape(s_a) ⊛ h_aa), at the symbol rate)
@@ -437,19 +436,17 @@ def run_trial(config: LinkConfig, rng: np.random.Generator,
     frame = sigproc.awgn(config.frame_samples, noise_var, rng)
     frame += upsample_convolve_fft(s_a, design.si_spectrum, minus=replica)
     head, tail = design.head, design.tail
-    p_residual = _mean_power(frame[head:tail])
+    e_residual = sigproc.energy(frame[head:tail])
     desired = sigproc.pulse_shape(s_b, filt)
-    # the gain as the left operand, which numpy's complex product is not
-    # bitwise symmetric in
-    np.multiply(gain, desired, out=desired)
     # the desired waveform is zero past its end, inside the window too
-    gamma_db = _power_ratio_db(_mean_power(desired[head:tail], tail - head), p_residual)
+    gamma_db = _power_ratio_db(sigproc.energy(desired[head:tail]), e_residual)
     frame[: len(desired)] += desired
 
-    # detection: matched filter, known-phase equalization, demodulation
+    # detection: matched filter, known-phase equalization (the detector
+    # reads only the angle, so |gain|² scales nothing it needs), demodulation
     symbols = sigproc.matched_filter_downsample(frame, filt, n_symbols=config.n_symbols)
-    symbols = symbols * np.exp(-1j * np.angle(gain))
+    symbols *= np.conj(gain)
     bits_hat = sigproc.demodulate_psk(symbols, config.mod_order)
+    residual_dbm = 10.0 * math.log10(max(e_residual / (tail - head), 1e-300))
     return LinkReport(sinr_db=gamma_db, ber=ber(bits_b, bits_hat),
-                      residual_power_dbm=10.0 * math.log10(max(p_residual, 1e-300)),
-                      estimate_error_db=est_err_db)
+                      residual_power_dbm=residual_dbm, estimate_error_db=est_err_db)

@@ -128,7 +128,11 @@ def run_trial(config, rng):
         for j in range(order):
             model[j : j + len(burst), j] = amp * burst
         h_hat = np.linalg.lstsq(model, r, rcond=None)[0]
-        est_err_db = _db(_power(h - np.pad(h_hat, (0, len(h) - order))) / _power(h))
+        # the in-band error: the SI of one pulse less its replica, over it
+        si_pulse = amp * np.convolve(srrc, h)
+        replica = amp * np.convolve(srrc, h_hat)
+        replica = np.pad(replica, (0, len(si_pulse) - len(replica)))
+        est_err_db = _db(_power(si_pulse - replica) / _power(si_pulse))
 
     bits_a = rng.integers(0, 2, size=config.n_bits)
     bits_b = rng.integers(0, 2, size=config.n_bits)

@@ -136,6 +136,12 @@ def test_fft_size_is_the_next_5_smooth_number():
         assert fft_size(n) == next(m for m in smooth if m >= n)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_fft_size_rejects_a_length_below_one(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        fft_size(n)
+
+
 @pytest.mark.parametrize("sps", [2, 10, 40])
 def test_sigproc_filters_match_reference(sps):
     filt = sigproc.srrc_taps(0.25, 8, sps)

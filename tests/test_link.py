@@ -15,6 +15,7 @@ import pytest
 
 import reference
 from fdsim import cancellation, channel, harness, link, sigproc
+from fdsim._kernels import upsample_convolve_fft
 from fdsim.errors import ConfigError
 from fdsim.link import LinkConfig, LinkReport, run_trial
 
@@ -250,6 +251,12 @@ def test_report_rate_is_read_from_the_sinr():
     assert report(math.inf).rate_bps_hz == math.inf
 
 
+@pytest.mark.parametrize("ber", [-0.1, 1.5, math.nan])
+def test_report_rejects_a_ber_outside_the_unit_interval(ber):
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        LinkReport(sinr_db=0.0, ber=ber, residual_power_dbm=-100.0, estimate_error_db=None)
+
+
 def test_ber_counts_flips():
     a = np.zeros(2000, dtype=int)
     b = a.copy()
@@ -261,44 +268,63 @@ def test_ber_counts_flips():
     assert type(link.ber(a, b)) is float and type(link.ber([], [])) is float
 
 
-def test_mean_power_zero_pads_to_the_window():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal(300) + 1j * rng.standard_normal(300)
-    for n in (300, 301, 1000):
-        ref = np.sum(np.abs(x) ** 2) / n
-        assert link._mean_power(x, n) == pytest.approx(ref, rel=1e-13, abs=0)
-    assert link._mean_power(x) == link._mean_power(x, 300)
-    assert link._mean_power(x[:0], 5) == 0.0
-
-
 def test_ber_rejects_length_mismatch():
     with pytest.raises(ValueError):
         link.ber([0, 1], [0])
 
 
-def _sinr(desired, residual):
-    return link._power_ratio_db(link._mean_power(desired), link._mean_power(residual))
-
-
 def test_sinr_definition():
+    # the SINR is the ratio of the window's desired and residual energies
     a = np.full(100, 1e-3 + 0j)
-    assert _sinr(a, a) == pytest.approx(0.0, abs=1e-12)
+    assert link._power_ratio_db(sigproc.energy(a), sigproc.energy(a)) == 0.0
     d = np.full(100, 1e-3 + 0j)   # -60 dBm
     r = np.full(100, 1e-4 + 0j)   # -80 dBm
-    assert _sinr(d, r) == pytest.approx(20.0, abs=1e-9)
+    assert link._power_ratio_db(sigproc.energy(d), sigproc.energy(r)) == pytest.approx(
+        20.0, abs=1e-9)
 
 
 def test_sinr_zero_residual_is_infinite():
     d = np.ones(10, dtype=complex)
-    assert _sinr(d, np.zeros(10, dtype=complex)) == math.inf
+    assert link._power_ratio_db(sigproc.energy(d), sigproc.energy(0.0 * d)) == math.inf
+
+
+def test_sinr_and_residual_are_read_from_window_energies(monkeypatch):
+    # the SINR is energy(desired[head:tail]) / energy(residual[head:tail]),
+    # the desired waveform counted as zero past its end, which lies inside
+    # the window; the residual power is that energy over tail - head samples
+    captured = {}
+
+    def keep(name, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            captured[name] = out.copy()
+            return out
+        return wrapper
+
+    monkeypatch.setattr(sigproc, "awgn", keep("noise", sigproc.awgn))
+    monkeypatch.setattr(link, "upsample_convolve_fft", keep("si", link.upsample_convolve_fft))
+    monkeypatch.setattr(sigproc, "pulse_shape", keep("desired", sigproc.pulse_shape))
+    for scheme in ("PS", "AC+B"):
+        cfg = LinkConfig(scheme=scheme, ebn0_db=20.0, n_bits=400)
+        design = link.trial_design(cfg)
+        rep = run_trial(cfg, np.random.default_rng(2), design)
+        head, tail = design.head, design.tail
+        desired = captured["desired"]
+        assert head < len(desired) < tail
+        residual = captured["noise"] + captured["si"]  # the frame before the desired
+        e_residual = sigproc.energy(residual[head:tail])
+        assert rep.sinr_db == 10.0 * math.log10(sigproc.energy(desired[head:]) / e_residual)
+        assert rep.residual_power_dbm == 10.0 * math.log10(e_residual / (tail - head))
 
 
 def test_ebn0_to_noise_variance():
-    assert link.ebn0_to_noise_variance(0.0, 1.0, 1, 1) == pytest.approx(1.0)
-    one = link.ebn0_to_noise_variance(12.0, 1.0, 1, 2)
-    two = link.ebn0_to_noise_variance(12.0, 1.0, 2, 2)
+    assert link.ebn0_to_noise_variance(0.0, 1.0, 1) == 1.0
+    one = link.ebn0_to_noise_variance(12.0, 1.0, 1)
+    two = link.ebn0_to_noise_variance(12.0, 1.0, 2)
     assert two == pytest.approx(one / 2.0)
-    assert link.ebn0_to_noise_variance(math.inf, 1.0, 2, 2) == 0.0
+    assert link.ebn0_to_noise_variance(math.inf, 1.0, 2) == 0.0
+    # N0 = Es / n_b / (Eb/N0), Es the symbol energy
+    assert link.ebn0_to_noise_variance(10.0, 3.0, 2) == pytest.approx(0.15, rel=1e-15)
 
 
 def test_noiseless_trial_is_error_free():
@@ -315,37 +341,50 @@ def test_noiseless_trial_is_error_free():
 @pytest.mark.parametrize("p_rb_dbm", [-60.0, -10.0])
 @pytest.mark.parametrize("bandwidth_hz", [10e6, 0.5e6])
 def test_far_node_arrives_at_p_rb_with_a_random_phase(monkeypatch, p_rb_dbm, bandwidth_hz):
-    # with an SI 1e-100 below unit power and no noise, the matched filter's
-    # input over the desired waveform is the far node's shaped symbols
-    # times its gain
+    # the far node's unit-modulus symbols are scaled by one gain of power
+    # p_rb before they are shaped, and with an SI 1e-100 below unit power
+    # and no noise the matched filter's input over the desired waveform is
+    # those symbols through the SRRC
     cfg = LinkConfig(p_ta_dbm=-1000.0, p_rb_dbm=p_rb_dbm, ebn0_db=math.inf,
                      signal_bandwidth_hz=bandwidth_hz)
     design = link.trial_design(cfg)
-    shaped, seen = [], []
-    pulse_shape, matched_filter = sigproc.pulse_shape, sigproc.matched_filter_downsample
+    modulated, shaped, seen = [], [], []
+    modulate, pulse_shape = sigproc.modulate_psk, sigproc.pulse_shape
+    matched_filter = sigproc.matched_filter_downsample
+
+    def modulate_copy(bits, m_order):
+        out = modulate(bits, m_order)
+        modulated.append(out.copy())  # before the trial scales it in place
+        return out
 
     def shape(symbols, filt):
-        out = pulse_shape(symbols, filt)
-        shaped.append(out.copy())  # before the trial scales it in place
-        return out
+        shaped.append(symbols.copy())
+        return pulse_shape(symbols, filt)
 
     def capture(samples, *args, **kwargs):
         seen.append(samples.copy())
         return matched_filter(samples, *args, **kwargs)
 
+    monkeypatch.setattr(sigproc, "modulate_psk", modulate_copy)
     monkeypatch.setattr(sigproc, "pulse_shape", shape)
     monkeypatch.setattr(sigproc, "matched_filter_downsample", capture)
+    p_rb = channel.dbm_to_linear(p_rb_dbm)
     gains = []
     for seed in (1, 2):
         assert run_trial(cfg, np.random.default_rng(seed), design).ber == 0.0
-        x = shaped.pop()
-        y = seen.pop()[: len(x)]
-        # the mean power is p_rb / sps to within 3 %: the 1000 random
-        # symbols and the filter's 8-symbol ramps at the ends move it by ~1 %
-        p_rb = channel.dbm_to_linear(p_rb_dbm)
-        assert link._mean_power(y) == pytest.approx(p_rb / cfg.samples_per_symbol, rel=0.03)
-        gains.append(np.vdot(x, y) / np.vdot(x, x))
+        unit, symbols = modulated[1], shaped.pop()  # the far node's, modulated second
+        modulated.clear()
+        gains.append(np.vdot(unit, symbols) / np.vdot(unit, unit))
         assert abs(gains[-1]) ** 2 == pytest.approx(p_rb, rel=1e-12)
+        np.testing.assert_allclose(symbols, gains[-1] * unit, rtol=1e-12, atol=0)
+        x = pulse_shape(symbols, design.filt)
+        y = seen.pop()[: len(x)]
+        assert np.max(np.abs(y - x)) <= 1e-12 * np.max(np.abs(x))
+        # the symbol energy p_rb is a mean power of p_rb / sps to within
+        # 3 %: the 1000 random symbols and the filter's 8-symbol ramps at
+        # the ends move it by ~1 %
+        assert sigproc.energy(y) / len(y) == pytest.approx(p_rb / cfg.samples_per_symbol,
+                                                           rel=0.03)
     assert abs(np.angle(gains[0] / gains[1])) > 1e-3
 
 
@@ -374,8 +413,8 @@ def test_trial_si_equals_sample_rate_channel(monkeypatch, scheme, bandwidth_hz):
     h_aa = link.self_interference_channel(cfg)
     estimate = None
     if cfg.uses_baseband_cancellation:
-        noise_var = link.ebn0_to_noise_variance(
-            cfg.ebn0_db, channel.dbm_to_linear(cfg.p_rb_dbm) / sps, cfg.n_b, sps)
+        noise_var = link.ebn0_to_noise_variance(cfg.ebn0_db,
+                                                channel.dbm_to_linear(cfg.p_rb_dbm), cfg.n_b)
         estimate = cancellation.run_training(design.training, cfg.p_ta_dbm, noise_var, rng)
     bits_a = rng.integers(0, 2, size=cfg.n_bits)
     filt = sigproc.srrc_taps(cfg.rolloff, cfg.span_symbols, sps)
@@ -387,7 +426,7 @@ def test_trial_si_equals_sample_rate_channel(monkeypatch, scheme, bandwidth_hz):
                                         cfg.p_ta_dbm)
     assert seen[0].shape == ref.shape
     assert np.max(np.abs(seen[0] - ref)) <= 1e-12 * np.max(np.abs(si))
-    assert link._mean_power(seen[0]) == pytest.approx(link._mean_power(ref), rel=1e-9)
+    assert sigproc.energy(seen[0]) == pytest.approx(sigproc.energy(ref), rel=1e-9)
 
 
 @pytest.mark.parametrize("scheme", link.SCHEMES)
@@ -413,7 +452,10 @@ def test_design_window_skips_the_transients():
     assert delay == cfg.span_symbols * cfg.samples_per_symbol
     assert design.head == delay + channel.support_length(design.h_aa.taps)
     assert design.tail == n_full - delay
-    assert design.si_tap_energy == float(np.sum(np.abs(design.h_aa.taps) ** 2))
+    amp = math.sqrt(channel.dbm_to_linear(cfg.p_ta_dbm))
+    assert np.array_equal(design.si_pulse, amp * np.convolve(design.filt.taps,
+                                                             design.h_aa.taps))
+    assert not design.si_pulse.flags.writeable
 
 
 @pytest.mark.parametrize("fields", [
@@ -624,6 +666,43 @@ def test_rf_only_schemes_skip_training():
     assert rep.estimate_error_db is None
     rep_b = run_trial(LinkConfig(scheme="PS+B", ebn0_db=30.0), np.random.default_rng(0))
     assert rep_b.estimate_error_db is not None
+
+
+#: Trials per case of the estimate-error comparison below.
+ESTIMATE_TRIALS = 20
+
+
+@pytest.mark.parametrize("bandwidth_hz", [10e6, 2e6, 0.5e6])
+@pytest.mark.parametrize("scheme", ["PS+B", "AC+B"])
+def test_estimate_error_is_the_window_si_ratio_of_the_replica(scheme, bandwidth_hz):
+    # estimate_error_db, ‖si_pulse − replica‖²/‖si_pulse‖², is the expected
+    # ratio of the window's SI with the replica to its SI without it: each
+    # trial's symbols are drawn again and filtered both ways
+    cfg = LinkConfig(scheme=scheme, signal_bandwidth_hz=bandwidth_hz, ebn0_db=20.0)
+    design = link.trial_design(cfg)
+    amp = math.sqrt(channel.dbm_to_linear(cfg.p_ta_dbm))
+    noise_var = link.ebn0_to_noise_variance(cfg.ebn0_db, channel.dbm_to_linear(cfg.p_rb_dbm),
+                                            cfg.n_b)
+    window = slice(design.head, design.tail)
+    estimated, measured = [], []
+    for seed in range(ESTIMATE_TRIALS):
+        rep = run_trial(cfg, np.random.default_rng(seed), design)
+        estimated.append(10.0 ** (rep.estimate_error_db / 10.0))
+        # the trial's draws: the training noise, then the near node's bits
+        rng = np.random.default_rng(seed)
+        taps_hat = cancellation.run_training(design.training, cfg.p_ta_dbm, noise_var, rng)
+        s_a = sigproc.modulate_psk(rng.integers(0, 2, size=cfg.n_bits), cfg.mod_order)
+        replica = amp * np.convolve(design.filt.taps, taps_hat)
+        with_replica, without = (
+            sigproc.energy(upsample_convolve_fft(s_a, design.si_spectrum, minus=m)[window])
+            for m in (replica, None))
+        measured.append(with_replica / without)
+    # a trial's two ratios differ by its symbols' spread about their mean
+    # (standard deviation 0.02-0.19 dB in these cases), so the two means
+    # agree within reference.K_SE standard errors of that difference
+    diff_db = 10.0 * np.log10(np.array(measured) / np.array(estimated))
+    tol_db = reference.K_SE * np.std(diff_db, ddof=1) / math.sqrt(ESTIMATE_TRIALS)
+    assert abs(10.0 * math.log10(np.mean(measured) / np.mean(estimated))) <= tol_db
 
 
 def test_baseband_cancellation_beats_rf_only():

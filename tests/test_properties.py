@@ -2,7 +2,8 @@
 trips, the exit code of ``fdsim run`` on a drawn config file, the CLI's
 derive-channel against the library, detection on an open eye, and a
 trial against the sample-rate reference.  Each runs the examples of the
-loaded hypothesis profile (``conftest.py``)."""
+loaded hypothesis profile (``conftest.py``).  A last test checks that a
+failing property reports its falsifying example under these settings."""
 
 import io
 import math
@@ -10,6 +11,7 @@ import os
 import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given
@@ -287,7 +289,8 @@ def test_a_trial_equals_the_sample_rate_reference(cfg, seed):
     # amplitude moves a power above the floor by at most REL
     rho = ROUNDING_ULPS * np.finfo(float).eps * kappa
     floor_db = 20.0 * math.log10(2.0 * rho / REL)
-    floor_dbm = cfg.p_ta_dbm + 10.0 * math.log10(design.si_tap_energy / sps) + floor_db
+    tap_energy = float(np.sum(np.abs(design.h_aa.taps) ** 2))
+    floor_dbm = cfg.p_ta_dbm + 10.0 * math.log10(tap_energy / sps) + floor_db
     tol_db = 10.0 * math.log10(1.0 + REL)  # two powers within REL of each other
     # a desired signal below the floor is detected from the SI's rounding
     if cfg.p_rb_dbm - 10.0 * math.log10(sps) >= floor_dbm:
@@ -307,3 +310,19 @@ def test_a_trial_equals_the_sample_rate_reference(cfg, seed):
     if got.estimate_error_db is not None and min(got.estimate_error_db,
                                                  want.estimate_error_db) >= floor_db:
         assert abs(got.estimate_error_db - want.estimate_error_db) <= tol_db
+
+
+def test_a_failing_property_prints_its_example(pytester):
+    # in a fresh process with this suite's conftest and warning filter, so
+    # that hypothesis's report hook imports its patching module anew
+    pytester.makeconftest((Path(__file__).parent / "conftest.py").read_text())
+    pytester.makeini("[pytest]\nfilterwarnings = error\n")
+    pytester.makepyfile(
+        "from hypothesis import given, strategies as st\n"
+        "@given(st.integers())\n"
+        "def test_small(x):\n"
+        "    assert x < 3\n")
+    result = pytester.runpytest_subprocess()
+    result.assert_outcomes(failed=1)
+    result.stdout.fnmatch_lines(["*Falsifying example: test_small(*", "*x=3,*"])
+    assert "INTERNALERROR" not in result.stdout.str() + result.stderr.str()
