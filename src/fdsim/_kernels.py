@@ -17,12 +17,40 @@ so a trial allocates one spectrum-sized array.
 
 ``_phases``, ``_n_phases`` and ``_signal`` are shared with ``sigproc``,
 whose polyphase SRRC shaping and matched filter lay out their taps in
-the same phases.
+the same phases, and ``matmul_rows`` with ``sigproc`` and
+``cancellation``: every matrix product fdsim issues stays under
+``MAX_PRODUCT_MACS``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+#: Most real multiply-adds (a complex one counts four) in one float64 or
+#: complex128 matrix product that fdsim issues.  OpenBLAS runs a product
+#: this small on the calling thread; a larger one wakes its thread pool,
+#: whose workers then spin a core for ~80 ms, the core that
+#: ``link.run_trial``'s noise draw runs on.
+MAX_PRODUCT_MACS = 2**18
+
+
+def product_rows(a: np.ndarray, b: np.ndarray) -> int:
+    """Rows of ``a`` per block that keep ``a[block] @ b`` within
+    ``MAX_PRODUCT_MACS`` (at least one)."""
+    # 8-byte real and 16-byte complex items: a complex by complex MAC is 4
+    macs = a.shape[1] * (b.shape[1] if b.ndim == 2 else 1) * a.itemsize * b.itemsize // 64
+    return max(1, MAX_PRODUCT_MACS // max(macs, 1))
+
+
+def matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.matmul(a, b, out=out)`` for a 2-d ``a``, one ``product_rows``
+    block of its rows at a time."""
+    step = product_rows(a, b)
+    if step >= len(a):
+        return np.matmul(a, b, out=out)
+    for k in range(0, len(a), step):
+        np.matmul(a[k : k + step], b, out=out[k : k + step])
+    return out
 
 
 def _phases(h: np.ndarray, step: int, n_phases: int) -> np.ndarray:
@@ -112,10 +140,11 @@ def upsample_convolve_fft(symbols, spectrum: PhaseSpectrum, minus=None) -> np.nd
     length), with those taps less ``minus``.  Output sample q*sps + j is
     symbol sequence ⊛ phase j at q, so one FFT of the symbols, one product
     with every phase's spectrum and one inverse FFT per phase give all of
-    them; the spectrum of ``minus``'s phases is one product with
-    ``spectrum.replica_dft``.  The result is a view of the leading samples
-    of the ``(n_fft, sps)`` buffer those transforms run in, whose rows
-    (the layout of the stored spectra) are the output blocks in order.
+    them; the spectrum of ``minus``'s phases is the product of
+    ``spectrum.replica_dft`` with them, in ``matmul_rows`` blocks.  The
+    result is a view of the leading samples of the ``(n_fft, sps)`` buffer
+    those transforms run in, whose rows (the layout of the stored spectra)
+    are the output blocks in order.
     """
     symbols = _signal(symbols)
     n_fft, sps = spectrum.spectra.shape
@@ -135,7 +164,7 @@ def upsample_convolve_fft(symbols, spectrum: PhaseSpectrum, minus=None) -> np.nd
         limit = min(m * sps, spectrum.n_taps)
         if minus.ndim != 1 or minus.size > limit:
             raise ValueError(f"minus must be a 1-d sequence of at most {limit} taps")
-        np.matmul(spectrum.replica_dft, _phases(minus, sps, m), out=blocks)
+        matmul_rows(spectrum.replica_dft, _phases(minus, sps, m), blocks)
         np.subtract(spectrum.spectra, blocks, out=blocks)
         blocks *= symbols_fft
     np.fft.ifft(blocks, axis=0, out=blocks)

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+import threading
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
 
-from . import cancellation, channel, sigproc
+from . import _worker, cancellation, channel, sigproc
 from ._kernels import PhaseSpectrum, phase_spectrum, spectrum_shape, upsample_convolve_fft
 from .errors import ConfigError, ProfileError
 
@@ -54,11 +55,18 @@ POWER_RANGE_DBM = (-1000.0, 1000.0)
 #: the noise powers a trial sums stay normal floats.
 EBN0_RANGE_DB = (-1000.0, 1000.0)
 
+#: Shortest received frame whose noise ``run_trial`` draws on the worker
+#: thread (``_worker``).  In alternating batches of trials on a 2-vCPU VM
+#: the hand-off cost the 2 271-sample frame of the 10 MHz defaults ~13 µs
+#: (p50 0.144 → 0.157 ms) and saved the 4 287-sample 5 MHz frame ~27 µs.
+BACKGROUND_NOISE_SAMPLES = 2**12
+
 #: Longest received frame (``LinkConfig.frame_samples``), and most entries
-#: of a +B design's replica DFT and LS training matrices and of an SRRC
-#: kernel's block product.  2**24 samples are 268 MB; a trial's RSS peak
-#: rises 2.17 frames at sps 40 and 5.85 at sps 2 (tracemalloc, blind to
-#: matmul's copy of the SRRC windows: 2.17, 5.25); the replica DFT matrix
+#: of a +B design's replica DFT and LS training matrices and of the
+#: matched filter's block product.  2**24 samples are 268 MB; a first
+#: trial's RSS peak rises 3.22 frames at sps 40 and 5.32 at sps 2, one of
+#: them the noise buffers its design keeps (tracemalloc of a later trial,
+#: blind to matmul's copy of the SRRC windows: 2.12, 4.26); the replica DFT matrix
 #: is 10.6 frames at sps 2.  Any of them above this bound is a config
 #: error, not an allocation that exhausts memory mid-design or mid-trial.
 MAX_FRAME_SAMPLES = 2**24
@@ -126,8 +134,10 @@ class LinkConfig:
             raise ConfigError(f"rolloff must be in (0, 1], got {self.rolloff}")
         if self.span_symbols < 4:
             raise ConfigError(f"span_symbols must be >= 4, got {self.span_symbols}")
-        kernel = (sigproc.BLOCK_ROWS + self.span_symbols) * (self.span_symbols + 1)
-        if kernel > MAX_FRAME_SAMPLES:  # BLOCK_ROWS + span rows, span + 1 phases
+        # the matched filter's block product: up to 2 * span + 1 rows of
+        # span + 1 phases (sigproc.matched_filter_downsample)
+        kernel = (2 * self.span_symbols + 1) * (self.span_symbols + 1)
+        if kernel > MAX_FRAME_SAMPLES:
             raise ConfigError(f"span_symbols = {self.span_symbols} gives {kernel}-entry SRRC "
                               f"kernel products, above MAX_FRAME_SAMPLES = {MAX_FRAME_SAMPLES}")
         sps = self.sample_rate_hz / self.signal_bandwidth_hz
@@ -324,7 +334,9 @@ class TrialDesign:
     SINR measurement window ``[head, tail)`` of the received frame, and
     (for +B, else ``None``) the LS training model for the SI channel.  Its
     arrays are read-only.  A +B trial subtracts its replica inside
-    ``si_spectrum``, which holds the DFT matrix for the replica's length."""
+    ``si_spectrum``, which holds the DFT matrix for the replica's length.
+    ``scratch`` keeps, per thread, the receiver-noise buffers that the
+    design's last trial on that thread finished with."""
 
     config: LinkConfig
     filt: sigproc.SrrcFilter
@@ -334,6 +346,7 @@ class TrialDesign:
     head: int
     tail: int
     si_pulse: np.ndarray
+    scratch: threading.local = field(default_factory=threading.local, repr=False)
 
 
 def _sinr_window(config: LinkConfig, filt: sigproc.SrrcFilter,
@@ -396,8 +409,13 @@ def run_trial(config: LinkConfig, rng: np.random.Generator,
     cancellation to the SI without it.
 
     ``rng`` draws, in this order, the training noise (+B only), both
-    nodes' bits, the far node's phase and the receiver noise, so the same
-    config and generator state give the same report.  ``design`` is
+    nodes' bits, the far node's phase and the receiver noise (its real,
+    then its imaginary half), so the same config and generator state give
+    the same report.  A frame of at least ``BACKGROUND_NOISE_SAMPLES``
+    draws its receiver noise on fdsim's worker thread (``_worker``) while
+    this thread forms the SI and the desired waveform; the report is the
+    same, and the trial waits for those draws before it returns or
+    raises, so ``rng`` is idle again when it does.  ``design`` is
     ``trial_design(config)``, built here when not given.
     """
     if design is None:
@@ -422,24 +440,50 @@ def run_trial(config: LinkConfig, rng: np.random.Generator,
         err = sigproc.energy(si_pulse[:n] - replica) + sigproc.energy(si_pulse[n:])
         est_err_db = 10.0 * math.log10(max(err / sigproc.energy(si_pulse), 1e-300))
 
-    bits_a = rng.integers(0, 2, size=config.n_bits)
+    s_a = sigproc.modulate_psk(rng.integers(0, 2, size=config.n_bits), config.mod_order)
     bits_b = rng.integers(0, 2, size=config.n_bits)
-    s_a = sigproc.modulate_psk(bits_a, config.mod_order)
     s_b = sigproc.modulate_psk(bits_b, config.mod_order)
     gain = math.sqrt(p_rb_lin) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     s_b *= gain
 
-    # the received frame is built in the noise's buffer: the SI
-    # (amp·(pulse_shape(s_a) ⊛ h_aa), at the symbol rate)
-    # and then the desired waveform are added to it, so at most two
-    # frame-length arrays are alive at once
-    frame = sigproc.awgn(config.frame_samples, noise_var, rng)
-    frame += upsample_convolve_fft(s_a, design.si_spectrum, minus=replica)
+    # the receiver noise, the trial's last draws (sigproc.awgn's real and
+    # imaginary halves), runs on the worker thread for a long frame while
+    # this one forms the SI and the desired waveform.  Its two buffers come
+    # from this thread's scratch of the design, and go back there only
+    # once both draws are done: fresh buffers each trial made glibc trim
+    # and re-fault ~1.8 MB of heap per narrowband trial, and buffers the
+    # worker allocated stayed in a glibc arena of its own
+    halves = buffers = ()
+    if noise_var > 0.0:
+        n = config.frame_samples
+        buffers = design.scratch.__dict__.pop("noise", None) or (np.empty(n), np.empty(n))
+        scale = math.sqrt(noise_var / 2.0)
+        if n >= BACKGROUND_NOISE_SAMPLES:
+            halves = [_worker.submit(sigproc.scaled_normals, b, scale, rng) for b in buffers]
+        else:
+            for b in buffers:
+                sigproc.scaled_normals(b, scale, rng)
     head, tail = design.head, design.tail
+    try:
+        # the received frame is built in the SI's buffer (amp·(pulse_shape(s_a)
+        # ⊛ h_aa), at the symbol rate): the noise, each half once drawn, and
+        # then the desired waveform are added to it
+        frame = upsample_convolve_fft(s_a, design.si_spectrum, minus=replica)
+        del s_a  # at sps 2 the per-symbol arrays bound the trial's memory
+        if buffers:
+            frame.real += halves[0].result() if halves else buffers[0]
+        desired = sigproc.pulse_shape(s_b, filt)
+        # the desired waveform is zero past its end, inside the window too
+        e_desired = sigproc.energy(desired[head:tail])
+        if buffers:
+            frame.imag += halves[1].result() if halves else buffers[1]
+    finally:
+        for half in halves:  # no draw outlives its trial, even one that raised
+            half.wait()
+    if buffers:  # a trial that raised drops its buffers
+        design.scratch.noise = buffers
     e_residual = sigproc.energy(frame[head:tail])
-    desired = sigproc.pulse_shape(s_b, filt)
-    # the desired waveform is zero past its end, inside the window too
-    gamma_db = _power_ratio_db(sigproc.energy(desired[head:tail]), e_residual)
+    gamma_db = _power_ratio_db(e_desired, e_residual)
     frame[: len(desired)] += desired
 
     # detection: matched filter, known-phase equalization (the detector

@@ -14,12 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _n_phases, _phases, _signal
+from ._kernels import _n_phases, _phases, _signal, matmul_rows, product_rows
 
 SUPPORTED_ORDERS = (2, 4, 8, 16)
-
-#: Most rows one SRRC kernel product forms, so its size follows the span, not the frame.
-BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,8 +190,8 @@ def pulse_shape(symbols, filt: SrrcFilter) -> np.ndarray:
     symbols at multiples of ``sps``) with the taps, at its full length;
     an empty symbol sequence is a ``ValueError``.  Output block q
     (samples q*sps ... q*sps + sps - 1) is the window of symbols ending
-    at q times the shaping matrix (``BLOCK_ROWS`` blocks per product), so
-    no product with a stuffed zero is formed.  With unit-energy taps the
+    at q times the shaping matrix (in ``matmul_rows`` blocks), so no
+    product with a stuffed zero is formed.  With unit-energy taps the
     mean per-symbol energy is the mean symbol energy: no scaling is applied.
     """
     symbols = _signal(symbols)
@@ -204,9 +201,7 @@ def pulse_shape(symbols, filt: SrrcFilter) -> np.ndarray:
     # row q: symbols q-p+1 .. q as interleaved (real, imag) pairs
     windows = _strided(padded.view(np.float64), (n + p - 1, 2 * p),
                        (padded.itemsize, padded.itemsize // 2))
-    out = np.empty((n + p - 1, 2 * sps))
-    for k in range(0, n + p - 1, BLOCK_ROWS):
-        np.matmul(windows[k : k + BLOCK_ROWS], filt.shaping, out=out[k : k + BLOCK_ROWS])
+    out = matmul_rows(windows, filt.shaping, np.empty((n + p - 1, 2 * sps)))
     return out.view(np.complex128).ravel()[: n * sps + len(filt.taps) - 1]
 
 
@@ -217,8 +212,11 @@ def matched_filter_downsample(samples, filt: SrrcFilter, n_symbols: int) -> np.n
 
     Output k is the sum over the p phases j of the reversed taps of sample
     row k + j (rows of ``sps``) times phase j: one matrix product per
-    ``BLOCK_ROWS`` outputs and a strided diagonal sum.  A negative count, or
-    fewer than the ``(n_symbols + p - 1)*sps`` samples read, is a ``ValueError``.
+    block of outputs and a strided diagonal sum.  A block of b outputs
+    reads b + p - 1 rows, as many as ``product_rows`` allows but at least
+    2p - 1, so that at most half of a product is wasted.  A negative count,
+    or fewer than the ``(n_symbols + p - 1)*sps`` samples read, is a
+    ``ValueError``.
     """
     x = _signal(samples)
     step, p = filt.matched.shape[0] // 2, filt.matched.shape[1] // 2
@@ -227,8 +225,9 @@ def matched_filter_downsample(samples, filt: SrrcFilter, n_symbols: int) -> np.n
         raise ValueError(f"n_symbols = {n_symbols}: needs >= 0 and {stop} samples, got {len(x)}")
     rows = np.ascontiguousarray(x[:stop]).view(np.float64).reshape(-1, 2 * step)
     out = np.empty(n_symbols, dtype=np.complex128)
-    for k in range(0, n_symbols, BLOCK_ROWS):
-        block = out[k : k + BLOCK_ROWS]
+    size = max(product_rows(rows, filt.matched) - p + 1, p)
+    for k in range(0, n_symbols, size):
+        block = out[k : k + size]
         terms = (rows[k : k + len(block) + p - 1] @ filt.matched).view(np.complex128)
         s_row, s_col = terms.strides
         _strided(terms, (len(block), p), (s_row, s_row + s_col)).sum(axis=1, out=block)
@@ -247,6 +246,14 @@ def awgn(n: int, variance: float, rng: np.random.Generator) -> np.ndarray:
     out = np.empty(n, dtype=np.complex128)
     draw = np.empty(n)
     for part in (out.real, out.imag):
-        rng.standard_normal(out=draw)
-        np.multiply(draw, scale, out=part)
+        part[...] = scaled_normals(draw, scale, rng)
+    return out
+
+
+def scaled_normals(out: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
+    """``scale * rng.standard_normal(len(out))`` drawn into the float64
+    array ``out`` and scaled in place: one half of an ``awgn`` draw, for
+    ``scale = sqrt(variance / 2)``."""
+    rng.standard_normal(out=out)
+    out *= scale
     return out

@@ -6,11 +6,12 @@ at the sample rate, from the transmitted waveform ``x``, the SI channel
 taps ``h`` and the estimate ``h_hat``, with amp = sqrt(P_Ta);
 ``run_trial`` runs a whole trial that way, detecting with
 ``demodulate_psk``, a correlation slicer that shares no code with fdsim's
-detector; ``compare_trials`` tells whether two sets of trials agree within
-Monte-Carlo error.
+detector, from the random inputs ``trial_draws`` returns; ``compare_trials``
+tells whether two sets of trials agree within Monte-Carlo error.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,51 +97,74 @@ def demodulate_psk(symbols, m_order: int) -> np.ndarray:
     return psk_bits(np.argmax(corr, axis=1), m_order)
 
 
-def run_trial(config, rng):
-    """``link.run_trial`` at the sample rate, drawing from ``rng`` in the
-    same order: the training noise (+B), both nodes' bits, the far node's
-    phase and the receiver noise.
+class Draws(NamedTuple):
+    """A trial's random inputs: the +B estimate (``None`` without +B), both
+    nodes' bits, the far node's gain sqrt(p_rb)·e^{jφ} and the receiver
+    noise."""
 
-    Every waveform is a zero-stuffed symbol stream through ``np.convolve``,
-    the +B estimate is ``np.linalg.lstsq``'s solution of the training
-    burst's convolution model, and ``demodulate_psk`` above detects the
-    symbols.  Only the SRRC taps, the SI taps, the SINR window and the PSK
-    mapping are fdsim's.
-    """
-    sps, n_b = config.samples_per_symbol, config.n_b
-    filt = sigproc.srrc_taps(config.rolloff, config.span_symbols, sps)
-    h_aa = link.self_interference_channel(config)
-    srrc, h = filt.taps, h_aa.taps
-    head, tail = link._sinr_window(config, filt, h_aa)
+    h_hat: np.ndarray | None
+    bits_a: np.ndarray
+    bits_b: np.ndarray
+    gain: complex
+    noise: np.ndarray
+
+
+def trial_draws(config, rng) -> Draws:
+    """What ``link.run_trial`` draws from ``rng``, in its order: the
+    training noise (+B), both nodes' bits, the far node's phase and the
+    receiver noise.  The +B estimate is ``np.linalg.lstsq``'s solution of
+    the noisy training burst's convolution model, built with
+    ``np.convolve``."""
+    sps = config.samples_per_symbol
+    srrc = sigproc.srrc_taps(config.rolloff, config.span_symbols, sps).taps
     amp = _amp(config.p_ta_dbm)
     p_rb = 10.0 ** (config.p_rb_dbm / 10.0)
     # the desired signal's symbol energy is p_rb, so N0 = p_rb / n_b / (Eb/N0)
-    noise_var = p_rb / n_b / 10.0 ** (config.ebn0_db / 10.0)
-
-    h_hat = est_err_db = None
+    noise_var = p_rb / config.n_b / 10.0 ** (config.ebn0_db / 10.0)
+    h_hat = None
     if config.uses_baseband_cancellation:
         pattern = np.resize(cancellation.TRAINING_PATTERN, config.n_training)
         burst = _shape(sigproc.constellation(4)[pattern], srrc, sps)
-        r = amp * np.convolve(burst, h)
+        r = amp * np.convolve(burst, link.self_interference_channel(config).taps)
         r = r + _noise(len(r), noise_var, rng)
         order = config.estimator_order
         model = np.zeros((len(r), order), dtype=np.complex128)
         for j in range(order):
             model[j : j + len(burst), j] = amp * burst
         h_hat = np.linalg.lstsq(model, r, rcond=None)[0]
+    bits_a = rng.integers(0, 2, size=config.n_bits)
+    bits_b = rng.integers(0, 2, size=config.n_bits)
+    gain = math.sqrt(p_rb) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    return Draws(h_hat, bits_a, bits_b, gain, _noise(config.frame_samples, noise_var, rng))
+
+
+def run_trial(config, rng):
+    """``link.run_trial`` at the sample rate, on the random inputs that
+    ``trial_draws`` takes from ``rng``.
+
+    Every waveform is a zero-stuffed symbol stream through ``np.convolve``,
+    the +B estimate is ``trial_draws``'s, and ``demodulate_psk`` above
+    detects the symbols.  Only the SRRC taps, the SI taps, the SINR window
+    and the PSK mapping are fdsim's.
+    """
+    sps = config.samples_per_symbol
+    filt = sigproc.srrc_taps(config.rolloff, config.span_symbols, sps)
+    h_aa = link.self_interference_channel(config)
+    srrc, h = filt.taps, h_aa.taps
+    head, tail = link._sinr_window(config, filt, h_aa)
+    amp = _amp(config.p_ta_dbm)
+    h_hat, bits_a, bits_b, gain, frame = trial_draws(config, rng)
+
+    est_err_db = None
+    if h_hat is not None:
         # the in-band error: the SI of one pulse less its replica, over it
         si_pulse = amp * np.convolve(srrc, h)
         replica = amp * np.convolve(srrc, h_hat)
         replica = np.pad(replica, (0, len(si_pulse) - len(replica)))
         est_err_db = _db(_power(si_pulse - replica) / _power(si_pulse))
 
-    bits_a = rng.integers(0, 2, size=config.n_bits)
-    bits_b = rng.integers(0, 2, size=config.n_bits)
     x_a = _shape(sigproc.modulate_psk(bits_a, config.mod_order), srrc, sps)
     s_b = sigproc.modulate_psk(bits_b, config.mod_order)
-    gain = math.sqrt(p_rb) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-
-    frame = _noise(config.frame_samples, noise_var, rng)
     if h_hat is None:
         frame += amp * np.convolve(x_a, h)
     else:

@@ -2,10 +2,10 @@
 
 For every workload in ``perfbench/workloads.py`` and root seeds 1 and 7,
 prints the SHA-256 of ``repr(harness.run_sweep(build_spec(w, s)).rows)``.
-Two commits whose output is equal give byte-identical rows; run both
-with the same BLAS thread count (the +B rows depend on it):
+Two commits whose output is equal give byte-identical rows, at any BLAS
+thread count:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/rows_digest.py
+    PYTHONPATH=src python tests/rows_digest.py
 
 ``perfbench/workloads.py`` is loaded from its path and only read, as
 ``tests/test_golden.py`` does.

@@ -1,7 +1,11 @@
 """Tests for training, LS channel estimation, and cancellation."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,11 +189,101 @@ def test_design_holds_a_training_model_for_baseband_schemes_only(scheme):
 
 
 @pytest.mark.parametrize("scheme", ["PS+B", "AC+B"])
-def test_design_training_model_holds_only_pinv_and_response(scheme):
+def test_design_training_model_holds_only_real_pinv_and_response(scheme):
+    # one form of the pseudo-inverse is kept: the interleaved real one,
+    # which maps the (re, im) pairs of a received burst to the estimate's;
+    # the complex pinv is formed from it when asked for
     m = link.trial_design(link.LinkConfig(scheme=scheme, n_bits=400)).training
-    assert [f.name for f in fields(m)] == ["pinv", "response"]
-    for a in (m.pinv, m.response):
+    assert [f.name for f in fields(m)] == ["real_pinv", "response"]
+    for a in (m.real_pinv, m.response, m.pinv):
         assert not a.flags.writeable
+    order, n_rows = m.pinv.shape
+    assert m.real_pinv.shape == (2 * order, 2 * n_rows) and m.real_pinv.dtype == np.float64
+    pairs = np.random.default_rng(0).standard_normal(2 * n_rows)
+    want = m.pinv @ pairs.view(np.complex128)
+    got = (m.real_pinv @ pairs).view(np.complex128)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _training_matrix(cfg: link.LinkConfig) -> np.ndarray:
+    filt = sigproc.srrc_taps(cfg.rolloff, cfg.span_symbols, cfg.samples_per_symbol)
+    burst = cancellation.make_training_signal(cfg.n_training, filt)
+    return cancellation._convolution_matrix(burst, cfg.estimator_order,
+                                            len(burst) + cfg.n_taps - 1)
+
+
+def _lapack_pinv(a: np.ndarray) -> np.ndarray:
+    return np.linalg.pinv(a, rtol=np.finfo(np.float64).eps * max(a.shape))
+
+
+@pytest.mark.parametrize("bandwidth_hz", [10e6, 2e6, 0.5e6])
+def test_pinv_matches_lapack_pinv(bandwidth_hz):
+    # condition numbers 217, 725 and 2.0e3, all taking the Gram route
+    cfg = link.LinkConfig(scheme="PS+B", signal_bandwidth_hz=bandwidth_hz)
+    want = _lapack_pinv(_training_matrix(cfg))
+    got = link.trial_design(cfg).training.pinv
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def _matrix_with_singular_values(s: np.ndarray, n_rows: int) -> np.ndarray:
+    rng = np.random.default_rng(5)
+    u = np.linalg.qr(rng.standard_normal((n_rows, len(s)))
+                     + 1j * rng.standard_normal((n_rows, len(s))))[0]
+    v = np.linalg.qr(rng.standard_normal((len(s),) * 2)
+                     + 1j * rng.standard_normal((len(s),) * 2))[0]
+    return (u * s) @ v.conj().T
+
+
+@pytest.mark.parametrize("smallest", [1e-3, 1e-7, 1e-12, 1e-18])
+def test_ill_conditioned_pinv_takes_householder_and_keeps_the_rank_rule(
+        monkeypatch, smallest):
+    # past MAX_GRAM_LOSS (condition ~1e5) the pseudo-inverse comes from a
+    # Householder QR factor; singular values below eps * n_rows (4.4e-14)
+    # of the largest are cut, as by np.linalg.pinv
+    a = _matrix_with_singular_values(np.geomspace(1.0, smallest, 12), 200)
+    calls = []
+    householder = cancellation._householder_qr
+    monkeypatch.setattr(cancellation, "_householder_qr",
+                        lambda m: calls.append(m.shape) or householder(m))
+    real_pinv = cancellation._real_pinv(a)
+    got = real_pinv[::2, ::2] + 1j * real_pinv[1::2, ::2]
+    assert calls == ([] if smallest == 1e-3 else [a.shape])
+    want = _lapack_pinv(a)
+    assert np.linalg.matrix_rank(got, rtol=1e-6) == np.linalg.matrix_rank(want, rtol=1e-6)
+    # the least-squares fit of a right-hand side agrees within the rounding
+    # that the condition number of the kept part allows
+    b = np.random.default_rng(6).standard_normal(len(a)) + 0j
+    kept = max(smallest, np.finfo(np.float64).eps * len(a))
+    fit_got, fit_want = a @ (got @ b), a @ (want @ b)
+    assert np.linalg.norm(fit_got - fit_want) <= 1e-12 / kept * np.linalg.norm(b)
+
+
+def test_householder_qr_is_orthonormal_and_reproduces_the_matrix():
+    a = _training_matrix(link.LinkConfig(scheme="PS+B", signal_bandwidth_hz=0.5e6))
+    q, r = cancellation._householder_qr(a)
+    assert q.shape == a.shape and r.shape == (a.shape[1],) * 2
+    assert np.array_equal(r, np.triu(r))
+    assert np.max(np.abs(q.conj().T @ q - np.eye(a.shape[1]))) < 1e-14
+    assert np.linalg.norm(q @ r - a) < 1e-14 * np.linalg.norm(a)
+
+
+def test_pinv_is_byte_identical_at_one_and_two_blas_threads():
+    # every workload's bandwidth; LAPACK's SVD of the tall matrix rounded
+    # differently at 0.5 MHz on two threads
+    code = ("import hashlib\n"
+            "from fdsim import link\n"
+            "for bw in (10e6, 5e6, 4e6, 2e6, 1e6, 0.5e6):\n"
+            "    cfg = link.LinkConfig(scheme='AC+B', signal_bandwidth_hz=bw)\n"
+            "    m = link.trial_design(cfg).training.real_pinv\n"
+            "    print(hashlib.sha256(m.tobytes()).hexdigest())\n")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(link.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads)
+        outputs.append(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                      text=True, check=True, env=env).stdout)
+    assert len(outputs[0].split()) == 6
+    assert outputs[0] == outputs[1]
 
 
 def test_trial_design_arrays_are_read_only():

@@ -207,13 +207,12 @@ def test_huge_integer_keys_are_config_errors_naming_the_key(key, kw):
 
 
 def test_span_bound_is_inclusive():
-    # the SRRC kernels' block products, (BLOCK_ROWS + span) x (span + 1)
-    # entries: 4639 x 3616 is the largest within MAX_FRAME_SAMPLES
-    assert sigproc.BLOCK_ROWS == 1024
-    assert 4639 * 3616 <= link.MAX_FRAME_SAMPLES < 4640 * 3617
-    LinkConfig(span_symbols=3615)
-    with pytest.raises(ConfigError, match="^span_symbols = 3616 gives 16782880-entry"):
-        LinkConfig(span_symbols=3616)
+    # the matched filter's block products, up to (2 * span + 1) x (span + 1)
+    # entries: 5791 x 2896 is the largest within MAX_FRAME_SAMPLES
+    assert 5791 * 2896 <= link.MAX_FRAME_SAMPLES < 5793 * 2897
+    LinkConfig(span_symbols=2895)
+    with pytest.raises(ConfigError, match="^span_symbols = 2896 gives 16782321-entry"):
+        LinkConfig(span_symbols=2896)
 
 
 def test_config_rejects_order_beyond_training():
@@ -291,29 +290,33 @@ def test_sinr_zero_residual_is_infinite():
 def test_sinr_and_residual_are_read_from_window_energies(monkeypatch):
     # the SINR is energy(desired[head:tail]) / energy(residual[head:tail]),
     # the desired waveform counted as zero past its end, which lies inside
-    # the window; the residual power is that energy over tail - head samples
-    captured = {}
+    # the window; the residual power is that energy over tail - head
+    # samples.  The residual is the trial's SI plus the noise it drew last,
+    # and the desired waveform its far node's bits shaped at their gain,
+    # both replayed from the trial's seed; at 0.5 MHz the noise is drawn
+    # on the worker thread
+    captured = []
 
-    def keep(name, fn):
-        def wrapper(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            captured[name] = out.copy()
-            return out
-        return wrapper
+    def keep_si(*args, **kwargs):
+        out = upsample_convolve_fft(*args, **kwargs)
+        captured.append(out.copy())  # before the trial adds to it in place
+        return out
 
-    monkeypatch.setattr(sigproc, "awgn", keep("noise", sigproc.awgn))
-    monkeypatch.setattr(link, "upsample_convolve_fft", keep("si", link.upsample_convolve_fft))
-    monkeypatch.setattr(sigproc, "pulse_shape", keep("desired", sigproc.pulse_shape))
-    for scheme in ("PS", "AC+B"):
-        cfg = LinkConfig(scheme=scheme, ebn0_db=20.0, n_bits=400)
+    monkeypatch.setattr(link, "upsample_convolve_fft", keep_si)
+    for scheme, bandwidth_hz in (("PS", 10e6), ("AC+B", 10e6), ("PS", 0.5e6)):
+        cfg = LinkConfig(scheme=scheme, ebn0_db=20.0, n_bits=400,
+                         signal_bandwidth_hz=bandwidth_hz)
         design = link.trial_design(cfg)
         rep = run_trial(cfg, np.random.default_rng(2), design)
+        draws = reference.trial_draws(cfg, np.random.default_rng(2))
         head, tail = design.head, design.tail
-        desired = captured["desired"]
-        assert head < len(desired) < tail
-        residual = captured["noise"] + captured["si"]  # the frame before the desired
+        s_b = sigproc.modulate_psk(draws.bits_b, cfg.mod_order) * draws.gain
+        desired = sigproc.pulse_shape(s_b, design.filt)
+        # at sps 2 the window runs past the desired waveform's end
+        assert head < len(desired) and (len(desired) < tail) == (bandwidth_hz == 10e6)
+        residual = captured.pop() + draws.noise  # the frame before the desired
         e_residual = sigproc.energy(residual[head:tail])
-        assert rep.sinr_db == 10.0 * math.log10(sigproc.energy(desired[head:]) / e_residual)
+        assert rep.sinr_db == 10.0 * math.log10(sigproc.energy(desired[head:tail]) / e_residual)
         assert rep.residual_power_dbm == 10.0 * math.log10(e_residual / (tail - head))
 
 
@@ -341,43 +344,30 @@ def test_noiseless_trial_is_error_free():
 @pytest.mark.parametrize("p_rb_dbm", [-60.0, -10.0])
 @pytest.mark.parametrize("bandwidth_hz", [10e6, 0.5e6])
 def test_far_node_arrives_at_p_rb_with_a_random_phase(monkeypatch, p_rb_dbm, bandwidth_hz):
-    # the far node's unit-modulus symbols are scaled by one gain of power
-    # p_rb before they are shaped, and with an SI 1e-100 below unit power
-    # and no noise the matched filter's input over the desired waveform is
-    # those symbols through the SRRC
+    # with an SI 1e-100 below unit power and no noise, the matched filter's
+    # input over the desired waveform is the far node's unit-modulus
+    # symbols, scaled by one gain of power p_rb and random phase, through
+    # the SRRC; the bits and the phase are replayed from the trial's seed
     cfg = LinkConfig(p_ta_dbm=-1000.0, p_rb_dbm=p_rb_dbm, ebn0_db=math.inf,
                      signal_bandwidth_hz=bandwidth_hz)
     design = link.trial_design(cfg)
-    modulated, shaped, seen = [], [], []
-    modulate, pulse_shape = sigproc.modulate_psk, sigproc.pulse_shape
+    seen = []
     matched_filter = sigproc.matched_filter_downsample
-
-    def modulate_copy(bits, m_order):
-        out = modulate(bits, m_order)
-        modulated.append(out.copy())  # before the trial scales it in place
-        return out
-
-    def shape(symbols, filt):
-        shaped.append(symbols.copy())
-        return pulse_shape(symbols, filt)
 
     def capture(samples, *args, **kwargs):
         seen.append(samples.copy())
         return matched_filter(samples, *args, **kwargs)
 
-    monkeypatch.setattr(sigproc, "modulate_psk", modulate_copy)
-    monkeypatch.setattr(sigproc, "pulse_shape", shape)
     monkeypatch.setattr(sigproc, "matched_filter_downsample", capture)
     p_rb = channel.dbm_to_linear(p_rb_dbm)
     gains = []
     for seed in (1, 2):
         assert run_trial(cfg, np.random.default_rng(seed), design).ber == 0.0
-        unit, symbols = modulated[1], shaped.pop()  # the far node's, modulated second
-        modulated.clear()
-        gains.append(np.vdot(unit, symbols) / np.vdot(unit, unit))
-        assert abs(gains[-1]) ** 2 == pytest.approx(p_rb, rel=1e-12)
-        np.testing.assert_allclose(symbols, gains[-1] * unit, rtol=1e-12, atol=0)
-        x = pulse_shape(symbols, design.filt)
+        draws = reference.trial_draws(cfg, np.random.default_rng(seed))
+        assert abs(draws.gain) ** 2 == pytest.approx(p_rb, rel=1e-12)
+        gains.append(draws.gain)
+        unit = sigproc.modulate_psk(draws.bits_b, cfg.mod_order)
+        x = sigproc.pulse_shape(draws.gain * unit, design.filt)
         y = seen.pop()[: len(x)]
         assert np.max(np.abs(y - x)) <= 1e-12 * np.max(np.abs(x))
         # the symbol energy p_rb is a mean power of p_rb / sps to within
@@ -407,16 +397,12 @@ def test_trial_si_equals_sample_rate_channel(monkeypatch, scheme, bandwidth_hz):
     design = link.trial_design(cfg)
     run_trial(cfg, np.random.default_rng(3), design)
 
-    # the same draws: training noise first, then the data bits
-    rng = np.random.default_rng(3)
+    # the same draws, replayed; the +B estimate is lstsq's on the same
+    # (noise-free) training
+    draws = reference.trial_draws(cfg, np.random.default_rng(3))
     sps = cfg.samples_per_symbol
     h_aa = link.self_interference_channel(cfg)
-    estimate = None
-    if cfg.uses_baseband_cancellation:
-        noise_var = link.ebn0_to_noise_variance(cfg.ebn0_db,
-                                                channel.dbm_to_linear(cfg.p_rb_dbm), cfg.n_b)
-        estimate = cancellation.run_training(design.training, cfg.p_ta_dbm, noise_var, rng)
-    bits_a = rng.integers(0, 2, size=cfg.n_bits)
+    estimate, bits_a = draws.h_hat, draws.bits_a
     filt = sigproc.srrc_taps(cfg.rolloff, cfg.span_symbols, sps)
     x_a = sigproc.pulse_shape(sigproc.modulate_psk(bits_a, cfg.mod_order), filt)
     si = math.sqrt(channel.dbm_to_linear(cfg.p_ta_dbm)) * np.convolve(x_a, h_aa.taps)
