@@ -19,7 +19,8 @@ so a trial allocates one spectrum-sized array.
 whose polyphase SRRC shaping and matched filter lay out their taps in
 the same phases, and ``matmul_rows`` with ``sigproc`` and
 ``cancellation``: every matrix product fdsim issues stays under
-``MAX_PRODUCT_MACS``.
+``MAX_PRODUCT_MACS`` but one, ``sigproc.modulate_psk``'s integer product
+of bits and weights, which numpy runs without BLAS.
 """
 
 from dataclasses import dataclass

@@ -6,11 +6,11 @@ fixed for a channel, so the training model holds the burst's noise-free
 response through the channel, and a trial's training adds its noise to
 that and solves with one real product, which returns the estimated taps.
 
-The pseudo-inverse is formed without threaded BLAS or LAPACK, so it
-rounds the same at any BLAS thread count: from products within
-``MAX_PRODUCT_MACS`` and the SVD of one order x order matrix, the Gram
-matrix of the tall training matrix, or its Householder R factor when
-the matrix is too ill-conditioned for the Gram route."""
+Every matrix product here runs through ``matmul_rows``.  The
+pseudo-inverse is M Qᴴ from the SVD of one order x order matrix: the Gram
+matrix of the tall training matrix or, when that is too ill-conditioned,
+its Householder R factor.  It rounds the same at any BLAS thread count up
+to an ``estimator_order`` of 64; LAPACK's SVD at 128 rounds with it."""
 
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .errors import EstimationError
 from .sigproc import SrrcFilter, awgn, constellation, energy, pulse_shape
 
 #: Largest entry of |QᴴQ - I| that the Gram-matrix route to the
-#: pseudo-inverse accepts (``_pinv_h_by_gram``).  The loss grows as cond(A)²,
+#: pseudo-inverse accepts (``_gram_factors``).  The loss grows as cond(A)²,
 #: so this admits condition numbers up to ~1e5; the default training
 #: matrices' are at most 2.0e3.  Beyond it a Householder QR factor is used.
 MAX_GRAM_LOSS = 1e-6
@@ -49,23 +49,13 @@ def make_training_signal(n_tr: int, filt: SrrcFilter) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class TrainingModel:
     """The noise-free part of the LS training problem for one burst and
-    channel: the pseudo-inverse of the burst's (n_rows x order)
-    convolution matrix in its interleaved real form (``real_pinv``, 2·order
-    x 2·n_rows: it maps the (re, im) pairs of a received burst to those of
-    the estimate), and the burst's response through the channel
-    (``burst ⊛ taps``, before the transmit amplitude, n_rows long).  Its
-    arrays are read-only."""
+    channel: the (order x n_rows) pseudo-inverse of the burst's
+    convolution matrix (``pinv``) and the burst's response through the
+    channel (``burst ⊛ taps``, before the transmit amplitude, n_rows
+    long).  Its arrays are read-only."""
 
-    real_pinv: np.ndarray
+    pinv: np.ndarray
     response: np.ndarray
-
-    @property
-    def pinv(self) -> np.ndarray:
-        """The complex (order x n_rows) pseudo-inverse, formed (read-only)
-        from ``real_pinv``."""
-        pinv = self.real_pinv[::2, ::2] + 1j * self.real_pinv[1::2, ::2]
-        pinv.setflags(write=False)
-        return pinv
 
 
 def _convolution_matrix(x: np.ndarray, order: int, n_rows: int) -> np.ndarray:
@@ -95,22 +85,26 @@ def training_model(burst: np.ndarray, estimator_order: int,
     if not np.any(burst):
         raise EstimationError("training signal is degenerate; estimation failed")
     conv = _convolution_matrix(burst, estimator_order, len(burst) + len(channel.taps) - 1)
-    real_pinv = _real_pinv(conv)
+    pinv = _pinv(conv)
     response = np.convolve(burst, channel.taps)
-    for a in (real_pinv, response):
+    for a in (pinv, response):
         a.setflags(write=False)
-    return TrainingModel(real_pinv=real_pinv, response=response)
+    return TrainingModel(pinv=pinv, response=response)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, through ``matmul_rows``."""
+    return matmul_rows(a, b, np.empty((len(a), b.shape[1]), dtype=np.result_type(a, b)))
 
 
 def _gram(a: np.ndarray) -> np.ndarray:
     """aᴴa."""
-    return matmul_rows(np.ascontiguousarray(a.conj().T), a,
-                       np.empty((a.shape[1],) * 2, dtype=a.dtype))
+    return _product(a.conj().T, a)
 
 
-def _pinv_h_by_gram(a: np.ndarray) -> np.ndarray | None:
-    """pinv(a)ᴴ for a tall a, from one SVD of its Gram matrix, or ``None``
-    when a is too ill-conditioned for that.
+def _gram_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(Q, M) with pinv(a) = M Qᴴ for a tall a, from one SVD of its Gram
+    matrix, or ``None`` when a is too ill-conditioned for that.
 
     With aᴴa = V S² Vᴴ and X = V S⁻¹, Q = aX is orthonormal up to the
     Gram matrix's rounding, E = QᴴQ - I, of order cond(a)²·eps; and
@@ -122,12 +116,11 @@ def _pinv_h_by_gram(a: np.ndarray) -> np.ndarray | None:
     if not s2[-1] > 0.0:
         return None
     x = vh.conj().T / np.sqrt(s2)
-    q = matmul_rows(a, x, np.empty_like(a))
+    q = _product(a, x)
     e = _gram(q) - np.eye(len(x))
     if not np.abs(e).max() <= MAX_GRAM_LOSS:  # NaN too, from an overflow
         return None
-    m = x @ (np.eye(len(x)) - e + e @ e)  # pinv(a) = m Qᴴ
-    return matmul_rows(q, np.ascontiguousarray(m.conj().T), np.empty_like(q))
+    return q, _product(x, np.eye(len(x)) - e + _product(e, e))
 
 
 def _householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,29 +142,23 @@ def _householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, np.triu(r[:p])
 
 
-def _pinv_h_by_householder(a: np.ndarray) -> np.ndarray:
-    """pinv(a)ᴴ for a tall a: from a = QR and the SVD R = U S Vᴴ, pinv(a) =
-    V S⁺ Uᴴ Qᴴ, the singular values at most eps·max(a.shape) of the
-    largest cut."""
+def _householder_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, M) with pinv(a) = M Qᴴ for a tall a: from a = QR and the SVD
+    R = U S Vᴴ, M = pinv(R) = V S⁺ Uᴴ, the singular values at most
+    eps·max(a.shape) of the largest cut."""
     q, r = _householder_qr(a)
     u, s, vh = np.linalg.svd(r)
     keep = s > np.finfo(np.float64).eps * max(a.shape) * s[0]
-    m = (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T  # pinv(R)
-    return matmul_rows(q, np.ascontiguousarray(m.conj().T), np.empty_like(q))
+    return q, _product(vh[keep].conj().T / s[keep], u[:, keep].conj().T)
 
 
-def _real_pinv(a: np.ndarray) -> np.ndarray:
-    """The interleaved real form of ``np.linalg.pinv(a, rtol=eps·max(a.shape))``
-    for a tall complex a."""
-    t = _pinv_h_by_gram(a)
-    if t is None:
-        t = _pinv_h_by_householder(a)
-    # the rows of pinv(a)ᴴ fill the real form's column pairs
-    out = np.empty((a.shape[1], 2, len(a), 2))
-    out[:, 0, :, 0] = out[:, 1, :, 1] = t.real.T  # Re pinv
-    out[:, 0, :, 1] = t.imag.T  # -Im pinv
-    np.negative(t.imag.T, out=out[:, 1, :, 0])
-    return out.reshape(2 * a.shape[1], 2 * len(a))
+def _pinv(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.pinv(a, rtol=eps·max(a.shape))`` for a tall complex a,
+    as M Qᴴ from the Gram route, else from the Householder one, formed as
+    (Q Mᴴ)ᴴ: its row blocks under the cap are far taller than M Qᴴ's (96
+    rows against 3 at 0.5 MHz)."""
+    q, m = _gram_factors(a) or _householder_factors(a)
+    return np.conjugate(_product(q, m.conj().T).T, order="C")
 
 
 def run_training(model: TrainingModel, p_ta_dbm: float, noise_variance: float,
@@ -181,11 +168,16 @@ def run_training(model: TrainingModel, p_ta_dbm: float, noise_variance: float,
 
     The burst's response through the channel (the model's) is received
     at the transmit power with additive noise; the least-squares estimate
-    on the convolution model is one real product of the model's
-    ``real_pinv`` with the received (re, im) pairs.
+    on the convolution model is ``pinv @ r``: one real product of
+    ``pinv``'s (re, im) pairs with those of conj(r) and of i·conj(r), whose
+    sums are the estimate's real and imaginary parts.
     """
     amp = math.sqrt(dbm_to_linear(p_ta_dbm))
-    r = amp * model.response + awgn(len(model.response), noise_variance, rng)
+    columns = np.empty((2, len(model.response)), dtype=np.complex128)
+    r = np.multiply(model.response, amp, out=columns[0])
+    r += awgn(len(r), noise_variance, rng)
+    np.conjugate(r, out=r)
+    np.multiply(r, 1j, out=columns[1])
+    pairs = _product(model.pinv.view(np.float64), columns.view(np.float64).T)
     # the model matrix is amp * conv, so its pseudo-inverse is pinv / amp
-    pairs = matmul_rows(model.real_pinv, r.view(np.float64), np.empty(len(model.real_pinv)))
-    return pairs.view(np.complex128) / amp
+    return pairs.view(np.complex128)[:, 0] / amp

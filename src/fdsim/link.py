@@ -123,6 +123,8 @@ class LinkConfig:
                               f"got {self.mod_order}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        if not self.sample_rate_hz > 0.0:
+            raise ConfigError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
         # the SRRC design (sigproc.srrc_taps) needs sps >= 2, rolloff in
         # (0, 1] and span >= 4; the training length below depends on it
         if not 0.0 < 2.0 * self.signal_bandwidth_hz <= self.sample_rate_hz:

@@ -189,19 +189,20 @@ def test_design_holds_a_training_model_for_baseband_schemes_only(scheme):
 
 
 @pytest.mark.parametrize("scheme", ["PS+B", "AC+B"])
-def test_design_training_model_holds_only_real_pinv_and_response(scheme):
-    # one form of the pseudo-inverse is kept: the interleaved real one,
-    # which maps the (re, im) pairs of a received burst to the estimate's;
-    # the complex pinv is formed from it when asked for
+def test_design_training_model_holds_only_pinv_and_response(scheme):
+    # one form of the pseudo-inverse is kept, the complex one, and the
+    # training solve's real product over its (re, im) pairs equals pinv @ r
     m = link.trial_design(link.LinkConfig(scheme=scheme, n_bits=400)).training
-    assert [f.name for f in fields(m)] == ["real_pinv", "response"]
-    for a in (m.real_pinv, m.response, m.pinv):
-        assert not a.flags.writeable
-    order, n_rows = m.pinv.shape
-    assert m.real_pinv.shape == (2 * order, 2 * n_rows) and m.real_pinv.dtype == np.float64
-    pairs = np.random.default_rng(0).standard_normal(2 * n_rows)
-    want = m.pinv @ pairs.view(np.complex128)
-    got = (m.real_pinv @ pairs).view(np.complex128)
+    assert [f.name for f in fields(m)] == ["pinv", "response"]
+    for a in (m.pinv, m.response):
+        assert not a.flags.writeable and a.flags.c_contiguous
+    assert m.pinv.dtype == np.complex128 and m.pinv.shape[1] == len(m.response)
+    p_dbm, noise_var = 3.0, 1e-4
+    got = cancellation.run_training(m, p_dbm, noise_var, np.random.default_rng(0))
+    amp = math.sqrt(channel.dbm_to_linear(p_dbm))
+    r = amp * m.response + sigproc.awgn(len(m.response), noise_var, np.random.default_rng(0))
+    want = (m.pinv @ r) / amp
+    assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -245,8 +246,7 @@ def test_ill_conditioned_pinv_takes_householder_and_keeps_the_rank_rule(
     householder = cancellation._householder_qr
     monkeypatch.setattr(cancellation, "_householder_qr",
                         lambda m: calls.append(m.shape) or householder(m))
-    real_pinv = cancellation._real_pinv(a)
-    got = real_pinv[::2, ::2] + 1j * real_pinv[1::2, ::2]
+    got = cancellation._pinv(a)
     assert calls == ([] if smallest == 1e-3 else [a.shape])
     want = _lapack_pinv(a)
     assert np.linalg.matrix_rank(got, rtol=1e-6) == np.linalg.matrix_rank(want, rtol=1e-6)
@@ -268,13 +268,17 @@ def test_householder_qr_is_orthonormal_and_reproduces_the_matrix():
 
 
 def test_pinv_is_byte_identical_at_one_and_two_blas_threads():
-    # every workload's bandwidth; LAPACK's SVD of the tall matrix rounded
-    # differently at 0.5 MHz on two threads
+    # every workload's bandwidth, and order 64 at 0.5 MHz; LAPACK's SVD of
+    # the tall matrix rounded differently at 0.5 MHz on two threads, and
+    # its SVD of a 128 x 128 matrix still does
     code = ("import hashlib\n"
             "from fdsim import link\n"
-            "for bw in (10e6, 5e6, 4e6, 2e6, 1e6, 0.5e6):\n"
-            "    cfg = link.LinkConfig(scheme='AC+B', signal_bandwidth_hz=bw)\n"
-            "    m = link.trial_design(cfg).training.real_pinv\n"
+            "cfgs = [link.LinkConfig(scheme='AC+B', signal_bandwidth_hz=bw)\n"
+            "        for bw in (10e6, 5e6, 4e6, 2e6, 1e6, 0.5e6)]\n"
+            "cfgs.append(link.LinkConfig(scheme='AC+B', signal_bandwidth_hz=0.5e6,\n"
+            "                            estimator_order=64))\n"
+            "for cfg in cfgs:\n"
+            "    m = link.trial_design(cfg).training.pinv\n"
             "    print(hashlib.sha256(m.tobytes()).hexdigest())\n")
     outputs = []
     for threads in ("1", "2"):
@@ -282,7 +286,7 @@ def test_pinv_is_byte_identical_at_one_and_two_blas_threads():
                    OPENBLAS_NUM_THREADS=threads)
         outputs.append(subprocess.run([sys.executable, "-c", code], capture_output=True,
                                       text=True, check=True, env=env).stdout)
-    assert len(outputs[0].split()) == 6
+    assert len(set(outputs[0].split())) == 7
     assert outputs[0] == outputs[1]
 
 

@@ -1,5 +1,6 @@
 """The polyphase kernels against the zero-stuff / full-convolve reference."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -182,3 +183,40 @@ def test_import_and_a_trial_of_every_scheme_load_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+#: The functions of ``src/fdsim`` that may issue a matrix product other
+#: than through ``matmul_rows``: ``matmul_rows`` itself,
+#: ``matched_filter_downsample``, whose blocks ``product_rows`` sizes, and
+#: ``modulate_psk``, whose product is over integer bit weights.
+UNCAPPED_PRODUCT_FUNCTIONS = {"matmul_rows", "matched_filter_downsample", "modulate_psk"}
+
+
+def _matrix_products(tree: ast.AST) -> list[tuple[str | None, int]]:
+    """(enclosing function, line) of each ``@``, ``@=`` and call of
+    ``matmul``, ``dot``, ``inner``, ``tensordot`` or ``vdot`` in ``tree``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in {"matmul", "dot", "inner", "tensordot", "vdot"}):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_matrix_product_fdsim_issues_goes_through_the_cap():
+    # a product outside matmul_rows can wake OpenBLAS's thread pool, whose
+    # workers then spin the core that the receiver-noise draw runs on
+    products = [(path.name, line, function)
+                for path in sorted(Path(fdsim.__file__).parent.glob("*.py"))
+                for function, line in _matrix_products(ast.parse(path.read_text()))]
+    assert [p for p in products if p[2] not in UNCAPPED_PRODUCT_FUNCTIONS] == []
+    # the scan sees the products it allows
+    assert {p[2] for p in products} == UNCAPPED_PRODUCT_FUNCTIONS

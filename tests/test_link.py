@@ -48,9 +48,10 @@ def test_config_rejects_indivisible_bits():
     ("ebn0_db", -1000.5), ("ebn0_db", 1e4),
     # sample_rate_hz / signal_bandwidth_hz overflows to inf
     ("signal_bandwidth_hz", 5e-324),
+    ("sample_rate_hz", 0.0), ("sample_rate_hz", -20e6),
 ])
 def test_config_rejects_out_of_range_keys(key, value):
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(ConfigError, match=f"^{key}"):
         LinkConfig(**{key: value})
 
 
@@ -531,21 +532,25 @@ def test_trials_leave_their_shared_design_untouched(scheme):
 #: Peak traced (tracemalloc) allocation of one warm narrowband trial, in
 #: received frames (40 575 complex128 samples, 649 kB): the trial holds at
 #: most the frame, one more frame-length waveform or the SI's FFT buffer,
-#: and a half-size scratch array.  Measured 2.35 (PS) and 2.36 (PS+B);
-#: 6.6 and 7.6 when each step of the frame allocated its own arrays.
-#: tracemalloc does not see numpy's matmul copy of a strided operand.
+#: and a half-size scratch array.  The two receiver-noise buffers (one
+#: frame) are not counted: the design keeps them from the warm-up trial,
+#: and the tests check that they are all its scratch keeps.  Measured
+#: 2.16 (PS) and 2.17 (PS+B); 6.6 and 7.6 when each step of the frame
+#: allocated its own arrays.  tracemalloc does not see numpy's matmul
+#: copy of a strided operand.
 ALLOCATION_BOUND_FRAMES = 3.0
 
 #: The same at sps 2 (40 271 samples, 644 kB), where the per-symbol
 #: arrays are as long as the frame is in samples: two bit vectors, the
-#: symbols and the detector's sectors.  Measured 5.23 (PS and PS+B); 8.95
-#: when the matched filter formed one product over the whole frame.
+#: symbols and the detector's sectors.  Measured 5.12 (PS and PS+B), the
+#: kept noise buffers not counted; 8.95 when the matched filter formed
+#: one product over the whole frame.
 SPS2_ALLOCATION_BOUND_FRAMES = 5.5
 
 
-def _warm_trial_peak_frames(cfg: LinkConfig) -> float:
-    """Peak traced allocation of one warm trial of ``cfg``, in frames."""
-    design = link.trial_design(cfg)
+def _warm_trial_peak_frames(design: link.TrialDesign) -> float:
+    """Peak traced allocation of one warm trial of ``design``, in frames."""
+    cfg = design.config
     run_trial(cfg, np.random.default_rng(0), design)  # warm
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
@@ -560,18 +565,31 @@ def _warm_trial_peak_frames(cfg: LinkConfig) -> float:
     return peak / (cfg.frame_samples * 16)
 
 
+def _assert_design_keeps_one_frame_of_noise(design: link.TrialDesign):
+    # the two receiver-noise halves, one complex frame, are all that the
+    # design holds from one trial to the next beyond its read-only arrays
+    assert list(vars(design.scratch)) == ["noise"]
+    noise = design.scratch.noise
+    assert len(noise) == 2
+    for b in noise:
+        assert b.dtype == np.float64 and b.shape == (design.config.frame_samples,)
+
+
 @pytest.mark.parametrize("scheme", ["PS", "PS+B"])
 def test_narrowband_trial_allocates_little_beyond_its_frame(scheme):
-    cfg = LinkConfig(scheme=scheme, signal_bandwidth_hz=0.5e6, ebn0_db=20.0)
-    assert cfg.frame_samples == 40575
-    assert _warm_trial_peak_frames(cfg) <= ALLOCATION_BOUND_FRAMES
+    design = link.trial_design(LinkConfig(scheme=scheme, signal_bandwidth_hz=0.5e6,
+                                          ebn0_db=20.0))
+    assert design.config.frame_samples == 40575
+    assert _warm_trial_peak_frames(design) <= ALLOCATION_BOUND_FRAMES
+    _assert_design_keeps_one_frame_of_noise(design)
 
 
 @pytest.mark.parametrize("scheme", ["PS", "PS+B"])
 def test_sps2_trial_allocation_is_its_per_symbol_arrays(scheme):
-    cfg = LinkConfig(scheme=scheme, ebn0_db=20.0, n_bits=40000)
-    assert cfg.frame_samples == 40271
-    assert _warm_trial_peak_frames(cfg) <= SPS2_ALLOCATION_BOUND_FRAMES
+    design = link.trial_design(LinkConfig(scheme=scheme, ebn0_db=20.0, n_bits=40000))
+    assert design.config.frame_samples == 40271
+    assert _warm_trial_peak_frames(design) <= SPS2_ALLOCATION_BOUND_FRAMES
+    _assert_design_keeps_one_frame_of_noise(design)
 
 
 #: Rise of the resident-set high-water mark over one sps-2 trial of 400 000
