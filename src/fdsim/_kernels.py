@@ -19,8 +19,9 @@ so a trial allocates one spectrum-sized array.
 whose polyphase SRRC shaping and matched filter lay out their taps in
 the same phases, and ``matmul_rows`` with ``sigproc`` and
 ``cancellation``: every matrix product fdsim issues stays under
-``MAX_PRODUCT_MACS`` but one, ``sigproc.modulate_psk``'s integer product
-of bits and weights, which numpy runs without BLAS.
+``MAX_PRODUCT_MACS`` but ``sigproc.modulate_psk``'s integer product of
+bits and weights, which numpy runs without BLAS, and one whose single
+row needs more (the +B Gram products at a large ``estimator_order``).
 """
 
 from dataclasses import dataclass
@@ -43,9 +44,12 @@ def product_rows(a: np.ndarray, b: np.ndarray) -> int:
     return max(1, MAX_PRODUCT_MACS // max(macs, 1))
 
 
-def matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+def matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``np.matmul(a, b, out=out)`` for a 2-d ``a``, one ``product_rows``
-    block of its rows at a time."""
+    block of its rows at a time; without ``out``, into a new array of
+    ``np.result_type(a, b)``."""
+    if out is None:
+        out = np.empty((len(a),) + b.shape[1:], dtype=np.result_type(a, b))
     step = product_rows(a, b)
     if step >= len(a):
         return np.matmul(a, b, out=out)

@@ -22,7 +22,7 @@ import numpy as np
 from ._kernels import matmul_rows
 from .channel import BasebandChannel, dbm_to_linear
 from .errors import EstimationError
-from .sigproc import SrrcFilter, awgn, constellation, energy, pulse_shape
+from .sigproc import SrrcFilter, awgn, energy, psk_table, pulse_shape
 
 #: Largest entry of |QᴴQ - I| that the Gram-matrix route to the
 #: pseudo-inverse accepts (``_gram_factors``).  The loss grows as cond(A)²,
@@ -30,7 +30,7 @@ from .sigproc import SrrcFilter, awgn, constellation, energy, pulse_shape
 #: matrices' are at most 2.0e3.  Beyond it a Householder QR factor is used.
 MAX_GRAM_LOSS = 1e-6
 
-# Fixed QPSK probe pattern, as constellation indices.  A constant run
+# Fixed QPSK probe pattern, as indices of ``psk_table(4).points``.  A constant run
 # with a single antipodal symbol keeps the short-burst convolution matrix
 # well conditioned (an i.i.d. pattern this short leaves parts of the band
 # nearly unexcited).  Both nodes know the pattern; it is independent of
@@ -42,7 +42,7 @@ def make_training_signal(n_tr: int, filt: SrrcFilter) -> np.ndarray:
     """The deterministic QPSK training burst of n_tr symbols, shaped by ``filt``."""
     if n_tr < 1:
         raise ValueError("need at least one training symbol")
-    symbols = constellation(4)[np.resize(TRAINING_PATTERN, n_tr)]
+    symbols = psk_table(4).points[np.resize(TRAINING_PATTERN, n_tr)]
     return pulse_shape(symbols, filt)
 
 
@@ -92,16 +92,6 @@ def training_model(burst: np.ndarray, estimator_order: int,
     return TrainingModel(pinv=pinv, response=response)
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, through ``matmul_rows``."""
-    return matmul_rows(a, b, np.empty((len(a), b.shape[1]), dtype=np.result_type(a, b)))
-
-
-def _gram(a: np.ndarray) -> np.ndarray:
-    """aᴴa."""
-    return _product(a.conj().T, a)
-
-
 def _gram_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(Q, M) with pinv(a) = M Qᴴ for a tall a, from one SVD of its Gram
     matrix, or ``None`` when a is too ill-conditioned for that.
@@ -112,15 +102,15 @@ def _gram_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     to within |E|³.  Past ``MAX_GRAM_LOSS`` the route is refused.  Below
     it cond(a) is at most ~1e5, so no singular value falls under the rank
     cut-off, eps·max(a.shape) of the largest."""
-    _, s2, vh = np.linalg.svd(_gram(a))
+    _, s2, vh = np.linalg.svd(matmul_rows(a.conj().T, a))
     if not s2[-1] > 0.0:
         return None
     x = vh.conj().T / np.sqrt(s2)
-    q = _product(a, x)
-    e = _gram(q) - np.eye(len(x))
+    q = matmul_rows(a, x)
+    e = matmul_rows(q.conj().T, q) - np.eye(len(x))
     if not np.abs(e).max() <= MAX_GRAM_LOSS:  # NaN too, from an overflow
         return None
-    return q, _product(x, np.eye(len(x)) - e + _product(e, e))
+    return q, matmul_rows(x, np.eye(len(x)) - e + matmul_rows(e, e))
 
 
 def _householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +139,7 @@ def _householder_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q, r = _householder_qr(a)
     u, s, vh = np.linalg.svd(r)
     keep = s > np.finfo(np.float64).eps * max(a.shape) * s[0]
-    return q, _product(vh[keep].conj().T / s[keep], u[:, keep].conj().T)
+    return q, matmul_rows(vh[keep].conj().T / s[keep], u[:, keep].conj().T)
 
 
 def _pinv(a: np.ndarray) -> np.ndarray:
@@ -158,7 +148,7 @@ def _pinv(a: np.ndarray) -> np.ndarray:
     (Q Mᴴ)ᴴ: its row blocks under the cap are far taller than M Qᴴ's (96
     rows against 3 at 0.5 MHz)."""
     q, m = _gram_factors(a) or _householder_factors(a)
-    return np.conjugate(_product(q, m.conj().T).T, order="C")
+    return np.conjugate(matmul_rows(q, m.conj().T).T, order="C")
 
 
 def run_training(model: TrainingModel, p_ta_dbm: float, noise_variance: float,
@@ -178,6 +168,6 @@ def run_training(model: TrainingModel, p_ta_dbm: float, noise_variance: float,
     r += awgn(len(r), noise_variance, rng)
     np.conjugate(r, out=r)
     np.multiply(r, 1j, out=columns[1])
-    pairs = _product(model.pinv.view(np.float64), columns.view(np.float64).T)
+    pairs = matmul_rows(model.pinv.view(np.float64), columns.view(np.float64).T)
     # the model matrix is amp * conv, so its pseudo-inverse is pinv / amp
     return pairs.view(np.complex128)[:, 0] / amp

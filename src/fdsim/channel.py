@@ -175,25 +175,27 @@ def load_profile(path) -> ChannelProfile:
     """Read a profile CSV (freq_hz,isolation_db,phase_deg), skipping blank
     rows; ``ChannelProfile`` checks the values read."""
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ProfileError(f"{path}: empty profile file") from None
-        if [c.strip() for c in header] != list(PROFILE_HEADER):
-            raise ProfileError(
-                f"{path}: expected header {','.join(PROFILE_HEADER)}, got {','.join(header)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ProfileError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                rows.append([float(c) for c in row])
-            except ValueError:
-                raise ProfileError(f"{path}:{lineno}: non-numeric value in {row!r}") from None
+                header = next(reader)
+            except StopIteration:
+                raise ProfileError(f"{path}: empty profile file") from None
+            if [c.strip() for c in header] != list(PROFILE_HEADER):
+                raise ProfileError(f"{path}: expected header {','.join(PROFILE_HEADER)}, "
+                                   f"got {','.join(header)}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise ProfileError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+                try:
+                    rows.append([float(c) for c in row])
+                except ValueError:
+                    raise ProfileError(f"{path}:{lineno}: non-numeric value in {row!r}") from None
+    except UnicodeDecodeError as exc:
+        raise ProfileError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return ChannelProfile(*np.array(rows).reshape(-1, 3).T)
 
 

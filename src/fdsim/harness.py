@@ -201,18 +201,21 @@ def parse_config(source) -> SweepSpec:
         raw = dict(source)
     else:
         raw = {}
-        with open(source) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                key, value = key.strip(), value.strip()
-                if key in raw:
-                    raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-                raw[key] = value
+        try:
+            with open(source, encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    line = line.split("#", 1)[0].strip()
+                    if not line:
+                        continue
+                    if "=" not in line:
+                        raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
+                    key, _, value = line.partition("=")
+                    key, value = key.strip(), value.strip()
+                    if key in raw:
+                        raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
+                    raw[key] = value
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{source}: not UTF-8 text ({exc.reason})") from None
     kwargs = {}
     for key, value in raw.items():
         if key not in _CONFIG_FIELDS:
@@ -245,13 +248,16 @@ def write_results(result: SweepResult, path) -> None:
 def read_results(path) -> SweepResult:
     """Inverse of write_results."""
     rows = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header != list(RESULT_HEADER):
-            raise ConfigError(f"{path}: unexpected result header")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != len(RESULT_HEADER):
-                raise ConfigError(f"{path}: malformed row {line!r}")
-            rows.append(SweepRow(*map(_parse_value, fields(SweepRow), parts)))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            if header != list(RESULT_HEADER):
+                raise ConfigError(f"{path}: unexpected result header")
+            for line in fh:
+                parts = line.rstrip("\n").split(",")
+                if len(parts) != len(RESULT_HEADER):
+                    raise ConfigError(f"{path}: malformed row {line!r}")
+                rows.append(SweepRow(*map(_parse_value, fields(SweepRow), parts)))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return SweepResult(rows=tuple(rows))

@@ -62,11 +62,6 @@ def psk_table(m_order: int) -> PskTable:
                          f"{SUPPORTED_ORDERS}") from None
 
 
-def constellation(m_order: int) -> np.ndarray:
-    """PSK points e^{j(2*pi*k/M + pi/M)} for k = 0..M-1."""
-    return psk_table(m_order).points.copy()
-
-
 def energy(x) -> float:
     """Sum of |x|² over a complex sequence, as a Python float.
 

@@ -124,7 +124,7 @@ def trial_draws(config, rng) -> Draws:
     h_hat = None
     if config.uses_baseband_cancellation:
         pattern = np.resize(cancellation.TRAINING_PATTERN, config.n_training)
-        burst = _shape(sigproc.constellation(4)[pattern], srrc, sps)
+        burst = _shape(sigproc.psk_table(4).points[pattern], srrc, sps)
         r = amp * np.convolve(burst, link.self_interference_channel(config).taps)
         r = r + _noise(len(r), noise_var, rng)
         order = config.estimator_order

@@ -49,7 +49,7 @@ def test_training_signal_rejects_zero_symbols():
 def test_training_burst_is_shaped_by_the_given_filter():
     # a hand-built filter with non-SRRC taps shapes the burst itself
     filt = sigproc.SrrcFilter(taps=np.hanning(17), samples_per_symbol=2)
-    symbols = sigproc.constellation(4)[np.resize(cancellation.TRAINING_PATTERN, 7)]
+    symbols = sigproc.psk_table(4).points[np.resize(cancellation.TRAINING_PATTERN, 7)]
     assert np.array_equal(cancellation.make_training_signal(7, filt),
                           sigproc.pulse_shape(symbols, filt))
 

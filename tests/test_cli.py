@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,28 @@ def test_bad_config_returns_one(tmp_path, capsys):
     cfg.write_text("mod_order = 3\n")
     assert main(["run", "--config", str(cfg)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_config_that_is_not_utf8_is_a_config_error_naming_the_file(tmp_path, capsys,
+                                                                     command):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"n_bits = 400\nscheme = \xff\n")
+    argv = [command, "--config", str(cfg)]
+    assert main(argv + (["--out", str(tmp_path / "r.csv")] if command == "sweep" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fdsim: config error: ") and f"{cfg}: not UTF-8" in err
+
+
+def test_a_profile_that_is_not_utf8_exits_two_naming_the_file(tmp_path, capsys):
+    prof_path = tmp_path / "p.csv"
+    prof_path.write_bytes(b"freq_hz,isolation_db,phase_deg\n2.4e9,40.0,\xff\n")
+    with pytest.raises(ProfileError, match=f"{re.escape(str(prof_path))}: not UTF-8"):
+        channel.load_profile(prof_path)
+    taps_path = tmp_path / "taps.csv"
+    assert main(["derive-channel", str(prof_path), "--out", str(taps_path)]) == 2
+    assert f"fdsim: error: {prof_path}: not UTF-8" in capsys.readouterr().err
+    assert not taps_path.exists()
 
 
 def test_missing_profile_returns_two(tmp_path, capsys):

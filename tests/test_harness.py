@@ -354,6 +354,13 @@ def test_read_rejects_a_malformed_row(tmp_path):
         harness.read_results(path)
 
 
+def test_read_rejects_results_that_are_not_utf8_naming_the_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\xff\n")
+    with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: not UTF-8"):
+        harness.read_results(path)
+
+
 def _narrowband_rows(blas_threads: int) -> str:
     code = ("import json\n"
             "from dataclasses import astuple\n"

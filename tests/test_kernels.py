@@ -11,7 +11,8 @@ import pytest
 
 import fdsim
 from fdsim import sigproc
-from fdsim._kernels import fft_size, phase_spectrum, upsample_convolve_fft
+from fdsim._kernels import (MAX_PRODUCT_MACS, fft_size, matmul_rows, phase_spectrum,
+                            product_rows, upsample_convolve_fft)
 
 #: Only the summation order differs from the reference, so the outputs
 #: agree to a few ulps of the signal's peak.
@@ -169,6 +170,77 @@ def test_filter_holds_read_only_copies():
     assert taps.flags.writeable and np.array_equal(filt.taps, taps)
     for a in (filt.taps, filt.shaping, filt.matched):
         assert not a.flags.writeable
+
+
+#: (a, b) shapes and dtype of products that ``matmul_rows`` splits into
+#: several blocks: 96 rows of 26 x 26 complex MACs, 182 rows of 18 x 80 real.
+BLOCKED_PRODUCTS = [((775, 26), (26, 26), np.complex128), ((5000, 18), (18, 80), np.float64)]
+
+
+def _operands(a_shape, b_shape, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    draw = [rng.standard_normal(shape) for shape in (a_shape, b_shape)]
+    if dtype == np.complex128:
+        draw = [x + 1j * rng.standard_normal(x.shape) for x in draw]
+    return draw
+
+
+@pytest.mark.parametrize("a_shape, b_shape, dtype", BLOCKED_PRODUCTS)
+def test_matmul_rows_is_the_product_in_blocks_under_the_cap(monkeypatch, a_shape, b_shape,
+                                                              dtype):
+    a, b = _operands(a_shape, b_shape, dtype)
+    blocks, matmul = [], np.matmul
+
+    def recorded(x, y, out=None):
+        blocks.append(len(x))
+        return matmul(x, y, out=out)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    got = matmul_rows(a, b)
+    monkeypatch.undo()
+    real_macs_per_row = a_shape[1] * b_shape[1] * (4 if dtype == np.complex128 else 1)
+    assert len(blocks) > 1 and sum(blocks) == len(a)
+    assert max(blocks) * real_macs_per_row <= MAX_PRODUCT_MACS
+    # only the blocking differs from one product: a few ulps of its peak
+    want = a @ b
+    assert np.abs(got - want).max() <= 4 * np.finfo(np.float64).eps * np.abs(want).max()
+
+
+def test_matmul_rows_is_bitwise_the_product_at_one_blas_thread():
+    code = ("import numpy as np\n"
+            "from fdsim._kernels import matmul_rows\n"
+            "from test_kernels import BLOCKED_PRODUCTS, _operands\n"
+            "for shapes in BLOCKED_PRODUCTS:\n"
+            "    a, b = _operands(*shapes)\n"
+            "    print(matmul_rows(a, b).tobytes() == (a @ b).tobytes())\n")
+    paths = [str(Path(fdsim.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.split() == ["True"] * len(BLOCKED_PRODUCTS)
+
+
+@pytest.mark.parametrize("a_dtype, b_dtype", [(np.float64, np.float64),
+                                              (np.complex128, np.float64),
+                                              (np.float64, np.complex128)])
+def test_matmul_rows_allocates_the_result_type_or_fills_out(a_dtype, b_dtype):
+    a = np.arange(600.0).reshape(300, 2).astype(a_dtype)
+    b = np.arange(6.0).reshape(2, 3).astype(b_dtype)
+    got = matmul_rows(a, b)
+    assert got.dtype == np.result_type(a, b) and got.shape == (300, 3)
+    assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
+    assert np.array_equal(got, a @ b)
+    out = np.full((300, 3), np.nan, dtype=np.result_type(a, b))
+    assert matmul_rows(a, b, out) is out
+    assert np.array_equal(out, a @ b)
+
+
+def test_product_rows_is_one_where_a_single_row_is_above_the_cap():
+    # a complex 1 x 775 by 775 x 128 row needs 396 800 multiply-adds
+    a, b = _operands((128, 775), (775, 128), np.complex128)
+    assert 775 * 128 * 4 > MAX_PRODUCT_MACS
+    assert product_rows(a, b) == 1
+    assert product_rows(a.real, b.real) == MAX_PRODUCT_MACS // (775 * 128)
 
 
 def test_import_and_a_trial_of_every_scheme_load_no_scipy():
