@@ -1,11 +1,13 @@
 """One daemon thread that runs a call while its caller goes on.
 
-``submit(fn, *args)`` hands ``fn(*args)`` to the worker thread and
-returns its ``Call``.  The worker starts at the first hand-off, and again
-in a child process after ``os.fork()``, which copies only the forking
-thread.  It runs its calls one at a time, in hand-off order.  Each call
-holds its own completion lock and value, so a value reaches only the
-caller that handed the call off.
+fdsim hands it a long frame's receiver-noise draw, one
+``standard_normal`` call that releases the GIL, so the caller's numpy
+work runs beside it.  ``submit(fn, *args)`` hands ``fn(*args)`` to the
+worker thread and returns its ``Call``.  The worker starts at the first
+hand-off, and again in a child process after ``os.fork()``, which
+copies only the forking thread.  It runs its calls one at a time, in
+hand-off order.  Each call holds its own completion lock and value, so
+a value reaches only the caller that handed the call off.
 """
 
 from __future__ import annotations

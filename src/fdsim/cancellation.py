@@ -152,12 +152,13 @@ def _pinv(a: np.ndarray) -> np.ndarray:
 
 
 def run_training(model: TrainingModel, p_ta_dbm: float, noise_variance: float,
-                 rng: np.random.Generator) -> np.ndarray:
+                 rng: np.random.Generator | np.ndarray) -> np.ndarray:
     """The estimated taps of the self-interference channel, from a
     silent-far-node burst.
 
     The burst's response through the channel (the model's) is received
-    at the transmit power with additive noise; the least-squares estimate
+    at the transmit power plus ``awgn`` of ``noise_variance`` from ``rng``
+    (or ``rng``, that noise drawn already).  The least-squares estimate
     on the convolution model is ``pinv @ r``: one real product of
     ``pinv``'s (re, im) pairs with those of conj(r) and of i·conj(r), whose
     sums are the estimate's real and imaginary parts.
@@ -165,7 +166,7 @@ def run_training(model: TrainingModel, p_ta_dbm: float, noise_variance: float,
     amp = math.sqrt(dbm_to_linear(p_ta_dbm))
     columns = np.empty((2, len(model.response)), dtype=np.complex128)
     r = np.multiply(model.response, amp, out=columns[0])
-    r += awgn(len(r), noise_variance, rng)
+    r += awgn(len(r), noise_variance, rng) if isinstance(rng, np.random.Generator) else rng
     np.conjugate(r, out=r)
     np.multiply(r, 1j, out=columns[1])
     pairs = matmul_rows(model.pinv.view(np.float64), columns.view(np.float64).T)

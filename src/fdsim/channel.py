@@ -176,7 +176,7 @@ def load_profile(path) -> ChannelProfile:
     rows; ``ChannelProfile`` checks the values read."""
     rows = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

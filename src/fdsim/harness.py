@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .errors import ConfigError, FdsimError
-from .link import SCHEMES, LinkConfig, check_field_types, run_trial, trial_design
+from .link import (BACKGROUND_NOISE_SAMPLES, SCHEMES, LinkConfig, TrialDraws, check_field_types,
+                   draw_trial, run_trial, trial_design)
 from .sigproc import SUPPORTED_ORDERS
 
 #: Sweep axis name -> the LinkConfig field it sets.  ``mod_order`` is the
@@ -136,32 +137,70 @@ def point_row(scheme: str, axis: str, value, reports) -> SweepRow:
 
 
 def _at_point(exc, spec: SweepSpec, scheme: str, value, trial: int) -> FdsimError:
-    """``exc`` re-raised as an fdsim error that names its sweep point."""
+    """``exc`` re-raised as an fdsim error naming it and its sweep point."""
     return (ConfigError if isinstance(exc, ConfigError) else FdsimError)(
-        f"{exc} [scheme={scheme}, {spec.axis}={value}, trial={trial}]")
+        f"{str(exc) or type(exc).__name__} [scheme={scheme}, {spec.axis}={value}, trial={trial}]")
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run all (scheme, value, trial) points, one trial design per point,
     and aggregate per point.  Every point's config is built before the
-    first trial runs, so an invalid point fails the sweep up front."""
+    first trial runs, so an invalid point fails the sweep up front.
+
+    The trials run in order, each from its own generator (``trial_seed``).
+    A frame of ``BACKGROUND_NOISE_SAMPLES`` or more is started, across
+    points too, before the trial ahead runs: its draws are taken, its
+    receiver noise drawn on the worker thread into the one of two buffers
+    the trial ahead does not use.  An error names the trial it was raised
+    for, and no draw outlives the sweep."""
     points = [(scheme, value) for scheme in spec.schemes for value in spec.values]
-    configs, rows = [], []
+    configs, rows, reports, n = [], [], [], spec.trials_per_point
     for scheme, value in points:
         try:
             configs.append(config_for_point(spec.base, scheme, spec.axis, value))
         except Exception as exc:
             raise _at_point(exc, spec, scheme, value, 0) from exc
-    for (scheme, value), cfg in zip(points, configs):
-        reports, trial = [], 0
+    jobs = [(point, trial) for point in range(len(points)) for trial in range(n)]
+    buffers = [np.empty(0)] * 2  # fresh ones each trial made glibc re-fault the heap
+
+    def start(job: int):
+        # the job's generator, or for a long frame the draws taken from it;
+        # or the exception that raised, for the job to raise when it runs
+        point, trial = jobs[job]
+        cfg = configs[point]
         try:
-            design = trial_design(cfg)
-            for trial in range(spec.trials_per_point):
-                rng = np.random.default_rng(trial_seed(spec.root_seed, scheme, value, trial))
-                reports.append(run_trial(cfg, rng, design))
+            rng = np.random.default_rng(trial_seed(spec.root_seed, *points[point], trial))
+            if cfg.frame_samples < BACKGROUND_NOISE_SAMPLES:
+                return rng
+            if len(buffers[job % 2]) != 2 * cfg.frame_samples:
+                buffers[job % 2] = np.empty(2 * cfg.frame_samples)
+            return draw_trial(cfg, rng, buffers[job % 2])
         except Exception as exc:
-            raise _at_point(exc, spec, scheme, value, trial) from exc
-        rows.append(point_row(scheme, spec.axis, value, reports))
+            return exc
+
+    source, ahead = start(0), None
+    try:
+        for job, (point, trial) in enumerate(jobs):
+            (scheme, value), cfg = points[point], configs[point]
+            try:
+                if trial == 0:
+                    design = None  # the last one goes first: both at once raised peak RSS
+                    design = trial_design(cfg)
+                if isinstance(source, Exception):
+                    raise source
+                if job + 1 < len(jobs):
+                    ahead = start(job + 1)
+                reports.append(run_trial(cfg, source, design))
+            except Exception as exc:
+                raise _at_point(exc, spec, scheme, value, trial) from exc
+            source, ahead = ahead, None
+            if trial == n - 1:
+                rows.append(point_row(scheme, spec.axis, value, reports))
+                reports = []
+    finally:  # no draw outlives the sweep, even one that raised
+        for started in (source, ahead):
+            if isinstance(started, TrialDraws) and started.pending is not None:
+                started.pending.wait()
     return SweepResult(rows=tuple(rows))
 
 
@@ -202,7 +241,7 @@ def parse_config(source) -> SweepSpec:
     else:
         raw = {}
         try:
-            with open(source, encoding="utf-8") as fh:
+            with open(source, encoding="utf-8-sig") as fh:
                 for lineno, line in enumerate(fh, start=1):
                     line = line.split("#", 1)[0].strip()
                     if not line:

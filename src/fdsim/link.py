@@ -27,7 +27,7 @@ import math
 import numbers
 import threading
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -55,17 +55,17 @@ POWER_RANGE_DBM = (-1000.0, 1000.0)
 #: the noise powers a trial sums stay normal floats.
 EBN0_RANGE_DB = (-1000.0, 1000.0)
 
-#: Shortest received frame whose noise ``run_trial`` draws on the worker
-#: thread (``_worker``).  In alternating batches of trials on a 2-vCPU VM
-#: the hand-off cost the 2 271-sample frame of the 10 MHz defaults ~13 µs
-#: (p50 0.144 → 0.157 ms) and saved the 4 287-sample 5 MHz frame ~27 µs.
+#: Shortest received frame whose receiver noise ``draw_trial`` hands to
+#: the worker thread (``_worker``).  On a 2-vCPU VM the hand-off cost the
+#: 2 271-sample 10 MHz frame ~13 µs per trial and saved the 4 287-sample
+#: 5 MHz frame ~27 µs.
 BACKGROUND_NOISE_SAMPLES = 2**12
 
 #: Longest received frame (``LinkConfig.frame_samples``), and most entries
 #: of a +B design's replica DFT and LS training matrices and of the
 #: matched filter's block product.  2**24 samples are 268 MB; a first
 #: trial's RSS peak rises 3.22 frames at sps 40 and 5.32 at sps 2, one of
-#: them the noise buffers its design keeps (tracemalloc of a later trial,
+#: them the noise buffer its design keeps (tracemalloc of a later trial,
 #: blind to matmul's copy of the SRRC windows: 2.12, 4.26); the replica DFT matrix
 #: is 10.6 frames at sps 2.  Any of them above this bound is a config
 #: error, not an allocation that exhausts memory mid-design or mid-trial.
@@ -114,9 +114,7 @@ class LinkConfig:
         if self.n_taps < 2 or self.n_taps & (self.n_taps - 1):
             raise ConfigError(f"n_taps must be a power of two >= 2, got {self.n_taps}")
         if self.estimator_order < 1:
-            raise ConfigError(
-                f"estimator_order must be >= 1, got {self.estimator_order}"
-            )
+            raise ConfigError(f"estimator_order must be >= 1, got {self.estimator_order}")
         # n_b is read from mod_order, so mod_order is checked first
         if self.mod_order not in sigproc.SUPPORTED_ORDERS:
             raise ConfigError(f"mod_order must be one of {sigproc.SUPPORTED_ORDERS}, "
@@ -128,10 +126,8 @@ class LinkConfig:
         # the SRRC design (sigproc.srrc_taps) needs sps >= 2, rolloff in
         # (0, 1] and span >= 4; the training length below depends on it
         if not 0.0 < 2.0 * self.signal_bandwidth_hz <= self.sample_rate_hz:
-            raise ConfigError(
-                f"signal_bandwidth_hz must be in (0, sample_rate_hz / 2] (at "
-                f"least 2 samples per symbol), got {self.signal_bandwidth_hz}"
-            )
+            raise ConfigError(f"signal_bandwidth_hz must be in (0, sample_rate_hz / 2] (at "
+                              f"least 2 samples per symbol), got {self.signal_bandwidth_hz}")
         if not 0.0 < self.rolloff <= 1.0:
             raise ConfigError(f"rolloff must be in (0, 1], got {self.rolloff}")
         if self.span_symbols < 4:
@@ -147,14 +143,10 @@ class LinkConfig:
             raise ConfigError(f"signal_bandwidth_hz = {self.signal_bandwidth_hz} is too "
                               "small: sample_rate_hz / signal_bandwidth_hz overflows")
         if abs(sps - round(sps)) > 1e-9:
-            raise ConfigError(
-                f"sample_rate_hz / signal_bandwidth_hz = {sps} is not an integer"
-            )
+            raise ConfigError(f"sample_rate_hz / signal_bandwidth_hz = {sps} is not an integer")
         if not 0.0 < self.channel_bandwidth_hz <= self.sample_rate_hz:
-            raise ConfigError(
-                f"channel_bandwidth_hz must be in (0, sample_rate_hz], got "
-                f"{self.channel_bandwidth_hz}"
-            )
+            raise ConfigError(f"channel_bandwidth_hz must be in (0, sample_rate_hz], got "
+                              f"{self.channel_bandwidth_hz}")
         if self.n_bits < self.n_b or self.n_bits % self.n_b:
             raise ConfigError(f"n_bits must be a positive multiple of log2(mod_order) "
                               f"= {self.n_b}, got {self.n_bits}")
@@ -164,8 +156,7 @@ class LinkConfig:
                 f"{self.n_bits}, span_symbols = {self.span_symbols} and n_taps = "
                 f"{self.n_taps} give a {self.frame_samples}-sample frame, above "
                 f"MAX_FRAME_SAMPLES = {MAX_FRAME_SAMPLES}; raise signal_bandwidth_hz "
-                f"or lower n_bits, span_symbols or n_taps"
-            )
+                f"or lower n_bits, span_symbols or n_taps")
         if not self.uses_baseband_cancellation:
             return
         n_training_samples = (self.n_training + self.span_symbols) * self.samples_per_symbol
@@ -174,20 +165,18 @@ class LinkConfig:
             raise ConfigError(
                 f"estimator_order {order} exceeds the {n_training_samples} training "
                 f"samples ((n_training + span_symbols) * samples_per_symbol); "
-                f"increase n_training or lower estimator_order"
-            )
+                f"increase n_training or lower estimator_order")
         # a longer replica would outlast the received frame
         if order > self.n_taps:
             raise ConfigError(f"estimator_order {order} exceeds n_taps = {self.n_taps}; "
                               f"lower estimator_order or raise n_taps")
         # the design's LS training matrix, the burst through the channel
-        rows = n_training_samples + self.n_taps - 1
+        rows = self.training_samples
         if rows * order > MAX_FRAME_SAMPLES:
             raise ConfigError(
                 f"n_training = {self.n_training} and estimator_order = {order} give a "
                 f"{rows} x {order} training matrix, above MAX_FRAME_SAMPLES = "
-                f"{MAX_FRAME_SAMPLES} entries; lower n_training or estimator_order"
-            )
+                f"{MAX_FRAME_SAMPLES} entries; lower n_training or estimator_order")
         # the design's replica DFT matrix, for the SRRC⊛SI pulse and SRRC⊛ĥ
         n_srrc = self.span_symbols * self.samples_per_symbol + 1
         rows, cols = spectrum_shape(n_srrc + self.n_taps - 1, self.samples_per_symbol,
@@ -197,8 +186,7 @@ class LinkConfig:
                 f"n_bits = {self.n_bits} and signal_bandwidth_hz = "
                 f"{self.signal_bandwidth_hz:g} give a {rows} x {cols} replica DFT "
                 f"matrix, above MAX_FRAME_SAMPLES = {MAX_FRAME_SAMPLES} entries; "
-                f"lower n_bits or raise signal_bandwidth_hz"
-            )
+                f"lower n_bits or raise signal_bandwidth_hz")
 
     @property
     def n_b(self) -> int:
@@ -217,6 +205,11 @@ class LinkConfig:
     def frame_samples(self) -> int:
         """Length of the received frame, the shaped symbols through the SI."""
         return (self.n_symbols + self.span_symbols) * self.samples_per_symbol + self.n_taps - 1
+
+    @property
+    def training_samples(self) -> int:
+        """Length of the received +B training burst, the shaped burst through the SI."""
+        return (self.n_training + self.span_symbols) * self.samples_per_symbol + self.n_taps - 1
 
     @property
     def rf_scheme(self) -> str:
@@ -337,8 +330,8 @@ class TrialDesign:
     (for +B, else ``None``) the LS training model for the SI channel.  Its
     arrays are read-only.  A +B trial subtracts its replica inside
     ``si_spectrum``, which holds the DFT matrix for the replica's length.
-    ``scratch`` keeps, per thread, the receiver-noise buffers that the
-    design's last trial on that thread finished with."""
+    ``scratch`` keeps, per thread, the receiver-noise buffer of the
+    design's last trial there that drew its own."""
 
     config: LinkConfig
     filt: sigproc.SrrcFilter
@@ -393,7 +386,44 @@ def trial_design(config: LinkConfig) -> TrialDesign:
     return TrialDesign(config, filt, h_aa, spectrum, training, head, tail, si_pulse)
 
 
-def run_trial(config: LinkConfig, rng: np.random.Generator,
+@dataclass(eq=False, slots=True)
+class TrialDraws:
+    """One trial's random inputs, which a trial consumes (``draw_trial``);
+    ``noise`` is ``None`` on a noise-free link, and ``pending`` the
+    worker's call still drawing it, if handed off."""
+
+    noise_var: float
+    training_noise: np.ndarray | None
+    bits_a: np.ndarray | None
+    bits_b: np.ndarray
+    phase: float
+    noise: np.ndarray | None = None
+    pending: _worker.Call | None = None
+
+
+def draw_trial(config: LinkConfig, rng: np.random.Generator, out=None) -> TrialDraws:
+    """Take a trial's draws from ``rng``, in this order: the +B training
+    noise, both nodes' bits, the far node's phase and the receiver noise,
+    one ``standard_normal`` call into ``out`` (2·frame_samples floats, the
+    real half first; allocated when not given), handed to the worker
+    thread from ``BACKGROUND_NOISE_SAMPLES`` on."""
+    noise_var = ebn0_to_noise_variance(config.ebn0_db, channel.dbm_to_linear(config.p_rb_dbm),
+                                       config.n_b)
+    training_noise = None
+    if config.uses_baseband_cancellation:
+        training_noise = sigproc.awgn(config.training_samples, noise_var, rng)
+    draws = TrialDraws(noise_var, training_noise, rng.integers(0, 2, size=config.n_bits),
+                       rng.integers(0, 2, size=config.n_bits), rng.uniform(0.0, 2.0 * np.pi))
+    if noise_var > 0.0:
+        draws.noise = np.empty(2 * config.frame_samples) if out is None else out
+        if config.frame_samples >= BACKGROUND_NOISE_SAMPLES:
+            draws.pending = _worker.submit(partial(rng.standard_normal, out=draws.noise))
+        else:
+            rng.standard_normal(out=draws.noise)
+    return draws
+
+
+def run_trial(config: LinkConfig, rng: np.random.Generator | TrialDraws,
               design: TrialDesign | None = None) -> LinkReport:
     """Simulate one full-duplex frame and report the link metrics.
 
@@ -410,80 +440,71 @@ def run_trial(config: LinkConfig, rng: np.random.Generator,
     zero-padded: the expected ratio of the window's SI after
     cancellation to the SI without it.
 
-    ``rng`` draws, in this order, the training noise (+B only), both
-    nodes' bits, the far node's phase and the receiver noise (its real,
-    then its imaginary half), so the same config and generator state give
-    the same report.  A frame of at least ``BACKGROUND_NOISE_SAMPLES``
-    draws its receiver noise on fdsim's worker thread (``_worker``) while
-    this thread forms the SI and the desired waveform; the report is the
-    same, and the trial waits for those draws before it returns or
-    raises, so ``rng`` is idle again when it does.  ``design`` is
+    ``rng`` is the trial's generator, or the ``TrialDraws`` taken from it
+    already (``harness.run_sweep`` takes them while the trial ahead runs):
+    the same config and generator state give the same report.  A trial
+    forms its SI and desired waveform while a handed-off noise draw runs.
+    Drawing itself, it waits for its draws before it returns or raises,
+    so ``rng`` is idle again, and keeps their buffer in the design's
+    ``scratch`` (fresh buffers each trial made glibc trim and re-fault
+    ~1.8 MB of heap per narrowband trial).  ``design`` is
     ``trial_design(config)``, built here when not given.
     """
     if design is None:
         design = trial_design(config)
     elif design.config != config:
         raise ValueError("trial design was built for another config")
+    if isinstance(rng, TrialDraws):
+        return _run_drawn(config, rng, design)
+    draws = draw_trial(config, rng, design.scratch.__dict__.pop("noise", None))
+    try:
+        report = _run_drawn(config, draws, design)
+    finally:  # no draw outlives its trial, even one that raised
+        if draws.pending is not None:
+            draws.pending.wait()
+    if draws.noise is not None:  # a trial that raised drops it
+        design.scratch.noise = draws.noise
+    return report
+
+
+def _run_drawn(config: LinkConfig, draws: TrialDraws, design: TrialDesign) -> LinkReport:
+    """``run_trial`` from the draws ``draw_trial`` took for ``design``."""
     filt = design.filt
-
-    p_rb_lin = channel.dbm_to_linear(config.p_rb_dbm)
-    noise_var = ebn0_to_noise_variance(config.ebn0_db, p_rb_lin, config.n_b)
-
     replica = est_err_db = None
     if design.training is not None:
         # +B: the replica amp·(pulse_shape(s_a) ⊛ ĥ) is s_a through the
         # filter amp·(srrc ⊛ ĥ), so the SI less its replica is s_a through
         # the difference of the two filters
         taps_hat = cancellation.run_training(design.training, config.p_ta_dbm,
-                                             noise_var, rng)
+                                             draws.noise_var, draws.training_noise)
         amp = math.sqrt(channel.dbm_to_linear(config.p_ta_dbm))
         replica = amp * np.convolve(filt.taps, taps_hat)
         si_pulse, n = design.si_pulse, len(replica)
         err = sigproc.energy(si_pulse[:n] - replica) + sigproc.energy(si_pulse[n:])
         est_err_db = 10.0 * math.log10(max(err / sigproc.energy(si_pulse), 1e-300))
 
-    s_a = sigproc.modulate_psk(rng.integers(0, 2, size=config.n_bits), config.mod_order)
-    bits_b = rng.integers(0, 2, size=config.n_bits)
-    s_b = sigproc.modulate_psk(bits_b, config.mod_order)
-    gain = math.sqrt(p_rb_lin) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    s_a = sigproc.modulate_psk(draws.bits_a, config.mod_order)
+    draws.bits_a = None  # at sps 2 the per-symbol arrays bound the trial's memory
+    s_b = sigproc.modulate_psk(draws.bits_b, config.mod_order)
+    gain = math.sqrt(channel.dbm_to_linear(config.p_rb_dbm)) * np.exp(1j * draws.phase)
     s_b *= gain
 
-    # the receiver noise, the trial's last draws (sigproc.awgn's real and
-    # imaginary halves), runs on the worker thread for a long frame while
-    # this one forms the SI and the desired waveform.  Its two buffers come
-    # from this thread's scratch of the design, and go back there only
-    # once both draws are done: fresh buffers each trial made glibc trim
-    # and re-fault ~1.8 MB of heap per narrowband trial, and buffers the
-    # worker allocated stayed in a glibc arena of its own
-    halves = buffers = ()
-    if noise_var > 0.0:
-        n = config.frame_samples
-        buffers = design.scratch.__dict__.pop("noise", None) or (np.empty(n), np.empty(n))
-        scale = math.sqrt(noise_var / 2.0)
-        if n >= BACKGROUND_NOISE_SAMPLES:
-            halves = [_worker.submit(sigproc.scaled_normals, b, scale, rng) for b in buffers]
-        else:
-            for b in buffers:
-                sigproc.scaled_normals(b, scale, rng)
+    # the received frame is built in the SI's buffer (amp·(pulse_shape(s_a)
+    # ⊛ h_aa), at the symbol rate): the noise and then the desired
+    # waveform are added to it
+    frame = upsample_convolve_fft(s_a, design.si_spectrum, minus=replica)
+    del s_a
+    desired = sigproc.pulse_shape(s_b, filt)
     head, tail = design.head, design.tail
-    try:
-        # the received frame is built in the SI's buffer (amp·(pulse_shape(s_a)
-        # ⊛ h_aa), at the symbol rate): the noise, each half once drawn, and
-        # then the desired waveform are added to it
-        frame = upsample_convolve_fft(s_a, design.si_spectrum, minus=replica)
-        del s_a  # at sps 2 the per-symbol arrays bound the trial's memory
-        if buffers:
-            frame.real += halves[0].result() if halves else buffers[0]
-        desired = sigproc.pulse_shape(s_b, filt)
-        # the desired waveform is zero past its end, inside the window too
-        e_desired = sigproc.energy(desired[head:tail])
-        if buffers:
-            frame.imag += halves[1].result() if halves else buffers[1]
-    finally:
-        for half in halves:  # no draw outlives its trial, even one that raised
-            half.wait()
-    if buffers:  # a trial that raised drops its buffers
-        design.scratch.noise = buffers
+    # the desired waveform is zero past its end, inside the window too
+    e_desired = sigproc.energy(desired[head:tail])
+    noise = draws.noise
+    if noise is not None:
+        if draws.pending is not None:
+            draws.pending.result()  # raises what the draw raised
+        noise *= math.sqrt(draws.noise_var / 2.0)
+        frame.real += noise[: len(frame)]
+        frame.imag += noise[len(frame) :]
     e_residual = sigproc.energy(frame[head:tail])
     gamma_db = _power_ratio_db(e_desired, e_residual)
     frame[: len(desired)] += desired
@@ -494,5 +515,5 @@ def run_trial(config: LinkConfig, rng: np.random.Generator,
     symbols *= np.conj(gain)
     bits_hat = sigproc.demodulate_psk(symbols, config.mod_order)
     residual_dbm = 10.0 * math.log10(max(e_residual / (tail - head), 1e-300))
-    return LinkReport(sinr_db=gamma_db, ber=ber(bits_b, bits_hat),
+    return LinkReport(sinr_db=gamma_db, ber=ber(draws.bits_b, bits_hat),
                       residual_power_dbm=residual_dbm, estimate_error_db=est_err_db)

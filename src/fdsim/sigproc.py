@@ -235,20 +235,10 @@ def awgn(n: int, variance: float, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("awgn takes a finite variance >= 0 and a length >= 0")
     if variance == 0.0:
         return np.zeros(n, dtype=np.complex128)
-    scale = np.sqrt(variance / 2.0)
     # the stream of scale * (standard_normal(n) + 1j * standard_normal(n)),
-    # with each half drawn into one scratch array and scaled in place
+    # both halves drawn in one call and scaled in place
+    draw = rng.standard_normal(2 * n)
+    draw *= np.sqrt(variance / 2.0)
     out = np.empty(n, dtype=np.complex128)
-    draw = np.empty(n)
-    for part in (out.real, out.imag):
-        part[...] = scaled_normals(draw, scale, rng)
-    return out
-
-
-def scaled_normals(out: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
-    """``scale * rng.standard_normal(len(out))`` drawn into the float64
-    array ``out`` and scaled in place: one half of an ``awgn`` draw, for
-    ``scale = sqrt(variance / 2)``."""
-    rng.standard_normal(out=out)
-    out *= scale
+    out.real, out.imag = draw[:n], draw[n:]
     return out

@@ -7,6 +7,10 @@ thread count:
 
     PYTHONPATH=src python tests/rows_digest.py
 
+``tests/rows_digests.txt`` holds the current rows' output, and
+``ci/steps.sh digests`` checks each run against it; a change that moves
+a row updates that file on purpose.
+
 ``perfbench/workloads.py`` is loaded from its path and only read, as
 ``tests/test_golden.py`` does.
 """

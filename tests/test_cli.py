@@ -95,6 +95,30 @@ def test_a_profile_that_is_not_utf8_exits_two_naming_the_file(tmp_path, capsys):
     assert not taps_path.exists()
 
 
+def test_run_reads_a_config_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    outputs = []
+    for name, mark in (("plain.cfg", b""), ("marked.cfg", b"\xef\xbb\xbf")):
+        cfg = tmp_path / name
+        cfg.write_bytes(mark + b"n_bits = 400\nscheme = PS+B\n")
+        assert main(["run", "--config", str(cfg)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and "estimate_err_db" in outputs[0].out
+
+
+def test_derive_channel_reads_a_profile_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    plain = tmp_path / "ps.csv"
+    assert main(["synthesize-profile", "--scheme", "PS", "--out", str(plain)]) == 0
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    capsys.readouterr()
+    taps = []
+    for profile in (plain, marked):
+        out = tmp_path / f"taps-{profile.stem}.csv"
+        assert main(["derive-channel", str(profile), "--out", str(out)]) == 0
+        taps.append(out.read_bytes())
+    assert taps[0] == taps[1] and capsys.readouterr().err == ""
+
+
 def test_missing_profile_returns_two(tmp_path, capsys):
     out = tmp_path / "taps.csv"
     assert main(["derive-channel", str(tmp_path / "nope.csv"),

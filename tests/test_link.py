@@ -532,18 +532,18 @@ def test_trials_leave_their_shared_design_untouched(scheme):
 #: Peak traced (tracemalloc) allocation of one warm narrowband trial, in
 #: received frames (40 575 complex128 samples, 649 kB): the trial holds at
 #: most the frame, one more frame-length waveform or the SI's FFT buffer,
-#: and a half-size scratch array.  The two receiver-noise buffers (one
-#: frame) are not counted: the design keeps them from the warm-up trial,
-#: and the tests check that they are all its scratch keeps.  Measured
-#: 2.16 (PS) and 2.17 (PS+B); 6.6 and 7.6 when each step of the frame
+#: and a half-size scratch array.  The receiver-noise buffer (one
+#: frame) is not counted: the design keeps it from the warm-up trial,
+#: and the tests check that it is all its scratch keeps.  Measured
+#: 2.16 (PS) and 2.19 (PS+B); 6.6 and 7.6 when each step of the frame
 #: allocated its own arrays.  tracemalloc does not see numpy's matmul
 #: copy of a strided operand.
 ALLOCATION_BOUND_FRAMES = 3.0
 
 #: The same at sps 2 (40 271 samples, 644 kB), where the per-symbol
 #: arrays are as long as the frame is in samples: two bit vectors, the
-#: symbols and the detector's sectors.  Measured 5.12 (PS and PS+B), the
-#: kept noise buffers not counted; 8.95 when the matched filter formed
+#: symbols and the detector's sectors.  Measured 5.12 (PS) and 5.13 (PS+B),
+#: the kept noise buffer not counted; 8.95 when the matched filter formed
 #: one product over the whole frame.
 SPS2_ALLOCATION_BOUND_FRAMES = 5.5
 
@@ -566,13 +566,12 @@ def _warm_trial_peak_frames(design: link.TrialDesign) -> float:
 
 
 def _assert_design_keeps_one_frame_of_noise(design: link.TrialDesign):
-    # the two receiver-noise halves, one complex frame, are all that the
-    # design holds from one trial to the next beyond its read-only arrays
+    # the receiver-noise buffer, its real and imaginary halves one complex
+    # frame, is all that the design holds from one trial to the next
+    # beyond its read-only arrays
     assert list(vars(design.scratch)) == ["noise"]
     noise = design.scratch.noise
-    assert len(noise) == 2
-    for b in noise:
-        assert b.dtype == np.float64 and b.shape == (design.config.frame_samples,)
+    assert noise.dtype == np.float64 and noise.shape == (2 * design.config.frame_samples,)
 
 
 @pytest.mark.parametrize("scheme", ["PS", "PS+B"])
@@ -670,6 +669,16 @@ def test_rf_only_schemes_skip_training():
     assert rep.estimate_error_db is None
     rep_b = run_trial(LinkConfig(scheme="PS+B", ebn0_db=30.0), np.random.default_rng(0))
     assert rep_b.estimate_error_db is not None
+
+
+@pytest.mark.parametrize("bandwidth_hz, n_training, span", [(10e6, 5, 8), (1e6, 7, 6),
+                                                             (0.5e6, 2, 4)])
+def test_training_samples_is_the_received_training_burst_length(bandwidth_hz, n_training,
+                                                                span):
+    # draw_trial draws the +B training noise from the config alone
+    cfg = LinkConfig(scheme="AC+B", signal_bandwidth_hz=bandwidth_hz, n_training=n_training,
+                     span_symbols=span)
+    assert cfg.training_samples == len(link.trial_design(cfg).training.response)
 
 
 #: Trials per case of the estimate-error comparison below.

@@ -1,10 +1,13 @@
-"""Tests for the worker thread that draws a long frame's receiver noise,
-and for the BLAS thread pool it needs asleep."""
+"""Tests for the worker thread that draws a sweep's long-frame receiver
+noise while the trial ahead runs, and for the BLAS thread pool it needs
+asleep."""
 
+import math
 import os
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,8 +15,10 @@ import numpy as np
 import pytest
 
 import reference
-from fdsim import _worker, link, sigproc
+from fdsim import _worker, harness, link, sigproc
 from fdsim.cli import main
+from fdsim.errors import FdsimError
+from fdsim.harness import SweepSpec, run_sweep
 from fdsim.link import LinkConfig, run_trial
 
 SRC = str(Path(link.__file__).parents[1])
@@ -22,28 +27,81 @@ SRC = str(Path(link.__file__).parents[1])
 NARROW = LinkConfig(scheme="PS+B", signal_bandwidth_hz=0.5e6, ebn0_db=20.0, n_bits=400)
 
 
+def _narrow_spec(**over) -> SweepSpec:
+    kw = dict(base=replace(NARROW, scheme="PS"), values=(20.0, 30.0),
+              schemes=("PS", "AC+B"), trials_per_point=3, root_seed=5)
+    return SweepSpec(**{**kw, **over})
+
+
 def _python(code: str, **env) -> str:
     env = dict(os.environ, PYTHONPATH=SRC, **env)
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=env, timeout=120).stdout
 
 
+def _serial_rows(spec: SweepSpec) -> tuple:
+    """The sweep's rows from lone ``run_trial`` calls, each on a fresh
+    ``trial_seed`` generator."""
+    rows = []
+    for scheme in spec.schemes:
+        for value in spec.values:
+            cfg = harness.config_for_point(spec.base, scheme, spec.axis, value)
+            reports = [run_trial(cfg, np.random.default_rng(
+                harness.trial_seed(spec.root_seed, scheme, value, t)))
+                for t in range(spec.trials_per_point)]
+            rows.append(harness.point_row(scheme, spec.axis, value, reports))
+    return tuple(rows)
+
+
+def _handed_off(monkeypatch, fail_at=None, delay_s=0.0):
+    """Record each call handed to the worker as the thread name it ran on,
+    once done; the call numbered ``fail_at`` raises a ``MemoryError``
+    instead, and every call first sleeps ``delay_s``."""
+    calls, submit = [], _worker.submit
+
+    def recorded(fn, *args):
+        number = len(calls)
+        calls.append(None)
+
+        def call():
+            time.sleep(delay_s)
+            if number == fail_at:
+                raise MemoryError
+            out = fn(*args)
+            calls[number] = threading.current_thread().name
+            return out
+        return submit(call)
+
+    monkeypatch.setattr(_worker, "submit", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [
+    # short frames (10 and 5 MHz) into long ones (1 and 0.5 MHz)
+    SweepSpec(base=LinkConfig(n_bits=400, ebn0_db=20.0), axis="bandwidth_hz",
+              values=(10e6, 5e6, 1e6, 0.5e6), schemes=link.SCHEMES, trials_per_point=3,
+              root_seed=3),
+    # a noise-free point draws no receiver noise
+    _narrow_spec(values=(20.0, math.inf), schemes=("PS", "PS+B")),
+    _narrow_spec(axis="mod_order", values=(2, 4, 8, 16), schemes=("AC", "PS+B")),
+], ids=["bandwidth", "ebn0-inf", "mod-order"])
+def test_the_pipelined_sweep_gives_the_rows_of_lone_trials(spec):
+    long_frames = [harness.config_for_point(spec.base, s, spec.axis, v).frame_samples
+                   >= link.BACKGROUND_NOISE_SAMPLES for s in spec.schemes for v in spec.values]
+    assert any(long_frames)
+    assert repr(run_sweep(spec).rows) == repr(_serial_rows(spec))
+
+
 def test_the_narrowband_frame_draws_on_the_worker_and_the_default_one_inline(monkeypatch):
-    threads, draw = [], sigproc.scaled_normals
-
-    def scaled_normals(*args):
-        threads.append(threading.current_thread().name)
-        return draw(*args)
-
-    monkeypatch.setattr(sigproc, "scaled_normals", scaled_normals)
-    assert NARROW.frame_samples >= link.BACKGROUND_NOISE_SAMPLES
+    # one hand-off per trial, in a sweep and for a lone trial
+    calls = _handed_off(monkeypatch)
+    spec = _narrow_spec()
+    run_sweep(spec)
     run_trial(NARROW, np.random.default_rng(1))
-    cfg = LinkConfig(ebn0_db=20.0)
-    assert cfg.frame_samples < link.BACKGROUND_NOISE_SAMPLES
-    run_trial(cfg, np.random.default_rng(1))
-    # two halves each; the +B training noise is drawn inline, by awgn
-    main_thread = threading.main_thread().name
-    assert threads == [main_thread] * 2 + [_worker.THREAD_NAME] * 2 + [main_thread] * 2
+    assert calls == [_worker.THREAD_NAME] * 13
+    run_sweep(replace(spec, base=LinkConfig(n_bits=400, ebn0_db=20.0)))
+    run_trial(LinkConfig(ebn0_db=20.0), np.random.default_rng(1))
+    assert len(calls) == 13
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads Linux's /proc")
@@ -80,60 +138,114 @@ print(sum(n - before.get(task, 0) for task, n in after.items() if task not in ou
     assert float(_python(code)) < 20.0
 
 
+def test_a_sweep_draws_its_noise_into_two_buffers_in_turn(monkeypatch):
+    # a fresh buffer each trial made glibc trim and re-fault the heap; the
+    # trial ahead keeps one while the next is drawn into the other
+    outs, draw = [], link.draw_trial
+
+    def recorded(config, rng, out=None):
+        outs.append(out)
+        return draw(config, rng, out)
+
+    monkeypatch.setattr(harness, "draw_trial", recorded)
+    run_sweep(_narrow_spec())  # four points of one frame length, three trials each
+    assert len(outs) == 12 and outs[0] is not outs[1]
+    assert all(out is outs[job % 2] for job, out in enumerate(outs))
+
+
 @pytest.mark.parametrize("failing", ["upsample_convolve_fft", "pulse_shape"])
 def test_an_exception_between_hand_off_and_join_leaves_the_next_trial_fresh(
         monkeypatch, failing):
-    # the SI kernel raises with both noise halves handed off; the shaping
-    # with the second one.  run_trial raises only after its draws are done,
-    # so the generator has made exactly a trial's draws, and no late draw
-    # reaches a later trial's frame
-    design = link.trial_design(NARROW)
-    fresh = [run_trial(NARROW, np.random.default_rng(seed), design) for seed in (8, 9)]
+    # the SI kernel or the shaping of trial 1 raises with trial 2's noise,
+    # slow to draw, handed off: the sweep raises naming trial 1 only once
+    # that draw is done, and the next sweep gives the serial rows
+    spec = _narrow_spec(schemes=("PS",), values=(20.0,))
     module = link if failing == "upsample_convolve_fft" else sigproc
-    monkeypatch.setattr(module, failing, lambda *args, **kwargs: 1 / 0)
+    fn, count = getattr(module, failing), []
+
+    def fails_at_trial_1(*args, **kwargs):
+        count.append(None)
+        if len(count) == 2:
+            raise ZeroDivisionError("injected")
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, failing, fails_at_trial_1)
+    calls = _handed_off(monkeypatch, delay_s=0.2)
+    with pytest.raises(FdsimError, match=r"injected \[scheme=PS, ebn0_db=20.0, trial=1\]"):
+        run_sweep(spec)
+    assert calls == [_worker.THREAD_NAME] * 3  # every hand-off had run
+    monkeypatch.undo()
+    assert run_sweep(spec).rows == _serial_rows(spec)
+
+
+def test_a_lone_trial_that_raises_waits_for_its_handed_off_draw(monkeypatch):
+    # the SI kernel raises while the trial's noise, slow to draw, is on the
+    # worker: run_trial raises only once that draw is done, so the
+    # generator has made exactly a trial's draws and is idle
+    design = link.trial_design(NARROW)
+    monkeypatch.setattr(link, "upsample_convolve_fft", lambda *args, **kwargs: 1 / 0)
+    calls = _handed_off(monkeypatch, delay_s=0.2)
     rng = np.random.default_rng(7)
     with pytest.raises(ZeroDivisionError):
         run_trial(NARROW, rng, design)
-    assert not hasattr(design.scratch, "noise")  # the failed trial's buffers are dropped
+    assert calls == [_worker.THREAD_NAME]
+    assert not hasattr(design.scratch, "noise")  # the failed trial's buffer is dropped
     replay = np.random.default_rng(7)
     reference.trial_draws(NARROW, replay)
     assert rng.bit_generator.state == replay.bit_generator.state
-    monkeypatch.undo()
-    assert [run_trial(NARROW, np.random.default_rng(seed), design)
-            for seed in (8, 9)] == fresh
 
 
 def test_a_memory_error_in_the_noise_draw_reaches_the_caller(monkeypatch, tmp_path, capsys):
-    threads = []
-
-    def exhausted(*args):
-        threads.append(threading.current_thread().name)
-        raise MemoryError
-
-    cfg = replace(NARROW, scheme="PS")  # no training noise, drawn on this thread
-    design = link.trial_design(cfg)
-    monkeypatch.setattr(sigproc, "scaled_normals", exhausted)
-    with pytest.raises(MemoryError):
-        run_trial(cfg, np.random.default_rng(1), design)
-    assert threads == [_worker.THREAD_NAME] * 2
+    # trial 2's draw fails while trial 1 runs; the error is trial 2's
+    spec = _narrow_spec(schemes=("PS",), values=(20.0,))
+    calls = _handed_off(monkeypatch, fail_at=2)
+    with pytest.raises(FdsimError, match=r"^MemoryError \[scheme=PS, ebn0_db=20.0, trial=2\]$"):
+        run_sweep(spec)
+    assert calls == [_worker.THREAD_NAME] * 2 + [None]
     path = tmp_path / "narrow.cfg"
-    path.write_text("signal_bandwidth_hz = 500000\nebn0_db = 20\n")
-    assert main(["run", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == "fdsim: error: MemoryError\n"
+    path.write_text(harness.emit_config(spec))
+    del calls[:]
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "fdsim: error: MemoryError [scheme=PS, ebn0_db=20.0, trial=2]\n")
+    monkeypatch.undo()
+    assert run_sweep(spec).rows == _serial_rows(spec)
+
+
+def test_an_error_starting_the_next_trial_is_raised_once_the_trial_ahead_has_run(
+        monkeypatch):
+    # trial 1's training noise is drawn before trial 0 runs; its error is
+    # trial 1's, raised after trial 0's report, as a serial sweep would
+    spec = _narrow_spec(schemes=("PS+B",), values=(20.0,))
+    awgn, drawn, ran = sigproc.awgn, [], []
+
+    def fails_at_trial_1(*args):
+        drawn.append(None)
+        if len(drawn) == 2:
+            raise MemoryError
+        return awgn(*args)
+
+    monkeypatch.setattr(sigproc, "awgn", fails_at_trial_1)
+    run = harness.run_trial
+    monkeypatch.setattr(harness, "run_trial", lambda *args: ran.append(None) or run(*args))
+    with pytest.raises(FdsimError, match=r"^MemoryError \[scheme=PS\+B, ebn0_db=20.0, trial=1\]$"):
+        run_sweep(spec)
+    assert len(ran) == 1
 
 
 def test_a_forked_child_runs_a_trial():
     # the child of a process whose worker has run gets a worker of its own
     code = """
 import os, signal
-import numpy as np
-from fdsim import link
-cfg = link.LinkConfig(signal_bandwidth_hz=0.5e6, ebn0_db=20.0, n_bits=400)
-want = link.run_trial(cfg, np.random.default_rng(3))
+from fdsim import harness, link
+spec = harness.SweepSpec(base=link.LinkConfig(signal_bandwidth_hz=0.5e6, ebn0_db=20.0,
+                                              n_bits=400),
+                         values=(20.0,), trials_per_point=2)
+want = harness.run_sweep(spec)
 pid = os.fork()
 if pid == 0:
     signal.alarm(60)  # a child left waiting for its parent's worker dies
-    os._exit(0 if link.run_trial(cfg, np.random.default_rng(3)) == want else 1)
+    os._exit(0 if harness.run_sweep(spec) == want else 1)
 _, status = os.waitpid(pid, 0)
 print(os.waitstatus_to_exitcode(status))
 """
@@ -145,18 +257,15 @@ print(os.waitstatus_to_exitcode(status))
 def test_threads_running_trials_on_their_own_generators_get_the_serial_reports():
     # more threads than cores hand their draws to the one worker, with the
     # interpreter switching threads often; a draw from another thread's
-    # generator, or a result handed to the wrong trial, changes a report
-    design = link.trial_design(NARROW)
-    seeds = {name: range(100 * name, 100 * name + 5) for name in range(3)}
-    serial = {name: [run_trial(NARROW, np.random.default_rng(s), design) for s in seeds[name]]
-              for name in seeds}
+    # generator, or a result handed to the wrong trial, changes a row
+    specs = {name: _narrow_spec(root_seed=name) for name in range(3)}
+    serial = {name: _serial_rows(spec) for name, spec in specs.items()}
     threaded = {}
 
-    def trials(name):
-        threaded[name] = [run_trial(NARROW, np.random.default_rng(s), design)
-                          for s in seeds[name]]
+    def sweep(name):
+        threaded[name] = run_sweep(specs[name]).rows
 
-    workers = [threading.Thread(target=trials, args=(name,)) for name in seeds]
+    workers = [threading.Thread(target=sweep, args=(name,)) for name in specs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -171,21 +280,20 @@ def test_threads_running_trials_on_their_own_generators_get_the_serial_reports()
 
 
 def test_a_thread_reuses_its_noise_buffers_and_another_thread_gets_its_own():
-    # fresh frame-length buffers each trial made glibc trim and re-fault
-    # the heap; a design keeps the last pair per thread
+    # a fresh frame-length buffer each trial made glibc trim and re-fault
+    # the heap; a design keeps the last one per thread
     design = link.trial_design(NARROW)
     run_trial(NARROW, np.random.default_rng(1), design)
     kept = design.scratch.noise
-    assert [b.shape for b in kept] == [(NARROW.frame_samples,)] * 2
+    assert kept.shape == (2 * NARROW.frame_samples,)
     run_trial(NARROW, np.random.default_rng(2), design)
-    assert all(a is b for a, b in zip(design.scratch.noise, kept))
+    assert design.scratch.noise is kept
     other = []
     thread = threading.Thread(target=lambda: (run_trial(NARROW, np.random.default_rng(1), design),
-                                              other.extend(design.scratch.noise)))
+                                              other.append(design.scratch.noise)))
     thread.start()
     thread.join(timeout=60)
-    assert not thread.is_alive() and len(other) == 2
-    assert not any(a is b for a in other for b in kept)
+    assert not thread.is_alive() and len(other) == 1 and other[0] is not kept
 
 
 def test_a_call_hands_over_its_value_once():
