@@ -22,7 +22,7 @@ import numpy as np
 from ._kernels import matmul_rows
 from .channel import BasebandChannel, dbm_to_linear
 from .errors import EstimationError
-from .sigproc import SrrcFilter, awgn, energy, psk_table, pulse_shape
+from .sigproc import SrrcFilter, energy, psk_table, pulse_shape
 
 #: Largest entry of |QᴴQ - I| that the Gram-matrix route to the
 #: pseudo-inverse accepts (``_gram_factors``).  The loss grows as cond(A)²,
@@ -151,14 +151,13 @@ def _pinv(a: np.ndarray) -> np.ndarray:
     return np.conjugate(matmul_rows(q, m.conj().T).T, order="C")
 
 
-def run_training(model: TrainingModel, p_ta_dbm: float, noise_variance: float,
-                 rng: np.random.Generator | np.ndarray) -> np.ndarray:
+def run_training(model: TrainingModel, p_ta_dbm: float, noise: np.ndarray) -> np.ndarray:
     """The estimated taps of the self-interference channel, from a
     silent-far-node burst.
 
     The burst's response through the channel (the model's) is received
-    at the transmit power plus ``awgn`` of ``noise_variance`` from ``rng``
-    (or ``rng``, that noise drawn already).  The least-squares estimate
+    at the transmit power plus ``noise`` (the trial's ``awgn`` draw, one
+    sample per response sample).  The least-squares estimate
     on the convolution model is ``pinv @ r``: one real product of
     ``pinv``'s (re, im) pairs with those of conj(r) and of i·conj(r), whose
     sums are the estimate's real and imaginary parts.
@@ -166,7 +165,7 @@ def run_training(model: TrainingModel, p_ta_dbm: float, noise_variance: float,
     amp = math.sqrt(dbm_to_linear(p_ta_dbm))
     columns = np.empty((2, len(model.response)), dtype=np.complex128)
     r = np.multiply(model.response, amp, out=columns[0])
-    r += awgn(len(r), noise_variance, rng) if isinstance(rng, np.random.Generator) else rng
+    r += noise
     np.conjugate(r, out=r)
     np.multiply(r, 1j, out=columns[1])
     pairs = matmul_rows(model.pinv.view(np.float64), columns.view(np.float64).T)

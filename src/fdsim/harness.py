@@ -148,11 +148,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     first trial runs, so an invalid point fails the sweep up front.
 
     The trials run in order, each from its own generator (``trial_seed``).
-    A frame of ``BACKGROUND_NOISE_SAMPLES`` or more is started, across
-    points too, before the trial ahead runs: its draws are taken, its
-    receiver noise drawn on the worker thread into the one of two buffers
-    the trial ahead does not use.  An error names the trial it was raised
-    for, and no draw outlives the sweep."""
+    A frame of ``BACKGROUND_NOISE_SAMPLES`` or more is started before the
+    trial ahead runs, across points too: its draws are taken, its noise
+    on the worker, into the one of two buffers the trial ahead does not
+    use.  An error names its trial, and no draw outlives the sweep."""
     points = [(scheme, value) for scheme in spec.schemes for value in spec.values]
     configs, rows, reports, n = [], [], [], spec.trials_per_point
     for scheme, value in points:
@@ -164,8 +163,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     buffers = [np.empty(0)] * 2  # fresh ones each trial made glibc re-fault the heap
 
     def start(job: int):
-        # the job's generator, or for a long frame the draws taken from it;
-        # or the exception that raised, for the job to raise when it runs
+        # the job's generator, a long frame's draws, or what raised, raised in turn
         point, trial = jobs[job]
         cfg = configs[point]
         try:
@@ -188,8 +186,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                     design = trial_design(cfg)
                 if isinstance(source, Exception):
                     raise source
-                if job + 1 < len(jobs):
-                    ahead = start(job + 1)
+                ahead = start(job + 1) if job + 1 < len(jobs) else None
                 reports.append(run_trial(cfg, source, design))
             except Exception as exc:
                 raise _at_point(exc, spec, scheme, value, trial) from exc

@@ -63,12 +63,12 @@ BACKGROUND_NOISE_SAMPLES = 2**12
 
 #: Longest received frame (``LinkConfig.frame_samples``), and most entries
 #: of a +B design's replica DFT and LS training matrices and of the
-#: matched filter's block product.  2**24 samples are 268 MB; a first
-#: trial's RSS peak rises 3.22 frames at sps 40 and 5.32 at sps 2, one of
-#: them the noise buffer its design keeps (tracemalloc of a later trial,
-#: blind to matmul's copy of the SRRC windows: 2.12, 4.26); the replica DFT matrix
-#: is 10.6 frames at sps 2.  Any of them above this bound is a config
-#: error, not an allocation that exhausts memory mid-design or mid-trial.
+#: matched filter's block product.  2**24 samples are 268 MB; a lone
+#: trial's RSS peak rises 3.16 frames at sps 40 and 4.94 at sps 2, one of
+#: them the noise buffer its design keeps, a sweep's 4.08 and 6.68, two of
+#: them its noise buffers (README); the replica DFT matrix is 10.6 frames
+#: at sps 2.  Any of them above this bound is a config error, not an
+#: allocation that exhausts memory mid-design or mid-trial.
 MAX_FRAME_SAMPLES = 2**24
 
 
@@ -114,7 +114,9 @@ class LinkConfig:
         if self.n_taps < 2 or self.n_taps & (self.n_taps - 1):
             raise ConfigError(f"n_taps must be a power of two >= 2, got {self.n_taps}")
         if self.estimator_order < 1:
-            raise ConfigError(f"estimator_order must be >= 1, got {self.estimator_order}")
+            raise ConfigError(
+                f"estimator_order must be >= 1, got {self.estimator_order}"
+            )
         # n_b is read from mod_order, so mod_order is checked first
         if self.mod_order not in sigproc.SUPPORTED_ORDERS:
             raise ConfigError(f"mod_order must be one of {sigproc.SUPPORTED_ORDERS}, "
@@ -126,8 +128,10 @@ class LinkConfig:
         # the SRRC design (sigproc.srrc_taps) needs sps >= 2, rolloff in
         # (0, 1] and span >= 4; the training length below depends on it
         if not 0.0 < 2.0 * self.signal_bandwidth_hz <= self.sample_rate_hz:
-            raise ConfigError(f"signal_bandwidth_hz must be in (0, sample_rate_hz / 2] (at "
-                              f"least 2 samples per symbol), got {self.signal_bandwidth_hz}")
+            raise ConfigError(
+                f"signal_bandwidth_hz must be in (0, sample_rate_hz / 2] (at "
+                f"least 2 samples per symbol), got {self.signal_bandwidth_hz}"
+            )
         if not 0.0 < self.rolloff <= 1.0:
             raise ConfigError(f"rolloff must be in (0, 1], got {self.rolloff}")
         if self.span_symbols < 4:
@@ -143,10 +147,14 @@ class LinkConfig:
             raise ConfigError(f"signal_bandwidth_hz = {self.signal_bandwidth_hz} is too "
                               "small: sample_rate_hz / signal_bandwidth_hz overflows")
         if abs(sps - round(sps)) > 1e-9:
-            raise ConfigError(f"sample_rate_hz / signal_bandwidth_hz = {sps} is not an integer")
+            raise ConfigError(
+                f"sample_rate_hz / signal_bandwidth_hz = {sps} is not an integer"
+            )
         if not 0.0 < self.channel_bandwidth_hz <= self.sample_rate_hz:
-            raise ConfigError(f"channel_bandwidth_hz must be in (0, sample_rate_hz], got "
-                              f"{self.channel_bandwidth_hz}")
+            raise ConfigError(
+                f"channel_bandwidth_hz must be in (0, sample_rate_hz], got "
+                f"{self.channel_bandwidth_hz}"
+            )
         if self.n_bits < self.n_b or self.n_bits % self.n_b:
             raise ConfigError(f"n_bits must be a positive multiple of log2(mod_order) "
                               f"= {self.n_b}, got {self.n_bits}")
@@ -156,7 +164,8 @@ class LinkConfig:
                 f"{self.n_bits}, span_symbols = {self.span_symbols} and n_taps = "
                 f"{self.n_taps} give a {self.frame_samples}-sample frame, above "
                 f"MAX_FRAME_SAMPLES = {MAX_FRAME_SAMPLES}; raise signal_bandwidth_hz "
-                f"or lower n_bits, span_symbols or n_taps")
+                f"or lower n_bits, span_symbols or n_taps"
+            )
         if not self.uses_baseband_cancellation:
             return
         n_training_samples = (self.n_training + self.span_symbols) * self.samples_per_symbol
@@ -165,7 +174,8 @@ class LinkConfig:
             raise ConfigError(
                 f"estimator_order {order} exceeds the {n_training_samples} training "
                 f"samples ((n_training + span_symbols) * samples_per_symbol); "
-                f"increase n_training or lower estimator_order")
+                f"increase n_training or lower estimator_order"
+            )
         # a longer replica would outlast the received frame
         if order > self.n_taps:
             raise ConfigError(f"estimator_order {order} exceeds n_taps = {self.n_taps}; "
@@ -176,7 +186,8 @@ class LinkConfig:
             raise ConfigError(
                 f"n_training = {self.n_training} and estimator_order = {order} give a "
                 f"{rows} x {order} training matrix, above MAX_FRAME_SAMPLES = "
-                f"{MAX_FRAME_SAMPLES} entries; lower n_training or estimator_order")
+                f"{MAX_FRAME_SAMPLES} entries; lower n_training or estimator_order"
+            )
         # the design's replica DFT matrix, for the SRRC⊛SI pulse and SRRC⊛ĥ
         n_srrc = self.span_symbols * self.samples_per_symbol + 1
         rows, cols = spectrum_shape(n_srrc + self.n_taps - 1, self.samples_per_symbol,
@@ -186,7 +197,8 @@ class LinkConfig:
                 f"n_bits = {self.n_bits} and signal_bandwidth_hz = "
                 f"{self.signal_bandwidth_hz:g} give a {rows} x {cols} replica DFT "
                 f"matrix, above MAX_FRAME_SAMPLES = {MAX_FRAME_SAMPLES} entries; "
-                f"lower n_bits or raise signal_bandwidth_hz")
+                f"lower n_bits or raise signal_bandwidth_hz"
+            )
 
     @property
     def n_b(self) -> int:
@@ -412,11 +424,15 @@ def draw_trial(config: LinkConfig, rng: np.random.Generator, out=None) -> TrialD
     training_noise = None
     if config.uses_baseband_cancellation:
         training_noise = sigproc.awgn(config.training_samples, noise_var, rng)
-    draws = TrialDraws(noise_var, training_noise, rng.integers(0, 2, size=config.n_bits),
-                       rng.integers(0, 2, size=config.n_bits), rng.uniform(0.0, 2.0 * np.pi))
+    long_frame = config.frame_samples >= BACKGROUND_NOISE_SAMPLES
+    # a sweep holds a long frame's bits while the trial ahead runs: at
+    # sps 2 an int64 vector is half a frame, a byte per bit a sixteenth
+    bits = [rng.integers(0, 2, size=config.n_bits).astype(
+        np.uint8 if long_frame else np.int64, copy=False) for _ in "ab"]
+    draws = TrialDraws(noise_var, training_noise, *bits, rng.uniform(0.0, 2.0 * np.pi))
     if noise_var > 0.0:
         draws.noise = np.empty(2 * config.frame_samples) if out is None else out
-        if config.frame_samples >= BACKGROUND_NOISE_SAMPLES:
+        if long_frame:
             draws.pending = _worker.submit(partial(rng.standard_normal, out=draws.noise))
         else:
             rng.standard_normal(out=draws.noise)
@@ -441,73 +457,60 @@ def run_trial(config: LinkConfig, rng: np.random.Generator | TrialDraws,
     cancellation to the SI without it.
 
     ``rng`` is the trial's generator, or the ``TrialDraws`` taken from it
-    already (``harness.run_sweep`` takes them while the trial ahead runs):
-    the same config and generator state give the same report.  A trial
-    forms its SI and desired waveform while a handed-off noise draw runs.
-    Drawing itself, it waits for its draws before it returns or raises,
-    so ``rng`` is idle again, and keeps their buffer in the design's
-    ``scratch`` (fresh buffers each trial made glibc trim and re-fault
-    ~1.8 MB of heap per narrowband trial).  ``design`` is
-    ``trial_design(config)``, built here when not given.
+    (``harness.run_sweep`` takes them while the trial ahead runs); the
+    same config and generator state give the same report.  The trial
+    forms its SI and desired waveform while a handed-off noise draw runs,
+    and waits for it before it returns or raises.  A trial that draws
+    itself keeps its noise buffer in the design's ``scratch`` for the
+    next.  ``design`` is ``trial_design(config)``, built here when not given.
     """
     if design is None:
         design = trial_design(config)
     elif design.config != config:
         raise ValueError("trial design was built for another config")
-    if isinstance(rng, TrialDraws):
-        return _run_drawn(config, rng, design)
-    draws = draw_trial(config, rng, design.scratch.__dict__.pop("noise", None))
+    draws = rng if isinstance(rng, TrialDraws) else draw_trial(
+        config, rng, design.scratch.__dict__.pop("noise", None))
+    filt, noise = design.filt, draws.noise
     try:
-        report = _run_drawn(config, draws, design)
-    finally:  # no draw outlives its trial, even one that raised
+        replica = est_err_db = None
+        if design.training is not None:
+            # +B: the replica amp·(pulse_shape(s_a) ⊛ ĥ) is s_a through the
+            # filter amp·(srrc ⊛ ĥ), so the SI less its replica is s_a through
+            # the difference of the two filters
+            taps_hat = cancellation.run_training(design.training, config.p_ta_dbm,
+                                                 draws.training_noise)
+            amp = math.sqrt(channel.dbm_to_linear(config.p_ta_dbm))
+            replica = amp * np.convolve(filt.taps, taps_hat)
+            si_pulse, n = design.si_pulse, len(replica)
+            err = sigproc.energy(si_pulse[:n] - replica) + sigproc.energy(si_pulse[n:])
+            est_err_db = 10.0 * math.log10(max(err / sigproc.energy(si_pulse), 1e-300))
+
+        gain = math.sqrt(channel.dbm_to_linear(config.p_rb_dbm)) * np.exp(1j * draws.phase)
+        # the received frame is built in the SI's buffer (amp·(pulse_shape(s_a)
+        # ⊛ h_aa), at the symbol rate): the noise and then the desired
+        # waveform s_b·gain shaped are added to it.  At sps 2 the per-symbol
+        # arrays bound the trial's memory: each is freed once used
+        frame = upsample_convolve_fft(sigproc.modulate_psk(draws.bits_a, config.mod_order),
+                                      design.si_spectrum, minus=replica)
+        draws.bits_a = None
+        desired = sigproc.pulse_shape(sigproc.modulate_psk(draws.bits_b, config.mod_order)
+                                      * gain, filt)
+        head, tail = design.head, design.tail
+        # the desired waveform is zero past its end, inside the window too
+        e_desired = sigproc.energy(desired[head:tail])
+    finally:  # no draw outlives its trial, even one that raised; a failed draw raises
         if draws.pending is not None:
-            draws.pending.wait()
-    if draws.noise is not None:  # a trial that raised drops it
-        design.scratch.noise = draws.noise
-    return report
-
-
-def _run_drawn(config: LinkConfig, draws: TrialDraws, design: TrialDesign) -> LinkReport:
-    """``run_trial`` from the draws ``draw_trial`` took for ``design``."""
-    filt = design.filt
-    replica = est_err_db = None
-    if design.training is not None:
-        # +B: the replica amp·(pulse_shape(s_a) ⊛ ĥ) is s_a through the
-        # filter amp·(srrc ⊛ ĥ), so the SI less its replica is s_a through
-        # the difference of the two filters
-        taps_hat = cancellation.run_training(design.training, config.p_ta_dbm,
-                                             draws.noise_var, draws.training_noise)
-        amp = math.sqrt(channel.dbm_to_linear(config.p_ta_dbm))
-        replica = amp * np.convolve(filt.taps, taps_hat)
-        si_pulse, n = design.si_pulse, len(replica)
-        err = sigproc.energy(si_pulse[:n] - replica) + sigproc.energy(si_pulse[n:])
-        est_err_db = 10.0 * math.log10(max(err / sigproc.energy(si_pulse), 1e-300))
-
-    s_a = sigproc.modulate_psk(draws.bits_a, config.mod_order)
-    draws.bits_a = None  # at sps 2 the per-symbol arrays bound the trial's memory
-    s_b = sigproc.modulate_psk(draws.bits_b, config.mod_order)
-    gain = math.sqrt(channel.dbm_to_linear(config.p_rb_dbm)) * np.exp(1j * draws.phase)
-    s_b *= gain
-
-    # the received frame is built in the SI's buffer (amp·(pulse_shape(s_a)
-    # ⊛ h_aa), at the symbol rate): the noise and then the desired
-    # waveform are added to it
-    frame = upsample_convolve_fft(s_a, design.si_spectrum, minus=replica)
-    del s_a
-    desired = sigproc.pulse_shape(s_b, filt)
-    head, tail = design.head, design.tail
-    # the desired waveform is zero past its end, inside the window too
-    e_desired = sigproc.energy(desired[head:tail])
-    noise = draws.noise
+            draws.pending.result()
     if noise is not None:
-        if draws.pending is not None:
-            draws.pending.result()  # raises what the draw raised
         noise *= math.sqrt(draws.noise_var / 2.0)
         frame.real += noise[: len(frame)]
         frame.imag += noise[len(frame) :]
+        if draws is not rng:  # for the next trial here; a trial that raised drops it
+            design.scratch.noise = noise
     e_residual = sigproc.energy(frame[head:tail])
     gamma_db = _power_ratio_db(e_desired, e_residual)
     frame[: len(desired)] += desired
+    del desired  # the matched filter's products peak the trial's memory
 
     # detection: matched filter, known-phase equalization (the detector
     # reads only the angle, so |gain|² scales nothing it needs), demodulation

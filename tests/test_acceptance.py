@@ -97,15 +97,17 @@ def test_criterion_3_estimator_exactness_and_scaling():
         training = cancellation.make_training_signal(n_tr, filt)
         return cancellation.training_model(training, 8, h)
 
-    est = cancellation.run_training(model(5), 0.0, 0.0, np.random.default_rng(0))
+    m = model(5)
+    est = cancellation.run_training(m, 0.0, np.zeros(len(m.response), dtype=np.complex128))
     exact = float(np.sum(np.abs(est - true) ** 2)
                   / np.sum(np.abs(true) ** 2))
 
     def mean_err(p_dbm, n_tr, trials=500):
         tot = 0.0
         for t in range(trials):
-            e = cancellation.run_training(model(n_tr), p_dbm, 1e-6,
-                                          np.random.default_rng(1000 + t))
+            m = model(n_tr)
+            e = cancellation.run_training(m, p_dbm, sigproc.awgn(
+                len(m.response), 1e-6, np.random.default_rng(1000 + t)))
             tot += float(np.sum(np.abs(e - true) ** 2))
         return tot / trials
 

@@ -31,7 +31,8 @@ def model(n_tr, order, h, filt=FILT):
 
 
 def train(h, p_dbm, n_tr, noise_var, order, rng):
-    return cancellation.run_training(model(n_tr, order, h), p_dbm, noise_var, rng)
+    m = model(n_tr, order, h)
+    return cancellation.run_training(m, p_dbm, sigproc.awgn(len(m.response), noise_var, rng))
 
 
 def test_training_signal_deterministic():
@@ -198,7 +199,8 @@ def test_design_training_model_holds_only_pinv_and_response(scheme):
         assert not a.flags.writeable and a.flags.c_contiguous
     assert m.pinv.dtype == np.complex128 and m.pinv.shape[1] == len(m.response)
     p_dbm, noise_var = 3.0, 1e-4
-    got = cancellation.run_training(m, p_dbm, noise_var, np.random.default_rng(0))
+    got = cancellation.run_training(
+        m, p_dbm, sigproc.awgn(len(m.response), noise_var, np.random.default_rng(0)))
     amp = math.sqrt(channel.dbm_to_linear(p_dbm))
     r = amp * m.response + sigproc.awgn(len(m.response), noise_var, np.random.default_rng(0))
     want = (m.pinv @ r) / amp

@@ -535,16 +535,21 @@ def test_trials_leave_their_shared_design_untouched(scheme):
 #: and a half-size scratch array.  The receiver-noise buffer (one
 #: frame) is not counted: the design keeps it from the warm-up trial,
 #: and the tests check that it is all its scratch keeps.  Measured
-#: 2.16 (PS) and 2.19 (PS+B); 6.6 and 7.6 when each step of the frame
-#: allocated its own arrays.  tracemalloc does not see numpy's matmul
-#: copy of a strided operand.
+#: 2.06 (PS) and 2.09 (PS+B); 6.6 and 7.6 when each step of the frame
+#: allocated its own arrays.  A warm sweep trial, which also holds the
+#: next trial's draws, measured 2.07 and 2.12, its two noise buffers not
+#: counted.  tracemalloc does not see numpy's matmul copy of a strided
+#: operand.
 ALLOCATION_BOUND_FRAMES = 3.0
 
 #: The same at sps 2 (40 271 samples, 644 kB), where the per-symbol
-#: arrays are as long as the frame is in samples: two bit vectors, the
-#: symbols and the detector's sectors.  Measured 5.12 (PS) and 5.13 (PS+B),
-#: the kept noise buffer not counted; 8.95 when the matched filter formed
-#: one product over the whole frame.
+#: arrays are as long as the frame is in samples: the far node's bits, the
+#: symbols and the detector's sectors.  Measured 3.20 (PS) and 3.21 (PS+B),
+#: the kept noise buffer not counted, and 3.32 and 3.34 in a sweep, which
+#: holds the next trial's bits as bytes; 5.12 when the trial held its
+#: bits as int64 and its shaped waveform to the end, 5.62 when it also
+#: kept both bit vectors, and 8.95 when the matched filter formed one
+#: product over the whole frame.
 SPS2_ALLOCATION_BOUND_FRAMES = 5.5
 
 
@@ -563,6 +568,30 @@ def _warm_trial_peak_frames(design: link.TrialDesign) -> float:
         if not tracing:
             tracemalloc.stop()
     return peak / (cfg.frame_samples * 16)
+
+
+def _warm_sweep_trial_peak_frames(config: LinkConfig) -> float:
+    """Peak traced allocation of a warm sweep of four trials of ``config``,
+    less the two noise buffers the sweep keeps, in frames: what a sweep
+    trial holds, the next trial's draws included.  The design is built
+    beforehand, as for ``_warm_trial_peak_frames``."""
+    design = link.trial_design(config)
+    spec = harness.SweepSpec(base=replace(config, scheme="PS"), values=(config.ebn0_db,),
+                             schemes=(config.scheme,), trials_per_point=4)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "trial_design", lambda cfg: design)
+        harness.run_sweep(spec)  # warm
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            harness.run_sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    return peak / (config.frame_samples * 16) - 2
 
 
 def _assert_design_keeps_one_frame_of_noise(design: link.TrialDesign):
@@ -589,6 +618,19 @@ def test_sps2_trial_allocation_is_its_per_symbol_arrays(scheme):
     assert design.config.frame_samples == 40271
     assert _warm_trial_peak_frames(design) <= SPS2_ALLOCATION_BOUND_FRAMES
     _assert_design_keeps_one_frame_of_noise(design)
+
+
+@pytest.mark.parametrize("scheme", ["PS", "PS+B"])
+@pytest.mark.parametrize("kw, bound", [
+    (dict(signal_bandwidth_hz=0.5e6), ALLOCATION_BOUND_FRAMES),
+    (dict(n_bits=40000), SPS2_ALLOCATION_BOUND_FRAMES),
+], ids=["narrowband", "sps2"])
+def test_a_sweep_trial_with_the_next_trials_draws_keeps_the_trial_bounds(scheme, kw, bound):
+    # the next trial's noise is drawn into the sweep's second buffer while
+    # this one runs; its bits, as bytes, fit within the trial's bound
+    cfg = LinkConfig(scheme=scheme, ebn0_db=20.0, **kw)
+    assert cfg.frame_samples >= link.BACKGROUND_NOISE_SAMPLES
+    assert _warm_sweep_trial_peak_frames(cfg) <= bound
 
 
 #: Rise of the resident-set high-water mark over one sps-2 trial of 400 000
@@ -703,7 +745,8 @@ def test_estimate_error_is_the_window_si_ratio_of_the_replica(scheme, bandwidth_
         estimated.append(10.0 ** (rep.estimate_error_db / 10.0))
         # the trial's draws: the training noise, then the near node's bits
         rng = np.random.default_rng(seed)
-        taps_hat = cancellation.run_training(design.training, cfg.p_ta_dbm, noise_var, rng)
+        taps_hat = cancellation.run_training(design.training, cfg.p_ta_dbm, sigproc.awgn(
+            cfg.training_samples, noise_var, rng))
         s_a = sigproc.modulate_psk(rng.integers(0, 2, size=cfg.n_bits), cfg.mod_order)
         replica = amp * np.convolve(design.filt.taps, taps_hat)
         with_replica, without = (

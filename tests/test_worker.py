@@ -1,6 +1,6 @@
-"""Tests for the worker thread that draws a sweep's long-frame receiver
-noise while the trial ahead runs, and for the BLAS thread pool it needs
-asleep."""
+"""Tests for the worker thread that draws a long frame's receiver noise,
+a lone trial's while it runs and a sweep's next trial's while the trial
+ahead runs, and for the BLAS thread pool it needs asleep."""
 
 import math
 import os
@@ -53,9 +53,9 @@ def _serial_rows(spec: SweepSpec) -> tuple:
     return tuple(rows)
 
 
-def _handed_off(monkeypatch, fail_at=None, delay_s=0.0):
+def _handed_off(monkeypatch, fail_at=(), delay_s=0.0):
     """Record each call handed to the worker as the thread name it ran on,
-    once done; the call numbered ``fail_at`` raises a ``MemoryError``
+    once done; the calls numbered in ``fail_at`` raise a ``MemoryError``
     instead, and every call first sleeps ``delay_s``."""
     calls, submit = [], _worker.submit
 
@@ -65,7 +65,7 @@ def _handed_off(monkeypatch, fail_at=None, delay_s=0.0):
 
         def call():
             time.sleep(delay_s)
-            if number == fail_at:
+            if number in fail_at:
                 raise MemoryError
             out = fn(*args)
             calls[number] = threading.current_thread().name
@@ -156,6 +156,30 @@ def test_a_sweep_draws_its_noise_into_two_buffers_in_turn(monkeypatch):
 @pytest.mark.parametrize("failing", ["upsample_convolve_fft", "pulse_shape"])
 def test_an_exception_between_hand_off_and_join_leaves_the_next_trial_fresh(
         monkeypatch, failing):
+    # the SI kernel or the shaping raises while the trial's noise, slow to
+    # draw, is on the worker.  run_trial raises only once that draw is
+    # done, so the generator has made exactly a trial's draws, and no late
+    # draw reaches a later trial's frame
+    design = link.trial_design(NARROW)
+    fresh = [run_trial(NARROW, np.random.default_rng(seed), design) for seed in (8, 9)]
+    module = link if failing == "upsample_convolve_fft" else sigproc
+    monkeypatch.setattr(module, failing, lambda *args, **kwargs: 1 / 0)
+    calls = _handed_off(monkeypatch, delay_s=0.2)
+    rng = np.random.default_rng(7)
+    with pytest.raises(ZeroDivisionError):
+        run_trial(NARROW, rng, design)
+    assert calls == [_worker.THREAD_NAME]  # the draw had run
+    assert not hasattr(design.scratch, "noise")  # the failed trial's buffer is dropped
+    replay = np.random.default_rng(7)
+    reference.trial_draws(NARROW, replay)
+    assert rng.bit_generator.state == replay.bit_generator.state
+    monkeypatch.undo()
+    assert [run_trial(NARROW, np.random.default_rng(seed), design)
+            for seed in (8, 9)] == fresh
+
+
+@pytest.mark.parametrize("failing", ["upsample_convolve_fft", "pulse_shape"])
+def test_a_sweep_trial_that_raises_waits_for_the_next_trials_draw(monkeypatch, failing):
     # the SI kernel or the shaping of trial 1 raises with trial 2's noise,
     # slow to draw, handed off: the sweep raises naming trial 1 only once
     # that draw is done, and the next sweep gives the serial rows
@@ -178,27 +202,31 @@ def test_an_exception_between_hand_off_and_join_leaves_the_next_trial_fresh(
     assert run_sweep(spec).rows == _serial_rows(spec)
 
 
-def test_a_lone_trial_that_raises_waits_for_its_handed_off_draw(monkeypatch):
-    # the SI kernel raises while the trial's noise, slow to draw, is on the
-    # worker: run_trial raises only once that draw is done, so the
-    # generator has made exactly a trial's draws and is idle
-    design = link.trial_design(NARROW)
-    monkeypatch.setattr(link, "upsample_convolve_fft", lambda *args, **kwargs: 1 / 0)
-    calls = _handed_off(monkeypatch, delay_s=0.2)
-    rng = np.random.default_rng(7)
-    with pytest.raises(ZeroDivisionError):
-        run_trial(NARROW, rng, design)
-    assert calls == [_worker.THREAD_NAME]
-    assert not hasattr(design.scratch, "noise")  # the failed trial's buffer is dropped
-    replay = np.random.default_rng(7)
-    reference.trial_draws(NARROW, replay)
-    assert rng.bit_generator.state == replay.bit_generator.state
-
-
 def test_a_memory_error_in_the_noise_draw_reaches_the_caller(monkeypatch, tmp_path, capsys):
+    # a lone trial's draw fails on the worker: run_trial raises it, and
+    # `fdsim run` exits 2 naming it; the design's next trials are fresh
+    cfg = replace(NARROW, scheme="PS")
+    design = link.trial_design(cfg)
+    fresh = [run_trial(cfg, np.random.default_rng(seed), design) for seed in (8, 9)]
+    calls = _handed_off(monkeypatch, fail_at=(0, 1))
+    with pytest.raises(MemoryError):
+        run_trial(cfg, np.random.default_rng(1), design)
+    assert calls == [None]  # handed off, and raised there
+    assert not hasattr(design.scratch, "noise")
+    path = tmp_path / "narrow.cfg"
+    path.write_text("signal_bandwidth_hz = 500000\nebn0_db = 20\n")
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "fdsim: error: MemoryError\n"
+    assert calls == [None] * 2
+    monkeypatch.undo()
+    assert [run_trial(cfg, np.random.default_rng(seed), design) for seed in (8, 9)] == fresh
+
+
+def test_a_memory_error_in_the_next_trials_noise_draw_names_that_trial(
+        monkeypatch, tmp_path, capsys):
     # trial 2's draw fails while trial 1 runs; the error is trial 2's
     spec = _narrow_spec(schemes=("PS",), values=(20.0,))
-    calls = _handed_off(monkeypatch, fail_at=2)
+    calls = _handed_off(monkeypatch, fail_at=(2,))
     with pytest.raises(FdsimError, match=r"^MemoryError \[scheme=PS, ebn0_db=20.0, trial=2\]$"):
         run_sweep(spec)
     assert calls == [_worker.THREAD_NAME] * 2 + [None]
@@ -234,18 +262,20 @@ def test_an_error_starting_the_next_trial_is_raised_once_the_trial_ahead_has_run
 
 
 def test_a_forked_child_runs_a_trial():
-    # the child of a process whose worker has run gets a worker of its own
+    # the child of a process whose worker has run gets a worker of its own,
+    # for a lone trial and for a sweep
     code = """
 import os, signal
+import numpy as np
 from fdsim import harness, link
-spec = harness.SweepSpec(base=link.LinkConfig(signal_bandwidth_hz=0.5e6, ebn0_db=20.0,
-                                              n_bits=400),
-                         values=(20.0,), trials_per_point=2)
-want = harness.run_sweep(spec)
+cfg = link.LinkConfig(signal_bandwidth_hz=0.5e6, ebn0_db=20.0, n_bits=400)
+spec = harness.SweepSpec(base=cfg, values=(20.0,), trials_per_point=2)
+run = lambda: (link.run_trial(cfg, np.random.default_rng(3)), harness.run_sweep(spec))
+want = run()
 pid = os.fork()
 if pid == 0:
     signal.alarm(60)  # a child left waiting for its parent's worker dies
-    os._exit(0 if harness.run_sweep(spec) == want else 1)
+    os._exit(0 if run() == want else 1)
 _, status = os.waitpid(pid, 0)
 print(os.waitstatus_to_exitcode(status))
 """
@@ -254,18 +284,12 @@ print(os.waitstatus_to_exitcode(status))
     assert _python(code, PYTHONWARNINGS="ignore::DeprecationWarning").strip() == "0"
 
 
-def test_threads_running_trials_on_their_own_generators_get_the_serial_reports():
-    # more threads than cores hand their draws to the one worker, with the
-    # interpreter switching threads often; a draw from another thread's
-    # generator, or a result handed to the wrong trial, changes a row
-    specs = {name: _narrow_spec(root_seed=name) for name in range(3)}
-    serial = {name: _serial_rows(spec) for name, spec in specs.items()}
-    threaded = {}
-
-    def sweep(name):
-        threaded[name] = run_sweep(specs[name]).rows
-
-    workers = [threading.Thread(target=sweep, args=(name,)) for name in specs]
+def _in_threads(run, names) -> dict:
+    """``run(name)`` for each name on a thread of its own, all at once,
+    with the interpreter switching threads often."""
+    results = {}
+    workers = [threading.Thread(target=lambda name: results.update({name: run(name)}),
+                                args=(name,)) for name in names]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -276,7 +300,31 @@ def test_threads_running_trials_on_their_own_generators_get_the_serial_reports()
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in workers)
-    assert threaded == serial
+    return results
+
+
+def test_threads_running_trials_on_their_own_generators_get_the_serial_reports():
+    # more threads than cores hand their draws to the one worker and keep
+    # their buffers in one design's per-thread scratch; a draw from another
+    # thread's generator, a result handed to the wrong trial or a buffer
+    # shared by two threads changes a report
+    design = link.trial_design(NARROW)
+    seeds = {name: range(100 * name, 100 * name + 5) for name in range(3)}
+
+    def trials(name):
+        return [run_trial(NARROW, np.random.default_rng(s), design) for s in seeds[name]]
+
+    serial = {name: trials(name) for name in seeds}
+    assert _in_threads(trials, seeds) == serial
+
+
+def test_threads_running_sweeps_get_the_serial_rows():
+    # each sweep hands its next trial's noise to the one worker while it
+    # runs the trial ahead; a draw handed to another sweep's trial changes
+    # a row
+    specs = {name: _narrow_spec(root_seed=name) for name in range(3)}
+    serial = {name: _serial_rows(spec) for name, spec in specs.items()}
+    assert _in_threads(lambda name: run_sweep(specs[name]).rows, specs) == serial
 
 
 def test_a_thread_reuses_its_noise_buffers_and_another_thread_gets_its_own():
