@@ -1,30 +1,19 @@
-"""The symbol-rate FFT filter of a link trial's self-interference.
+"""The symbol-rate filter of a link trial's self-interference.
 
-The self-interference of a trial is the zero-stuffed symbol stream
-through the SRRC filter and then the long complex channel, so the link
-applies both at once at the symbol rate: ``phase_spectrum`` transforms
-the polyphase components of the combined filter once per configuration
-and ``upsample_convolve_fft`` filters a symbol sequence with them
-through numpy's FFT.  A +B trial subtracts its replica inside that
-spectrum: the replica is the same symbols through the short filter
-SRRC ⊛ estimate, so the trial filters its symbols once, through the
-difference of the two filters' polyphase spectra.  The short filter has
-only a few taps per phase, so its spectrum is one product with a DFT
-matrix of that many columns, which ``phase_spectrum`` builds once with
-the long filter's spectrum, rather than one FFT per phase.  The kernel
-forms, inverts and returns its output in one ``(n_fft, sps)`` buffer,
-so a trial allocates one spectrum-sized array.
-
-``_phases``, ``_n_phases`` and ``_signal`` are shared with ``sigproc``,
-whose polyphase SRRC shaping and matched filter lay out their taps in
-the same phases, and ``matmul_rows`` with ``sigproc`` and
-``cancellation``: every matrix product fdsim issues stays under
-``MAX_PRODUCT_MACS`` but ``sigproc.modulate_psk``'s integer product of
-bits and weights, which numpy runs without BLAS, and one whose single
-row needs more (the +B Gram products at a large ``estimator_order``).
+A trial's SI is the zero-stuffed symbol stream through the SRRC filter
+and then the long complex channel, applied at once at the symbol rate:
+``phase_spectrum`` lays out the combined filter once per configuration
+and ``upsample_convolve_fft`` filters symbols with it, less a +B
+replica's short filter SRRC ⊛ estimate.  The helpers are shared with
+``sigproc`` and ``cancellation``: every matrix product fdsim issues
+stays under ``MAX_PRODUCT_MACS`` but ``sigproc.modulate_psk``'s integer
+product of bits and weights, which numpy runs without BLAS, and one
+whose single row needs more (the +B Gram products at a large
+``estimator_order``).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +23,12 @@ import numpy as np
 #: whose workers then spin a core for ~80 ms, the core that
 #: ``link.run_trial``'s noise draw runs on.
 MAX_PRODUCT_MACS = 2**18
+
+#: Most taps per phase that ``upsample_convolve_fft`` filters by direct
+#: product rather than by FFT.  On 1000 QPSK symbols at one BLAS thread
+#: the direct product took 132 µs against 351 at 16 taps per phase (sps
+#: 40) and 102 against 120 at 32 (sps 10), but 127 against 113 at 36.
+MAX_DIRECT_PHASES = 32
 
 
 def product_rows(a: np.ndarray, b: np.ndarray) -> int:
@@ -66,8 +61,7 @@ def _phases(h: np.ndarray, step: int, n_phases: int) -> np.ndarray:
 
 
 def _n_phases(n_taps: int, sps: int) -> int:
-    """Phases of an ``n_taps`` filter at ``sps`` for upsampling: enough that
-    the last output block reaches the last output sample."""
+    """Phases of ``n_taps`` taps at ``sps``: the last output block reaches the last sample."""
     return (n_taps + 2 * sps - 2) // sps
 
 
@@ -76,6 +70,43 @@ def _signal(x) -> np.ndarray:
     if x.ndim != 1 or x.size == 0:
         raise ValueError("the kernels take non-empty 1-d signals and taps")
     return x
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _strided(a: np.ndarray, shape: tuple, strides: tuple) -> np.ndarray:
+    """A read-only view of contiguous ``a`` (``as_strided`` without its per-call overhead)."""
+    return _read_only(np.ndarray(shape, a.dtype, buffer=a, strides=strides))
+
+
+def pair_matrix(phases: np.ndarray) -> np.ndarray:
+    """The real ``(2r, 2c)`` matrix that applies complex ``(r, c)`` ``phases``
+    to rows of interleaved (real, imag) pairs: z becomes [[Re z, Im z],
+    [-Im z, Re z]].  One real product beats a complex one on a strided view."""
+    out = np.empty((2 * phases.shape[0], 2 * phases.shape[1]))
+    out[::2, ::2] = out[1::2, 1::2] = phases.real
+    out[::2, 1::2] = phases.imag
+    out[1::2, ::2] = -phases.imag
+    return out
+
+
+def polyphase_filter(symbols, matrix: np.ndarray, n_taps: int) -> np.ndarray:
+    """``np.convolve`` of the zero-stuffed symbol stream with ``n_taps`` taps,
+    ``matrix`` the ``pair_matrix`` of their phases reversed: output block q
+    is the window of symbols ending at q times the matrix, in
+    ``matmul_rows`` blocks.  The result views the product's buffer."""
+    symbols = _signal(symbols)
+    n, p, sps = len(symbols), matrix.shape[0] // 2, matrix.shape[1] // 2
+    padded = np.zeros(n + 2 * (p - 1), dtype=np.complex128)
+    padded[p - 1 : p - 1 + n] = symbols
+    # row q: symbols q-p+1 .. q as interleaved (real, imag) pairs
+    windows = _strided(padded.view(np.float64), (n + p - 1, 2 * p),
+                       (padded.itemsize, padded.itemsize // 2))
+    out = matmul_rows(windows, matrix, np.empty((n + p - 1, 2 * sps)))
+    return out.view(np.complex128).ravel()[: n * sps + n_taps - 1]
 
 
 def fft_size(n: int) -> int:
@@ -94,20 +125,29 @@ def fft_size(n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class PhaseSpectrum:
-    """The DFTs of a filter's polyphase components, for
-    ``upsample_convolve_fft``.
+    """A filter's p ``phases`` of sps taps, for up to n_fft - p + 1 symbols
+    less a filter of up to ``m`` taps per phase.  ``direct``, for p <=
+    ``MAX_DIRECT_PHASES``, is the ``pair_matrix`` of the reversed phases;
+    else ``phase_spectrum`` builds ``spectra`` (column j the DFT of phase
+    j) and the ``(n_fft, m)`` DFT matrix ``replica_dft``, which a first
+    read builds otherwise.  All arrays are read-only."""
 
-    Column j of ``spectra`` (``n_fft`` rows of ``sps`` bins) is the DFT
-    of taps j, j + sps, j + 2*sps, ...; ``n_taps`` is the filter's
-    length.  ``replica_dft`` is the ``(n_fft, m)`` DFT matrix that
-    transforms the phases of a subtracted filter of up to ``m`` taps per
-    phase, m = ⌈n_minus / sps⌉ (0 when nothing is subtracted).  Both
-    arrays are read-only.
-    """
-
-    spectra: np.ndarray
+    phases: np.ndarray
     n_taps: int
-    replica_dft: np.ndarray
+    direct: np.ndarray | None
+    n_fft: int
+    m: int
+
+    @cached_property
+    def spectra(self) -> np.ndarray:
+        return _read_only(np.fft.fft(self.phases, self.n_fft, axis=0))
+
+    @cached_property
+    def replica_dft(self) -> np.ndarray:
+        # W[q, k] = exp(-2πi·qk/n_fft), its exponent reduced mod n_fft exactly
+        q = np.arange(self.n_fft)
+        twiddles = np.exp(-2j * np.pi / self.n_fft * q)
+        return _read_only(twiddles[np.outer(q, np.arange(self.m)) % self.n_fft])
 
 
 def spectrum_shape(n_taps: int, sps: int, n_symbols: int, n_minus: int) -> tuple[int, int]:
@@ -116,61 +156,53 @@ def spectrum_shape(n_taps: int, sps: int, n_symbols: int, n_minus: int) -> tuple
 
 
 def phase_spectrum(h, sps: int, n_symbols: int, n_minus: int = 0) -> PhaseSpectrum:
-    """The polyphase spectrum of taps ``h`` (complex allowed) at ``sps``,
-    long enough to filter up to ``n_symbols`` symbols without wrap-around,
-    and able to subtract filters of up to ``n_minus`` taps (at most
-    ``len(h)``) from it."""
+    """The polyphase filter of taps ``h`` (complex allowed) at ``sps``, for
+    up to ``n_symbols`` symbols and subtracted filters of up to ``n_minus``
+    taps (at most ``len(h)``)."""
     h = _signal(h)
     if sps < 1 or n_symbols < 1:
         raise ValueError("sps and n_symbols must be >= 1")
     if not 0 <= n_minus <= len(h):
         raise ValueError("n_minus must be in [0, len(h)]")
-    n_fft, m = spectrum_shape(len(h), sps, n_symbols, n_minus)
-    spectra = np.fft.fft(_phases(h, sps, _n_phases(len(h), sps)), n_fft, axis=0)
-    # W[q, k] = exp(-2πi·qk/n_fft), its exponent reduced mod n_fft exactly
-    twiddles = np.exp(-2j * np.pi / n_fft * np.arange(n_fft))
-    replica_dft = twiddles[np.outer(np.arange(n_fft), np.arange(m)) % n_fft]
-    for a in (spectra, replica_dft):
-        a.setflags(write=False)
-    return PhaseSpectrum(spectra=spectra, n_taps=len(h), replica_dft=replica_dft)
+    phases = _read_only(_phases(h, sps, _n_phases(len(h), sps)))
+    direct = _read_only(pair_matrix(phases[::-1])) if len(phases) <= MAX_DIRECT_PHASES else None
+    out = PhaseSpectrum(phases, len(h), direct, *spectrum_shape(len(h), sps, n_symbols, n_minus))
+    if direct is None:  # the FFT route's tables are design work, not a trial's
+        out.spectra, out.replica_dft
+    return out
 
 
 def upsample_convolve_fft(symbols, spectrum: PhaseSpectrum, minus=None) -> np.ndarray:
-    """The zero-stuffed symbol stream through complex taps, by FFT at the
-    symbol rate.
-
-    Equals ``np.convolve`` of the zero-stuffed stream with the taps that
-    ``spectrum`` was built from, at its full length; with ``minus``
-    (complex taps, at most m * sps of them and at most that filter's
-    length), with those taps less ``minus``.  Output sample q*sps + j is
-    symbol sequence ⊛ phase j at q, so one FFT of the symbols, one product
-    with every phase's spectrum and one inverse FFT per phase give all of
-    them; the spectrum of ``minus``'s phases is the product of
-    ``spectrum.replica_dft`` with them, in ``matmul_rows`` blocks.  The
-    result is a view of the leading samples of the ``(n_fft, sps)`` buffer
-    those transforms run in, whose rows (the layout of the stored spectra)
-    are the output blocks in order.
-    """
+    """``np.convolve`` of the zero-stuffed symbol stream with the taps of
+    ``spectrum``, less ``minus`` (complex taps, at most m * sps and at most
+    that filter's length), at full length: with ``spectrum.direct``,
+    ``polyphase_filter``'s product with that matrix less ``minus``'s;
+    otherwise, as output sample q*sps + j is symbols ⊛ phase j at q, one
+    FFT of the symbols, one product with the spectra (less ``minus``'s
+    phases times ``replica_dft``) and one inverse FFT per phase, in an
+    ``(n_fft, sps)`` buffer whose leading samples the result views."""
     symbols = _signal(symbols)
-    n_fft, sps = spectrum.spectra.shape
-    p = _n_phases(spectrum.n_taps, sps)
-    n_out = len(symbols) * sps + spectrum.n_taps - 1
-    n_blocks = len(symbols) + p - 1
-    if n_blocks > n_fft:
+    (p, sps), n_fft, n_taps, m = spectrum.phases.shape, spectrum.n_fft, spectrum.n_taps, spectrum.m
+    if len(symbols) + p - 1 > n_fft:
         raise ValueError(f"the spectrum has {n_fft} bins; {len(symbols)} symbols "
-                         f"need {n_blocks}")
+                         f"need {len(symbols) + p - 1}")
+    limit = min(m * sps, n_taps)
+    if minus is not None:
+        minus = np.asarray(minus, dtype=np.complex128)
+        if minus.ndim != 1 or minus.size > limit:
+            raise ValueError(f"minus must be a 1-d sequence of at most {limit} taps")
+    if spectrum.direct is not None:
+        matrix = spectrum.direct
+        if minus is not None:
+            matrix = matrix - pair_matrix(_phases(minus, sps, p)[::-1])
+        return polyphase_filter(symbols, matrix, n_taps)
     blocks = np.empty((n_fft, sps), dtype=np.complex128)
     symbols_fft = np.fft.fft(symbols, n_fft)[:, None]
     if minus is None:
         np.multiply(spectrum.spectra, symbols_fft, out=blocks)
     else:
-        minus = np.asarray(minus, dtype=np.complex128)
-        m = spectrum.replica_dft.shape[1]
-        limit = min(m * sps, spectrum.n_taps)
-        if minus.ndim != 1 or minus.size > limit:
-            raise ValueError(f"minus must be a 1-d sequence of at most {limit} taps")
         matmul_rows(spectrum.replica_dft, _phases(minus, sps, m), blocks)
         np.subtract(spectrum.spectra, blocks, out=blocks)
         blocks *= symbols_fft
     np.fft.ifft(blocks, axis=0, out=blocks)
-    return blocks.reshape(-1)[:n_out]
+    return blocks.reshape(-1)[: len(symbols) * sps + n_taps - 1]

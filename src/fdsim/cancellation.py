@@ -1,7 +1,7 @@
 """Training-based least-squares estimation of the self-interference channel.
 
 The estimate feeds the +B canceller, whose replica a link trial subtracts
-inside its SI spectrum (``link.run_trial``).  Everything but the noise is
+inside its SI filter (``link.run_trial``).  Everything but the noise is
 fixed for a channel, so the training model holds the burst's noise-free
 response through the channel, and a trial's training adds its noise to
 that and solves with one real product, which returns the estimated taps.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import matmul_rows
+from ._kernels import _read_only, matmul_rows
 from .channel import BasebandChannel, dbm_to_linear
 from .errors import EstimationError
 from .sigproc import SrrcFilter, energy, psk_table, pulse_shape
@@ -85,11 +85,8 @@ def training_model(burst: np.ndarray, estimator_order: int,
     if not np.any(burst):
         raise EstimationError("training signal is degenerate; estimation failed")
     conv = _convolution_matrix(burst, estimator_order, len(burst) + len(channel.taps) - 1)
-    pinv = _pinv(conv)
     response = np.convolve(burst, channel.taps)
-    for a in (pinv, response):
-        a.setflags(write=False)
-    return TrainingModel(pinv=pinv, response=response)
+    return TrainingModel(pinv=_read_only(_pinv(conv)), response=_read_only(response))
 
 
 def _gram_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

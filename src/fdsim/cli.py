@@ -62,7 +62,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """A result CSV is written after the last trial: check its path before the first."""
+    if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise OSError(f"cannot write {path!r}: it is a directory or its directory is missing")
+
+
 def _cmd_run(args) -> int:
+    if args.out is not None:
+        _check_out(args.out)
     spec = harness.parse_config(args.config) if args.config else harness.parse_config({})
     if args.seed is not None:
         spec = replace(spec, root_seed=args.seed)
@@ -79,7 +87,7 @@ def _cmd_run(args) -> int:
         print(f"estimate_err_db : {report.estimate_error_db:.4f}")
     if args.verbose:
         print(f"config          : {cfg}")
-    if args.out:
+    if args.out is not None:
         row = harness.point_row(cfg.scheme, "ebn0_db", cfg.ebn0_db, [report])
         harness.write_results(harness.SweepResult(rows=(row,)), args.out)
     return 0
@@ -93,9 +101,7 @@ def _cmd_sweep(args) -> int:
         spec = replace(spec, trials_per_point=args.trials)
     if args.scheme is not None:
         spec = replace(spec, schemes=(args.scheme,))
-    # the CSV is written after the last trial: check its path before the first
-    if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise OSError(f"cannot write {args.out}: it is a directory or its directory is missing")
+    _check_out(args.out)
     result = harness.run_sweep(spec)
     harness.write_results(result, args.out)
     if args.verbose:

@@ -6,18 +6,14 @@ optional baseband cancellation subtracts its estimated replica, and the
 surviving signal is matched-filtered and detected.  Metrics are the
 measured SINR, bit error rate, and Shannon rate.  The stages pass plain
 sample arrays, at the config's sample rate and samples per symbol.  What
-a config's trials share (filter, SI channel, pulse spectrum, SINR window,
+a config's trials share (filter, SI channel, pulse filter, SINR window,
 training model) is its trial design, which the caller builds once and
 passes to each trial.
 
-The SI reaches the receiver at the symbol rate: the trial's symbols pass
-once through the design's spectrum of the SRRC pulse through the SI
-channel.  With +B the replica is subtracted inside that spectrum: the SI
-after cancellation is the symbols through the pulse⊛channel filter less
-amp·(SRRC ⊛ estimate), which is linear in the filter.  The replica
-filter's spectrum is one product with the design's DFT matrix and its
-training uses the design's noise-free training response, so a +B trial
-transforms and convolves no more than an RF-only one.  This is the only
+The SI reaches the receiver at the symbol rate, the trial's symbols
+passing once through the design's filter of the SRRC pulse through the
+SI channel (``_kernels``), less the +B replica's amp·(SRRC ⊛ estimate),
+so a +B trial filters no more than an RF-only one.  This is the only
 canceller in the package.
 """
 
@@ -63,12 +59,9 @@ BACKGROUND_NOISE_SAMPLES = 2**12
 
 #: Longest received frame (``LinkConfig.frame_samples``), and most entries
 #: of a +B design's replica DFT and LS training matrices and of the
-#: matched filter's block product.  2**24 samples are 268 MB; a lone
-#: trial's RSS peak rises 3.16 frames at sps 40 and 4.94 at sps 2, one of
-#: them the noise buffer its design keeps, a sweep's 4.08 and 6.68, two of
-#: them its noise buffers (README); the replica DFT matrix is 10.6 frames
-#: at sps 2.  Any of them above this bound is a config error, not an
-#: allocation that exhausts memory mid-design or mid-trial.
+#: matched filter's block product: 2**24 samples are 268 MB (the README
+#: gives the frames a trial and a sweep hold at their peak).  Any of them
+#: above it is a config error, not an allocation that exhausts memory.
 MAX_FRAME_SAMPLES = 2**24
 
 
@@ -337,13 +330,12 @@ def self_interference_channel(config: LinkConfig) -> channel.BasebandChannel:
 class TrialDesign:
     """The parts of a trial that do not change from trial to trial, all for
     ``config``: the SRRC filter, the SI channel, the SI of one transmitted
-    pulse ``si_pulse = amp·(srrc ⊛ h)`` and its polyphase spectrum, the
+    pulse ``si_pulse = amp·(srrc ⊛ h)`` and its polyphase filter, the
     SINR measurement window ``[head, tail)`` of the received frame, and
     (for +B, else ``None``) the LS training model for the SI channel.  Its
     arrays are read-only.  A +B trial subtracts its replica inside
-    ``si_spectrum``, which holds the DFT matrix for the replica's length.
-    ``scratch`` keeps, per thread, the receiver-noise buffer of the
-    design's last trial there that drew its own."""
+    ``si_spectrum``, built for the replica's length.  ``scratch`` keeps,
+    per thread, the receiver-noise buffer of its last trial that drew one."""
 
     config: LinkConfig
     filt: sigproc.SrrcFilter

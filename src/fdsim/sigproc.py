@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _n_phases, _phases, _signal, matmul_rows, product_rows
+from ._kernels import (_n_phases, _phases, _read_only, _signal, _strided, pair_matrix,
+                       polyphase_filter, product_rows)
 
 SUPPORTED_ORDERS = (2, 4, 8, 16)
 
@@ -42,11 +43,8 @@ def _psk_table(m_order: int) -> PskTable:
     symbols = np.empty_like(points)
     symbols[labels] = points
     shifts = np.arange(m_order.bit_length() - 2, -1, -1)
-    table = PskTable(points=points, symbols=symbols, weights=1 << shifts,
-                     bits=(labels[:, None] >> shifts) & 1)
-    for a in (table.points, table.symbols, table.weights, table.bits):
-        a.setflags(write=False)
-    return table
+    weights, bits = 1 << shifts, (labels[:, None] >> shifts) & 1
+    return PskTable(*map(_read_only, (points, symbols, weights, bits)))
 
 
 #: The PSK tables of every supported order.
@@ -77,11 +75,8 @@ class SrrcFilter:
     """Square-root-raised-cosine filter taps (real, held as a read-only
     copy) at ``samples_per_symbol``, and the read-only polyphase matrices
     that ``pulse_shape`` and ``matched_filter_downsample`` apply, built
-    once with the filter: the taps' phases in reverse order, and the
-    transposed phases of the reversed taps, each in its Kronecker product
-    with the 2 x 2 identity, which applies it to interleaved (real, imag)
-    pairs.  One real product is much faster than a complex one on a
-    strided view."""
+    once with the filter: the ``pair_matrix`` of the taps' phases in
+    reverse order, and of the transposed phases of the reversed taps."""
 
     taps: np.ndarray
     samples_per_symbol: int
@@ -94,11 +89,10 @@ class SrrcFilter:
         if taps.ndim != 1 or not taps.size or np.iscomplexobj(taps) or sps < 1:
             raise ValueError("a filter takes a non-empty 1-d real tap sequence and sps >= 1")
         taps = taps.astype(np.float64)
-        shaping = np.kron(_phases(taps, sps, _n_phases(len(taps), sps))[::-1], np.eye(2))
-        matched = np.kron(_phases(taps[::-1], sps, -(-len(taps) // sps)).T, np.eye(2))
+        shaping = pair_matrix(_phases(taps, sps, _n_phases(len(taps), sps))[::-1])
+        matched = pair_matrix(_phases(taps[::-1], sps, -(-len(taps) // sps)).T)
         for name, a in (("taps", taps), ("shaping", shaping), ("matched", matched)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _read_only(a))
 
 
 def modulate_psk(bits, m_order: int) -> np.ndarray:
@@ -170,34 +164,14 @@ def srrc_taps(rolloff: float, span_symbols: int, samples_per_symbol: int) -> Srr
     return SrrcFilter(taps=h, samples_per_symbol=sps)
 
 
-def _strided(a: np.ndarray, shape: tuple, strides: tuple) -> np.ndarray:
-    """A read-only view of contiguous ``a`` with the given shape and
-    strides (``as_strided``, without its per-call overhead)."""
-    view = np.ndarray(shape, a.dtype, buffer=a, strides=strides)
-    view.flags.writeable = False
-    return view
-
-
 def pulse_shape(symbols, filt: SrrcFilter) -> np.ndarray:
-    """Zero-stuff to the filter's sample rate and convolve with its taps.
-
-    The output is ``np.convolve`` of the zero-stuffed symbol stream (the
-    symbols at multiples of ``sps``) with the taps, at its full length;
-    an empty symbol sequence is a ``ValueError``.  Output block q
-    (samples q*sps ... q*sps + sps - 1) is the window of symbols ending
-    at q times the shaping matrix (in ``matmul_rows`` blocks), so no
-    product with a stuffed zero is formed.  With unit-energy taps the
-    mean per-symbol energy is the mean symbol energy: no scaling is applied.
-    """
-    symbols = _signal(symbols)
-    n, p, sps = len(symbols), filt.shaping.shape[0] // 2, filt.shaping.shape[1] // 2
-    padded = np.zeros(n + 2 * (p - 1), dtype=np.complex128)
-    padded[p - 1 : p - 1 + n] = symbols
-    # row q: symbols q-p+1 .. q as interleaved (real, imag) pairs
-    windows = _strided(padded.view(np.float64), (n + p - 1, 2 * p),
-                       (padded.itemsize, padded.itemsize // 2))
-    out = matmul_rows(windows, filt.shaping, np.empty((n + p - 1, 2 * sps)))
-    return out.view(np.complex128).ravel()[: n * sps + len(filt.taps) - 1]
+    """Zero-stuff to the filter's sample rate and convolve with its taps:
+    ``np.convolve`` of the zero-stuffed symbol stream with the taps, at its
+    full length, as ``polyphase_filter``'s product with the shaping
+    matrix, which forms no product with a stuffed zero.  An empty symbol
+    sequence is a ``ValueError``.  With unit-energy taps the mean
+    per-symbol energy is the mean symbol energy: no scaling is applied."""
+    return polyphase_filter(symbols, filt.shaping, len(filt.taps))
 
 
 def matched_filter_downsample(samples, filt: SrrcFilter, n_symbols: int) -> np.ndarray:

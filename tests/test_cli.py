@@ -256,6 +256,18 @@ def test_sweep_rejects_an_unwritable_out_before_any_trial(tmp_path, capsys, monk
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_empty_out_is_rejected_before_any_trial(tmp_path, capsys, monkeypatch, command):
+    # os.path.dirname("") is "", whose stand-in "." is a directory
+    calls = _count_trials(monkeypatch)
+    monkeypatch.setattr(link, "run_trial", lambda *args: calls.append(args))
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_bits = 400\nvalues = 10\ntrials_per_point = 1\n")
+    assert main([command, "--config", str(cfg), "--out", ""]) == 2
+    assert "fdsim: error: cannot write ''" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_sweep_rerun_is_byte_identical(tmp_path, capsys):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("n_bits = 400\nvalues = 10,20\nschemes = PS+B\n"

@@ -11,8 +11,8 @@ import pytest
 
 import fdsim
 from fdsim import sigproc
-from fdsim._kernels import (MAX_PRODUCT_MACS, fft_size, matmul_rows, phase_spectrum,
-                            product_rows, upsample_convolve_fft)
+from fdsim._kernels import (MAX_DIRECT_PHASES, MAX_PRODUCT_MACS, fft_size, matmul_rows,
+                            phase_spectrum, product_rows, upsample_convolve_fft)
 
 #: Only the summation order differs from the reference, so the outputs
 #: agree to a few ulps of the signal's peak.
@@ -71,27 +71,48 @@ def test_kernels_match_reference(sps, n, kind):
 FFT_REL_TOL = 1e-14
 
 
+def _n_taps(name: str, sps: int) -> int:
+    """A tap count by name; "K-1", "K" and "K+1" have that many taps per
+    phase, K = ``MAX_DIRECT_PHASES``, the last one past the direct route."""
+    if name.startswith("K"):
+        return (MAX_DIRECT_PHASES + int(name[1:] or 0) - 2) * sps + 2
+    return {"1": 1, "sps": sps, "3sps+2": 3 * sps + 2, "600": 600}[name]
+
+
 @pytest.mark.parametrize("sps", [2, 3, 4, 5, 10, 20, 40])
 @pytest.mark.parametrize("n", [1, 2, 1000])
-@pytest.mark.parametrize("n_taps", ["1", "sps", "3sps+2", "600"])
+@pytest.mark.parametrize("n_taps", ["1", "sps", "3sps+2", "600", "K-1", "K", "K+1"])
 def test_fft_kernel_matches_reference(sps, n, n_taps):
-    length = {"1": 1, "sps": sps, "3sps+2": 3 * sps + 2, "600": 600}[n_taps]
+    length = _n_taps(n_taps, sps)
     rng = np.random.default_rng(7 * sps + n)
     h = rng.standard_normal(length) + 1j * rng.standard_normal(length)
     symbols = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
     ref = np.convolve(_stuffed(symbols, sps), h)
     # a spectrum built for more symbols serves fewer
     for n_built in (n, n + 500):
-        got = upsample_convolve_fft(symbols, phase_spectrum(h, sps, n_built))
+        spectrum = phase_spectrum(h, sps, n_built)
+        got = upsample_convolve_fft(symbols, spectrum)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= FFT_REL_TOL * np.max(np.abs(ref))
+    # the route follows the taps per phase
+    p = (length + 2 * sps - 2) // sps
+    assert (spectrum.direct is None) == (p > MAX_DIRECT_PHASES)
+    if n_taps.startswith("K"):
+        assert p == MAX_DIRECT_PHASES + int(n_taps[1:] or 0)
 
 
 @pytest.mark.parametrize("sps", [2, 3, 4, 10, 20, 40])
 @pytest.mark.parametrize("n_minus", [0, 1, 57, 59, 599, 600])
 def test_fft_kernel_subtracts_minus_taps(sps, n_minus):
+    # a 600-tap filter, then filters of K - 1, K and K + 1 taps per phase
+    for n_taps in ("600", "K-1", "K", "K+1"):
+        _check_subtracts_minus_taps(sps, n_minus, _n_taps(n_taps, sps))
+
+
+def _check_subtracts_minus_taps(sps, n_minus, n_h):
     rng = np.random.default_rng(sps + n_minus)
-    h = rng.standard_normal(600) + 1j * rng.standard_normal(600)
+    n_minus = min(n_minus, n_h)
+    h = rng.standard_normal(n_h) + 1j * rng.standard_normal(n_h)
     minus = rng.standard_normal(n_minus) + 1j * rng.standard_normal(n_minus)
     symbols = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 300))
     kept_symbols, kept_minus = symbols.copy(), minus.copy()

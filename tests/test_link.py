@@ -659,10 +659,11 @@ def test_sps2_trial_rss_rise_is_bounded():
 
 @pytest.mark.parametrize("bandwidth_hz", [10e6, 0.5e6])
 def test_baseband_trial_transforms_like_an_rf_only_trial(monkeypatch, bandwidth_hz):
-    # +B reuses its design's replica DFT matrix and training response: a
-    # trial of every scheme makes one FFT and one inverse FFT, and only a
-    # +B trial convolves, once, to form its short replica filter
-    # amp·(srrc ⊛ ĥ)
+    # +B reuses its design's replica DFT matrix or phase matrix and its
+    # training response: a trial of every scheme makes one FFT and one
+    # inverse FFT on the FFT route (10 MHz, 137 taps per phase) and none on
+    # the direct route (0.5 MHz, 16), and only a +B trial convolves, once,
+    # to form its short replica filter amp·(srrc ⊛ ĥ)
     calls = []
 
     def counted(name, fn):
@@ -683,11 +684,30 @@ def test_baseband_trial_transforms_like_an_rf_only_trial(monkeypatch, bandwidth_
         calls.clear()
         run_trial(cfg, np.random.default_rng(0), design)
         seen[scheme] = calls[:]
-        expected[scheme] = ["fft", "ifft"]
+        expected[scheme] = ["fft", "ifft"] if design.si_spectrum.direct is None else []
         if cfg.uses_baseband_cancellation:
             n_replica = len(design.filt.taps) + cfg.estimator_order - 1
-            expected[scheme] = [("convolve", n_replica), "fft", "ifft"]
+            expected[scheme] = [("convolve", n_replica)] + expected[scheme]
     assert seen == expected
+    assert (design.si_spectrum.direct is None) == (bandwidth_hz == 10e6)
+
+
+def test_direct_route_design_and_trial_transform_nothing(monkeypatch):
+    # at 0.5 MHz the SI pulse has 16 taps per phase: its design builds no
+    # spectra or replica DFT, and neither it nor a trial calls np.fft
+    def refused(*args, **kwargs):
+        raise AssertionError("np.fft called")
+
+    for scheme in ("PS", "PS+B"):
+        cfg = LinkConfig(scheme=scheme, signal_bandwidth_hz=0.5e6, ebn0_db=20.0)
+        link.self_interference_channel(cfg)  # its derivation transforms, once
+        with monkeypatch.context() as patch:
+            for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn"):
+                patch.setattr(np.fft, name, refused)
+            design = link.trial_design(cfg)
+            run_trial(cfg, np.random.default_rng(0), design)
+        assert design.si_spectrum.direct is not None
+        assert not {"spectra", "replica_dft"} & set(vars(design.si_spectrum))
 
 
 def test_design_for_another_config_is_rejected():
