@@ -25,9 +25,13 @@ import numpy as np
 MAX_PRODUCT_MACS = 2**18
 
 #: Most taps per phase that ``upsample_convolve_fft`` filters by direct
-#: product rather than by FFT.  On 1000 QPSK symbols at one BLAS thread
-#: the direct product took 132 µs against 351 at 16 taps per phase (sps
-#: 40) and 102 against 120 at 32 (sps 10), but 127 against 113 at 36.
+#: product rather than by FFT; twice that for a spectrum built for a
+#: subtracted filter, whose FFT route also transforms the phases'
+#: difference.  On 1000 QPSK symbols at one BLAS thread the direct
+#: product took 132 µs against 351 at 16 taps per phase (sps 40) and 102
+#: against 120 at 32 (sps 10), but 127 against 113 at 36; less a filter,
+#: 121 against 221 at 35 (sps 10), 144 against 140 at 60 (sps 5) and 150
+#: against 114 at 73 (sps 4).
 MAX_DIRECT_PHASES = 32
 
 
@@ -125,84 +129,73 @@ def fft_size(n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class PhaseSpectrum:
-    """A filter's p ``phases`` of sps taps, for up to n_fft - p + 1 symbols
-    less a filter of up to ``m`` taps per phase.  ``direct``, for p <=
-    ``MAX_DIRECT_PHASES``, is the ``pair_matrix`` of the reversed phases;
-    else ``phase_spectrum`` builds ``spectra`` (column j the DFT of phase
-    j) and the ``(n_fft, m)`` DFT matrix ``replica_dft``, which a first
-    read builds otherwise.  All arrays are read-only."""
+    """A filter's p ``phases`` of sps taps, for up to n_fft - p + 1 symbols.
+    ``direct``, for p up to ``MAX_DIRECT_PHASES`` (twice that when built
+    for a subtracted filter), is the ``pair_matrix`` of the reversed
+    phases.  ``spectra``, column j the DFT of phase j, is built with the
+    spectrum on the FFT route when it is built for no subtracted filter,
+    else on first read.  All arrays are read-only."""
 
     phases: np.ndarray
     n_taps: int
     direct: np.ndarray | None
     n_fft: int
-    m: int
 
     @cached_property
     def spectra(self) -> np.ndarray:
         return _read_only(np.fft.fft(self.phases, self.n_fft, axis=0))
 
-    @cached_property
-    def replica_dft(self) -> np.ndarray:
-        # W[q, k] = exp(-2πi·qk/n_fft), its exponent reduced mod n_fft exactly
-        q = np.arange(self.n_fft)
-        twiddles = np.exp(-2j * np.pi / self.n_fft * q)
-        return _read_only(twiddles[np.outer(q, np.arange(self.m)) % self.n_fft])
-
-
-def spectrum_shape(n_taps: int, sps: int, n_symbols: int, n_minus: int) -> tuple[int, int]:
-    """The ``(n_fft, m)`` shape of ``phase_spectrum``'s replica DFT matrix."""
-    return fft_size(n_symbols + _n_phases(n_taps, sps) - 1), -(-n_minus // sps)
-
 
 def phase_spectrum(h, sps: int, n_symbols: int, n_minus: int = 0) -> PhaseSpectrum:
     """The polyphase filter of taps ``h`` (complex allowed) at ``sps``, for
     up to ``n_symbols`` symbols and subtracted filters of up to ``n_minus``
-    taps (at most ``len(h)``)."""
+    taps (at most ``len(h)``): with one, a trial on the FFT route
+    transforms the phases' difference, so the direct route reaches twice
+    as far."""
     h = _signal(h)
     if sps < 1 or n_symbols < 1:
         raise ValueError("sps and n_symbols must be >= 1")
     if not 0 <= n_minus <= len(h):
         raise ValueError("n_minus must be in [0, len(h)]")
-    phases = _read_only(_phases(h, sps, _n_phases(len(h), sps)))
-    direct = _read_only(pair_matrix(phases[::-1])) if len(phases) <= MAX_DIRECT_PHASES else None
-    out = PhaseSpectrum(phases, len(h), direct, *spectrum_shape(len(h), sps, n_symbols, n_minus))
-    if direct is None:  # the FFT route's tables are design work, not a trial's
-        out.spectra, out.replica_dft
+    p = _n_phases(len(h), sps)
+    phases = _read_only(_phases(h, sps, p))
+    limit = MAX_DIRECT_PHASES * (2 if n_minus else 1)
+    direct = _read_only(pair_matrix(phases[::-1])) if p <= limit else None
+    out = PhaseSpectrum(phases, len(h), direct, fft_size(n_symbols + p - 1))
+    if direct is None and not n_minus:  # design work, not a trial's
+        out.spectra
     return out
 
 
 def upsample_convolve_fft(symbols, spectrum: PhaseSpectrum, minus=None) -> np.ndarray:
     """``np.convolve`` of the zero-stuffed symbol stream with the taps of
-    ``spectrum``, less ``minus`` (complex taps, at most m * sps and at most
-    that filter's length), at full length: with ``spectrum.direct``,
-    ``polyphase_filter``'s product with that matrix less ``minus``'s;
-    otherwise, as output sample q*sps + j is symbols ⊛ phase j at q, one
-    FFT of the symbols, one product with the spectra (less ``minus``'s
-    phases times ``replica_dft``) and one inverse FFT per phase, in an
-    ``(n_fft, sps)`` buffer whose leading samples the result views."""
+    ``spectrum`` less ``minus`` (complex taps, at most that filter's
+    length), at full length.  Both routes filter by the phases less
+    ``minus``'s: with ``spectrum.direct``, ``polyphase_filter``'s product
+    with their ``pair_matrix``; otherwise, as output sample q*sps + j is
+    symbols ⊛ phase j at q, one FFT of the symbols, one product with the
+    phases' spectra (``spectrum.spectra``, or one FFT of the difference)
+    and one inverse FFT per phase, in an ``(n_fft, sps)`` buffer whose
+    leading samples the result views."""
     symbols = _signal(symbols)
-    (p, sps), n_fft, n_taps, m = spectrum.phases.shape, spectrum.n_fft, spectrum.n_taps, spectrum.m
+    (p, sps), n_fft, n_taps = spectrum.phases.shape, spectrum.n_fft, spectrum.n_taps
     if len(symbols) + p - 1 > n_fft:
         raise ValueError(f"the spectrum has {n_fft} bins; {len(symbols)} symbols "
                          f"need {len(symbols) + p - 1}")
-    limit = min(m * sps, n_taps)
+    phases = spectrum.phases
     if minus is not None:
         minus = np.asarray(minus, dtype=np.complex128)
-        if minus.ndim != 1 or minus.size > limit:
-            raise ValueError(f"minus must be a 1-d sequence of at most {limit} taps")
+        if minus.ndim != 1 or minus.size > n_taps:
+            raise ValueError(f"minus must be a 1-d sequence of at most {n_taps} taps")
+        phases = phases - _phases(minus, sps, p)
     if spectrum.direct is not None:
-        matrix = spectrum.direct
-        if minus is not None:
-            matrix = matrix - pair_matrix(_phases(minus, sps, p)[::-1])
+        matrix = spectrum.direct if minus is None else pair_matrix(phases[::-1])
         return polyphase_filter(symbols, matrix, n_taps)
-    blocks = np.empty((n_fft, sps), dtype=np.complex128)
     symbols_fft = np.fft.fft(symbols, n_fft)[:, None]
     if minus is None:
-        np.multiply(spectrum.spectra, symbols_fft, out=blocks)
+        blocks = np.multiply(spectrum.spectra, symbols_fft)
     else:
-        matmul_rows(spectrum.replica_dft, _phases(minus, sps, m), blocks)
-        np.subtract(spectrum.spectra, blocks, out=blocks)
+        blocks = np.fft.fft(phases, n_fft, axis=0)
         blocks *= symbols_fft
     np.fft.ifft(blocks, axis=0, out=blocks)
     return blocks.reshape(-1)[: len(symbols) * sps + n_taps - 1]

@@ -12,9 +12,9 @@ passes to each trial.
 
 The SI reaches the receiver at the symbol rate, the trial's symbols
 passing once through the design's filter of the SRRC pulse through the
-SI channel (``_kernels``), less the +B replica's amp·(SRRC ⊛ estimate),
-so a +B trial filters no more than an RF-only one.  This is the only
-canceller in the package.
+SI channel (``_kernels``), its phases less those of the +B replica
+amp·(SRRC ⊛ estimate), so a +B trial filters the frame once, as an
+RF-only one does.  This is the only canceller in the package.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import _worker, cancellation, channel, sigproc
-from ._kernels import PhaseSpectrum, phase_spectrum, spectrum_shape, upsample_convolve_fft
+from ._kernels import PhaseSpectrum, phase_spectrum, upsample_convolve_fft
 from .errors import ConfigError, ProfileError
 
 #: The RF schemes, then each with baseband cancellation (+B).
@@ -58,10 +58,10 @@ EBN0_RANGE_DB = (-1000.0, 1000.0)
 BACKGROUND_NOISE_SAMPLES = 2**12
 
 #: Longest received frame (``LinkConfig.frame_samples``), and most entries
-#: of a +B design's replica DFT and LS training matrices and of the
-#: matched filter's block product: 2**24 samples are 268 MB (the README
-#: gives the frames a trial and a sweep hold at their peak).  Any of them
-#: above it is a config error, not an allocation that exhausts memory.
+#: of a +B design's LS training matrix and of the matched filter's block
+#: product: 2**24 samples are 268 MB (the README gives the frames a trial
+#: and a sweep hold at their peak).  Any of them above it is a config
+#: error, not an allocation that exhausts memory.
 MAX_FRAME_SAMPLES = 2**24
 
 
@@ -180,17 +180,6 @@ class LinkConfig:
                 f"n_training = {self.n_training} and estimator_order = {order} give a "
                 f"{rows} x {order} training matrix, above MAX_FRAME_SAMPLES = "
                 f"{MAX_FRAME_SAMPLES} entries; lower n_training or estimator_order"
-            )
-        # the design's replica DFT matrix, for the SRRC⊛SI pulse and SRRC⊛ĥ
-        n_srrc = self.span_symbols * self.samples_per_symbol + 1
-        rows, cols = spectrum_shape(n_srrc + self.n_taps - 1, self.samples_per_symbol,
-                                    self.n_symbols, n_srrc + order - 1)
-        if rows * cols > MAX_FRAME_SAMPLES:
-            raise ConfigError(
-                f"n_bits = {self.n_bits} and signal_bandwidth_hz = "
-                f"{self.signal_bandwidth_hz:g} give a {rows} x {cols} replica DFT "
-                f"matrix, above MAX_FRAME_SAMPLES = {MAX_FRAME_SAMPLES} entries; "
-                f"lower n_bits or raise signal_bandwidth_hz"
             )
 
     @property
@@ -332,10 +321,12 @@ class TrialDesign:
     ``config``: the SRRC filter, the SI channel, the SI of one transmitted
     pulse ``si_pulse = amp·(srrc ⊛ h)`` and its polyphase filter, the
     SINR measurement window ``[head, tail)`` of the received frame, and
-    (for +B, else ``None``) the LS training model for the SI channel.  Its
-    arrays are read-only.  A +B trial subtracts its replica inside
-    ``si_spectrum``, built for the replica's length.  ``scratch`` keeps,
-    per thread, the receiver-noise buffer of its last trial that drew one."""
+    (for +B, else ``None``) the LS training model for the SI channel and
+    ``si_energies``, the energies of ``si_pulse`` and of its taps past the
+    replica's.  Its arrays are read-only.  A +B trial subtracts its
+    replica's phases from ``si_spectrum``'s, built for the replica's
+    length.  ``scratch`` keeps, per thread, the receiver-noise buffer of
+    its last trial that drew one."""
 
     config: LinkConfig
     filt: sigproc.SrrcFilter
@@ -345,6 +336,7 @@ class TrialDesign:
     head: int
     tail: int
     si_pulse: np.ndarray
+    si_energies: tuple[float, float] | None
     scratch: threading.local = field(default_factory=threading.local, repr=False)
 
 
@@ -378,16 +370,17 @@ def trial_design(config: LinkConfig) -> TrialDesign:
     amp = math.sqrt(channel.dbm_to_linear(config.p_ta_dbm))
     si_pulse = amp * np.convolve(filt.taps, h_aa.taps)
     si_pulse.setflags(write=False)
-    training = None
+    training = energies = None
     n_replica = 0
     if config.uses_baseband_cancellation:
         burst = cancellation.make_training_signal(config.n_training, filt)
         training = cancellation.training_model(burst, config.estimator_order, h_aa)
         # the replica filter amp·(srrc ⊛ ĥ)
         n_replica = len(filt.taps) + config.estimator_order - 1
+        energies = sigproc.energy(si_pulse), sigproc.energy(si_pulse[n_replica:])
     spectrum = phase_spectrum(si_pulse, sps, config.n_symbols, n_replica)
     head, tail = _sinr_window(config, filt, h_aa)
-    return TrialDesign(config, filt, h_aa, spectrum, training, head, tail, si_pulse)
+    return TrialDesign(config, filt, h_aa, spectrum, training, head, tail, si_pulse, energies)
 
 
 @dataclass(eq=False, slots=True)
@@ -473,9 +466,9 @@ def run_trial(config: LinkConfig, rng: np.random.Generator | TrialDraws,
                                                  draws.training_noise)
             amp = math.sqrt(channel.dbm_to_linear(config.p_ta_dbm))
             replica = amp * np.convolve(filt.taps, taps_hat)
-            si_pulse, n = design.si_pulse, len(replica)
-            err = sigproc.energy(si_pulse[:n] - replica) + sigproc.energy(si_pulse[n:])
-            est_err_db = 10.0 * math.log10(max(err / sigproc.energy(si_pulse), 1e-300))
+            si_energy, tail_energy = design.si_energies
+            err = sigproc.energy(design.si_pulse[: len(replica)] - replica) + tail_energy
+            est_err_db = 10.0 * math.log10(max(err / si_energy, 1e-300))
 
         gain = math.sqrt(channel.dbm_to_linear(config.p_rb_dbm)) * np.exp(1j * draws.phase)
         # the received frame is built in the SI's buffer (amp·(pulse_shape(s_a)

@@ -71,11 +71,18 @@ def test_kernels_match_reference(sps, n, kind):
 FFT_REL_TOL = 1e-14
 
 
+def _phases_named(name: str) -> int:
+    """The taps per phase of a "K-1", "K", "K+1", "2K-1", "2K" or "2K+1"
+    filter, K = ``MAX_DIRECT_PHASES``: the last one of each is past the
+    direct route without a subtracted filter, or with one."""
+    k, _, offset = name.partition("K")
+    return int(k or 1) * MAX_DIRECT_PHASES + int(offset or 0)
+
+
 def _n_taps(name: str, sps: int) -> int:
-    """A tap count by name; "K-1", "K" and "K+1" have that many taps per
-    phase, K = ``MAX_DIRECT_PHASES``, the last one past the direct route."""
-    if name.startswith("K"):
-        return (MAX_DIRECT_PHASES + int(name[1:] or 0) - 2) * sps + 2
+    """A tap count by name; a name with K has ``_phases_named`` taps per phase."""
+    if "K" in name:
+        return (_phases_named(name) - 2) * sps + 2
     return {"1": 1, "sps": sps, "3sps+2": 3 * sps + 2, "600": 600}[name]
 
 
@@ -97,15 +104,16 @@ def test_fft_kernel_matches_reference(sps, n, n_taps):
     # the route follows the taps per phase
     p = (length + 2 * sps - 2) // sps
     assert (spectrum.direct is None) == (p > MAX_DIRECT_PHASES)
-    if n_taps.startswith("K"):
-        assert p == MAX_DIRECT_PHASES + int(n_taps[1:] or 0)
+    if "K" in n_taps:
+        assert p == _phases_named(n_taps)
 
 
 @pytest.mark.parametrize("sps", [2, 3, 4, 10, 20, 40])
 @pytest.mark.parametrize("n_minus", [0, 1, 57, 59, 599, 600])
 def test_fft_kernel_subtracts_minus_taps(sps, n_minus):
-    # a 600-tap filter, then filters of K - 1, K and K + 1 taps per phase
-    for n_taps in ("600", "K-1", "K", "K+1"):
+    # a 600-tap filter, then filters of K - 1, K, K + 1, 2K - 1, 2K and
+    # 2K + 1 taps per phase
+    for n_taps in ("600", "K-1", "K", "K+1", "2K-1", "2K", "2K+1"):
         _check_subtracts_minus_taps(sps, n_minus, _n_taps(n_taps, sps))
 
 
@@ -125,10 +133,12 @@ def _check_subtracts_minus_taps(sps, n_minus, n_h):
         got = upsample_convolve_fft(symbols, spectrum, minus=minus)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= FFT_REL_TOL * np.max(np.abs(ref))
-        # a replica longer than the spectrum's whole phases, or its filter
-        too_long = min(-(-n_built // sps) * sps, len(h)) + 1
-        with pytest.raises(ValueError):
-            upsample_convolve_fft(symbols, spectrum, minus=np.ones(too_long))
+        # a spectrum built for a subtracted filter goes direct twice as far
+        p = len(spectrum.phases)
+        assert (spectrum.direct is None) == (p > MAX_DIRECT_PHASES * (2 if n_built else 1))
+        # on either route, a replica longer than the filter
+        with pytest.raises(ValueError, match=f"at most {len(h)} taps"):
+            upsample_convolve_fft(symbols, spectrum, minus=np.ones(len(h) + 1))
     # the kernel works in a buffer of its own, never in its arguments
     assert np.array_equal(symbols, kept_symbols) and np.array_equal(minus, kept_minus)
     with pytest.raises(ValueError):
@@ -145,9 +155,7 @@ def test_fft_kernel_rejects_more_symbols_than_its_spectrum():
     spectrum = phase_spectrum(np.ones(600, dtype=complex), 40, 1000)
     n_fft = fft_size(1000 + 15 - 1)
     assert spectrum.spectra.shape == (n_fft, 40) and spectrum.spectra.flags.c_contiguous
-    assert spectrum.replica_dft.shape == (n_fft, 0)
     assert not spectrum.spectra.flags.writeable
-    assert not spectrum.replica_dft.flags.writeable
     with pytest.raises(ValueError):
         upsample_convolve_fft(np.ones(n_fft), spectrum)
 
